@@ -44,7 +44,7 @@ from .ioformats import (
     write_sweep_csv,
     write_tally,
 )
-from .model import domain_key_to_string
+from .model import CONVENTIONS, domain_key_to_string
 from .pairing import PairingConfig, match_pairs_indexed
 from .sources import generate
 from .stats import bell_wigner, chsh, sweep_window, tally
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tally", required=True, help="tally JSON")
     p.add_argument("--kind", required=True, choices=["bell-wigner", "chsh"])
     p.add_argument("--ordering", required=True, help="comma-separated setting labels, e.g. a,b,c")
-    p.add_argument("--convention", required=True, choices=["equal", "anti"])
+    p.add_argument("--convention", required=True, choices=CONVENTIONS)
     p.set_defaults(func=_cmd_inequalities)
 
     p = sub.add_parser("sweep", help="evaluate an inequality across coincidence windows")

@@ -27,6 +27,7 @@ from .errors import EmptyCellError, InternalInvariantError, SupportViolationErro
 from .model import (
     CELLS,
     CELL_NAMES,
+    CONVENTIONS,
     SETTING_LABELS,
     DomainKey,
     TallyTable,
@@ -35,8 +36,6 @@ from .model import (
     domain_key_to_string,
 )
 from .stats import _q_cell
-
-CONVENTIONS = ("equal", "anti")
 
 
 def _as_fraction(value) -> Fraction:
@@ -47,7 +46,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"not a probability: {value!r} has a zero denominator")
     if isinstance(value, float):
         return Fraction(str(value))
     raise ValueError(f"cannot interpret {value!r} as an exact probability")

@@ -27,7 +27,9 @@ from .model import (
     CELL_FROM_NAME,
     CELL_NAMES,
     CELLS,
+    CONVENTIONS,
     ISLANDS,
+    OUTCOMES,
     SETTING_LABELS,
     DetectionEvent,
     EventStream,
@@ -43,6 +45,9 @@ from .sources import SourceConfig
 from .stats import SweepRow
 
 EVENT_KEYS = ("island", "t_ns", "setting", "outcome")
+_EVENT_KEY_SET = frozenset(EVENT_KEYS)
+# event times are stored as int64
+_MAX_T_NS = 2**63 - 1
 PAIR_KEYS = (
     "t_left_ns",
     "t_right_ns",
@@ -99,17 +104,52 @@ def _format_error(path: str, line: int, message: str) -> FormatError:
     return FormatError(message, line=line, path=path)
 
 
-def read_events(path: str) -> EventStream:
-    """Parse one station's event file.
+def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStream:
+    """Check one station's (lineno, island, t_ns, setting, outcome) rows in
+    file order and build its stream.
 
-    Every line must be a JSON object with exactly the keys island, t_ns,
-    setting, outcome; one island per file; t_ns a nonnegative integer,
-    strictly increasing down the file.
+    Raises FormatError naming the line of the first bad row, or naming the
+    file (``what``) when it holds no row.  t_ns must fit the stream's int64
+    column.
     """
-    islands: list[str] = []
+    island = None
     times: list[int] = []
     labels: list[str] = []
     outcomes: list[int] = []
+    prev = -1
+    for lineno, isl, t_ns, setting, outcome in rows:
+        if isl not in ISLANDS:
+            raise _format_error(path, lineno, f"island must be 'T' or 'L', got {isl!r}")
+        if island is None:
+            island = isl
+        elif isl != island:
+            raise _format_error(path, lineno, f"mixed islands: file started with {island!r}, line has {isl!r}")
+        if type(t_ns) is not int or not 0 <= t_ns <= _MAX_T_NS:
+            raise _format_error(path, lineno, f"t_ns must be a nonnegative integer below 2^63, got {t_ns!r}")
+        if t_ns <= prev:
+            raise _format_error(path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {prev}")
+        if setting not in SETTING_LABELS:
+            raise _format_error(path, lineno, f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
+        if type(outcome) is not int or outcome not in OUTCOMES:
+            raise _format_error(path, lineno, f"outcome must be +1 or -1, got {outcome!r}")
+        prev = t_ns
+        times.append(t_ns)
+        labels.append(setting)
+        outcomes.append(outcome)
+    if island is None:
+        raise FormatError(f"{what} is empty", path=path)
+    menu = tuple(sorted(set(labels)))
+    index = {lab: i for i, lab in enumerate(menu)}
+    return EventStream(
+        island=island,
+        labels=menu,
+        t_ns=np.asarray(times, dtype=np.int64),
+        setting_idx=np.asarray([index[lab] for lab in labels], dtype=np.int16),
+        outcome=np.asarray(outcomes, dtype=np.int8),
+    )
+
+
+def _event_rows(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             text = raw.strip()
@@ -119,40 +159,19 @@ def read_events(path: str) -> EventStream:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise _format_error(path, lineno, f"invalid JSON: {exc.msg}")
-            if not isinstance(obj, dict) or set(obj) != set(EVENT_KEYS):
+            if not isinstance(obj, dict) or obj.keys() != _EVENT_KEY_SET:
                 raise _format_error(path, lineno, f"event must have exactly the keys {list(EVENT_KEYS)}")
-            island, t_ns, setting, outcome = (obj[k] for k in EVENT_KEYS)
-            if island not in ISLANDS:
-                raise _format_error(path, lineno, f"island must be 'T' or 'L', got {island!r}")
-            if islands and island != islands[0]:
-                raise _format_error(
-                    path, lineno, f"mixed islands: file started with {islands[0]!r}, line has {island!r}"
-                )
-            if not isinstance(t_ns, int) or isinstance(t_ns, bool) or t_ns < 0:
-                raise _format_error(path, lineno, f"t_ns must be a nonnegative integer, got {t_ns!r}")
-            if times and t_ns <= times[-1]:
-                raise _format_error(
-                    path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {times[-1]}"
-                )
-            if setting not in SETTING_LABELS:
-                raise _format_error(path, lineno, f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
-            if outcome not in (1, -1):
-                raise _format_error(path, lineno, f"outcome must be 1 or -1, got {outcome!r}")
-            islands.append(island)
-            times.append(t_ns)
-            labels.append(setting)
-            outcomes.append(outcome)
-    if not islands:
-        raise FormatError("event file is empty", path=path)
-    menu = tuple(sorted(set(labels)))
-    index = {lab: i for i, lab in enumerate(menu)}
-    return EventStream(
-        island=islands[0],
-        labels=menu,
-        t_ns=np.asarray(times, dtype=np.int64),
-        setting_idx=np.asarray([index[lab] for lab in labels], dtype=np.int16),
-        outcome=np.asarray(outcomes, dtype=np.int8),
-    )
+            yield lineno, obj["island"], obj["t_ns"], obj["setting"], obj["outcome"]
+
+
+def read_events(path: str) -> EventStream:
+    """Parse one station's event file.
+
+    Every line must be a JSON object with exactly the keys island, t_ns,
+    setting, outcome; one island per file; t_ns a nonnegative integer below
+    2^63, strictly increasing down the file.
+    """
+    return _stream_from_rows(path, _event_rows(path), "event file")
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +204,6 @@ def write_pairs_indexed(
                     "outcome_left": ol,
                     "outcome_right": orr,
                     "window_ns": window_ns,
-                },
-                separators=(",", ":"),
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_pairs(path: str, pairs: Iterable[PairRecord]) -> None:
-    lines = []
-    for p in pairs:
-        lines.append(
-            json.dumps(
-                {
-                    "t_left_ns": p.left.time_ns,
-                    "t_right_ns": p.right.time_ns,
-                    "setting_left": p.left.setting_label,
-                    "setting_right": p.right.setting_label,
-                    "outcome_left": p.left.outcome,
-                    "outcome_right": p.right.outcome,
-                    "window_ns": p.window_ns,
                 },
                 separators=(",", ":"),
             )
@@ -477,7 +476,7 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
             raise FormatError(f"unknown top-level key(s) {sorted(extra)}", path=path)
         if "convention" in doc:
             convention = doc["convention"]
-            if convention not in ("equal", "anti"):
+            if convention not in CONVENTIONS:
                 raise FormatError(f"convention must be 'equal' or 'anti', got {convention!r}", path=path)
         doc = doc["tables"]
     if not isinstance(doc, dict) or not doc:
@@ -518,13 +517,10 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
 # raw station logs
 
 
-def read_raw_station(path: str, island: str) -> EventStream:
-    """Parse a whitespace-separated raw log with lines 't_ns setting outcome'."""
-    if island not in ISLANDS:
-        raise ValueError(f"island must be 'T' or 'L', got {island!r}")
-    times: list[int] = []
-    labels: list[str] = []
-    outcomes: list[int] = []
+_RAW_OUTCOMES = {"1": 1, "+1": 1, "-1": -1}
+
+
+def _raw_rows(path: str, island: str):
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             text = raw.strip()
@@ -538,34 +534,15 @@ def read_raw_station(path: str, island: str) -> EventStream:
                 t_ns = int(t_text)
             except ValueError:
                 raise _format_error(path, lineno, f"t_ns must be an integer, got {t_text!r}")
-            if t_ns < 0:
-                raise _format_error(path, lineno, f"t_ns must be nonnegative, got {t_ns}")
-            if times and t_ns <= times[-1]:
-                raise _format_error(
-                    path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {times[-1]}"
-                )
-            if setting not in SETTING_LABELS:
-                raise _format_error(path, lineno, f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
-            if o_text in ("1", "+1"):
-                outcome = 1
-            elif o_text == "-1":
-                outcome = -1
-            else:
-                raise _format_error(path, lineno, f"outcome must be +1, 1, or -1, got {o_text!r}")
-            times.append(t_ns)
-            labels.append(setting)
-            outcomes.append(outcome)
-    if not times:
-        raise FormatError("raw station log is empty", path=path)
-    menu = tuple(sorted(set(labels)))
-    index = {lab: i for i, lab in enumerate(menu)}
-    return EventStream(
-        island=island,
-        labels=menu,
-        t_ns=np.asarray(times, dtype=np.int64),
-        setting_idx=np.asarray([index[lab] for lab in labels], dtype=np.int16),
-        outcome=np.asarray(outcomes, dtype=np.int8),
-    )
+            yield lineno, island, t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text)
+
+
+def read_raw_station(path: str, island: str) -> EventStream:
+    """Parse a whitespace-separated raw log with lines 't_ns setting outcome'
+    (outcome +1, 1 or -1; '#' starts a comment line)."""
+    if island not in ISLANDS:
+        raise ValueError(f"island must be 'T' or 'L', got {island!r}")
+    return _stream_from_rows(path, _raw_rows(path, island), "raw station log")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from .errors import InvalidStreamError
 SETTING_LABELS = ("a", "b", "c", "d")
 ISLANDS = ("T", "L")
 OUTCOMES = (1, -1)
+# How the L outcome relates to the hidden tau: "equal" reports tau, "anti" -tau.
+CONVENTIONS = ("equal", "anti")
 
 # ---------------------------------------------------------------------------
 # elementary records
@@ -73,7 +75,11 @@ class DetectionEvent:
             raise ValueError(f"time_ns must be an integer, got {self.time_ns!r}")
         if self.setting_label not in SETTING_LABELS:
             raise ValueError(f"setting_label must be one of {SETTING_LABELS}, got {self.setting_label!r}")
-        if self.outcome not in OUTCOMES:
+        if (
+            not isinstance(self.outcome, (int, np.integer))
+            or isinstance(self.outcome, bool)
+            or self.outcome not in OUTCOMES
+        ):
             raise ValueError(f"outcome must be +1 or -1, got {self.outcome!r}")
 
 

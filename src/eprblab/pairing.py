@@ -12,11 +12,18 @@ are therefore counted and reported, never dropped.
 "Within the window" means |t - t'| <= W with integer nanoseconds (a strict
 reading of "smaller than W" is the same rule with W-1).
 
-Two interchangeable implementations back ``match_pairs``: a vectorized one
-that materializes all candidates (fast while their number is moderate) and
-a lazy heap-based one for windows so wide that materializing would blow up
-quadratically.  Both produce bit-identical matchings; the property tests
-assert it.
+Prefix property: the candidates at a window W are exactly those of any
+larger window W' with |dt| <= W, and they come first in its scan order.
+Greedy at W' therefore processes the scan at W as a prefix, so the
+matching at W is the matching at W' cut to |dt| <= W.  A window sweep
+(``stats.sweep_window``) relies on this to match once, at its largest
+window.
+
+``match_pairs_indexed`` has two implementations behind it.  A vectorized
+one materializes all candidates and is several times faster while their
+number is moderate; a lazy heap walk enumerates each T event's candidates
+outward and is the only one whose memory stays bounded when the window is
+wide.  Both produce bit-identical matchings; the property tests assert it.
 """
 
 from __future__ import annotations
@@ -26,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EventStream, PairRecord, require_valid_stream
-
-POLICY = "nearest-first-greedy"
+from .model import require_valid_stream
 
 # Largest number of candidate pairs the vectorized path may materialize
 # before the matcher switches to the lazy heap walk.
@@ -38,18 +43,23 @@ MAX_MATERIALIZED_CANDIDATES = 10_000_000
 @dataclass(frozen=True)
 class PairingConfig:
     window_ns: int
-    policy: str = POLICY
 
     def __post_init__(self) -> None:
         if self.window_ns < 0:
             raise ValueError("window_ns must be nonnegative")
-        if self.policy != POLICY:
-            raise ValueError(f"the only implemented policy is {POLICY!r}, got {self.policy!r}")
+
+
+def _candidate_bounds(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per T event, the index range [lo, hi) of the L events within the
+    window.  Times are nonnegative int64, so t - W cannot wrap for
+    W < 2^63; the upper end is capped at the last L time, so t + W cannot."""
+    lo = np.searchsorted(tr, tl - window, side="left")
+    hi = np.searchsorted(tr, tl + np.minimum(window, tr[-1] - tl), side="right")
+    return lo, hi
 
 
 def _match_materialized(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.searchsorted(tr, tl - window, side="left")
-    hi = np.searchsorted(tr, tl + window, side="right")
+    lo, hi = _candidate_bounds(tl, tr, window)
     counts = (hi - lo).astype(np.int64)
     total = int(counts.sum())
     if total == 0:
@@ -136,14 +146,16 @@ def _match_heap(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray
 
 
 def _candidate_count(tl: np.ndarray, tr: np.ndarray, window: int) -> int:
-    lo = np.searchsorted(tr, tl - window, side="left")
-    hi = np.searchsorted(tr, tl + window, side="right")
+    lo, hi = _candidate_bounds(tl, tr, window)
     return int((hi - lo).sum())
 
 
 def _match_arrays(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     if len(tl) == 0 or len(tr) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # no |dt| exceeds the span of the two streams, so a wider window matches
+    # the same pairs; the clamp keeps every window in int64 arithmetic
+    window = min(window, int(max(tl[-1], tr[-1])) - int(min(tl[0], tr[0])))
     if _candidate_count(tl, tr, window) <= MAX_MATERIALIZED_CANDIDATES:
         mi, mj = _match_materialized(tl, tr, window)
     else:
@@ -155,51 +167,13 @@ def _match_arrays(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarr
 def match_pairs_indexed(
     left, right, config: PairingConfig
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Like ``match_pairs`` but returns matched index arrays into the two
-    streams instead of materialized records.  This is the path to use for
-    large runs; ``match_pairs`` wraps it.
+    """Match the two streams under ``config.window_ns``.
 
-    Returns (left_indices, right_indices, unmatched_left, unmatched_right)
-    with the matches sorted by T event time.
+    Returns (left_indices, right_indices, unmatched_left, unmatched_right):
+    index arrays into the two streams, with the matches sorted by T event
+    time.  Raises InvalidStreamError when either stream fails validation.
     """
     left = require_valid_stream(left)
     right = require_valid_stream(right)
     mi, mj = _match_arrays(left.t_ns, right.t_ns, config.window_ns)
     return mi, mj, len(left) - len(mi), len(right) - len(mj)
-
-
-def match_pairs(left, right, config: PairingConfig) -> tuple[list[PairRecord], int, int]:
-    """Match the two streams under ``config.window_ns``.
-
-    Returns (pairs sorted by T time, unmatched T count, unmatched L count).
-    Raises InvalidStreamError when either stream fails validation.
-    """
-    left = require_valid_stream(left)
-    right = require_valid_stream(right)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, config)
-    pairs = [
-        PairRecord(left.event(int(i)), right.event(int(j)), config.window_ns)
-        for i, j in zip(mi, mj)
-    ]
-    return pairs, ul, ur
-
-
-def pair_count_curve(left, right, windows) -> list[tuple[int, int]]:
-    """Pair counts for each window in ``windows`` (must be sorted ascending).
-
-    Counts are nondecreasing in W: enlarging the window only adds candidate
-    pairs, and greedy matching never loses cardinality from extra candidates
-    appended at larger |dt|.
-    """
-    windows = list(windows)
-    if not windows:
-        raise ValueError("windows must be nonempty")
-    if any(b < a for a, b in zip(windows, windows[1:])):
-        raise ValueError("windows must be sorted ascending")
-    left = require_valid_stream(left)
-    right = require_valid_stream(right)
-    out = []
-    for w in windows:
-        mi, _mj = _match_arrays(left.t_ns, right.t_ns, int(w))
-        out.append((int(w), len(mi)))
-    return out

@@ -24,10 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigMismatchError, ConfigParseError
-from .model import SETTING_LABELS, EventStream, Setting, WignerDomainDistribution
+from .model import CONVENTIONS, SETTING_LABELS, EventStream, Setting, WignerDomainDistribution
 
 KINDS = ("singlet", "wigner-domain", "local-delay")
-CONVENTIONS = ("equal", "anti")
 
 _STREAM_NAMES = ("settings_t", "settings_l", "jitter_t", "jitter_l", "source")
 

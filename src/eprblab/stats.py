@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCellError
-from .model import CELLS, EventStream, PairRecord, TallyTable
+from .model import CELLS, CONVENTIONS, EventStream, PairRecord, TallyTable
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ class InequalityReport:
 
 def bell_wigner(t: TallyTable, ordering: tuple[str, str, str] = ("a", "b", "c"), convention: str = "anti") -> InequalityReport:
     """Evaluate q(a,b) <= q(a,c) + q(c,b) on tallied data."""
-    if convention not in ("equal", "anti"):
+    if convention not in CONVENTIONS:
         raise ValueError(f"convention must be 'equal' or 'anti', got {convention!r}")
     a, b, c = ordering
     q_ab, n_ab, k_ab = _q(t, a, b, convention)
@@ -230,7 +230,12 @@ def sweep_window(
     ordering: tuple[str, ...] | None = None,
     convention: str = "anti",
 ) -> list[SweepRow]:
-    """Evaluate the named inequality at every window of a sorted sweep."""
+    """Evaluate the named inequality at every window of a sorted sweep.
+
+    The streams are matched once, at the largest window; each row keeps the
+    pairs with |dt| <= W, which is exactly the matching at W (see the prefix
+    property in ``pairing``).
+    """
     windows = [int(w) for w in windows]
     if not windows:
         raise ValueError("windows must be nonempty")
@@ -240,11 +245,16 @@ def sweep_window(
         raise ValueError(f"kind must be 'bell-wigner' or 'chsh', got {kind!r}")
     if ordering is None:
         ordering = ("a", "b", "c") if kind == "bell-wigner" else ("a", "b", "c", "d")
+    if windows[0] < 0:
+        raise ValueError("window_ns must be nonnegative")
 
+    all_i, all_j, _, _ = match_pairs_indexed(left, right, PairingConfig(windows[-1]))
+    dt = np.abs(left.t_ns[all_i] - right.t_ns[all_j])
     rows: list[SweepRow] = []
     for w in windows:
-        mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(w))
-        t = tally_indexed(left, right, mi, mj, ul, ur)
+        keep = dt <= w
+        mi, mj = all_i[keep], all_j[keep]
+        t = tally_indexed(left, right, mi, mj, len(left) - len(mi), len(right) - len(mj))
         try:
             if kind == "chsh":
                 rep = chsh(t, ordering)  # type: ignore[arg-type]

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprblab.cli import main
 from eprblab.ioformats import (
@@ -211,3 +216,183 @@ def test_data_errors_exit_3(tmp_path, capsys, config_path):
                  "--window-ns", "5", "--out", str(tmp_path / "p.jsonl")])
     assert code == 3
     assert main(["tally", "--pairs", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "t.json")]) == 3
+
+
+INT64_MAX = 2**63 - 1
+
+
+def test_pair_window_at_int64_max_matches_every_emission(tmp_path, capsys, config_path):
+    out = str(tmp_path / "run")
+    run(capsys, "simulate", "--config", config_path, "--out", out)
+    for window in (str(INT64_MAX), str(10**30)):
+        code, paired = run(
+            capsys, "pair", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl",
+            "--window-ns", window, "--out", str(tmp_path / "p.jsonl"),
+        )
+        assert code == 0
+        assert paired == {"pairs": 2700, "unmatched_left": 0, "unmatched_right": 0}
+
+
+def test_sweep_last_window_int64_max_leaves_smaller_rows_alone(tmp_path, capsys, config_path):
+    out = str(tmp_path / "run")
+    run(capsys, "simulate", "--config", config_path, "--out", out)
+    args = ["--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--kind", "bell-wigner"]
+    wide, narrow = str(tmp_path / "wide.csv"), str(tmp_path / "narrow.csv")
+    assert main(["sweep", *args, "--windows", f"0,20,{INT64_MAX}", "--out", wide]) == 0
+    assert main(["sweep", *args, "--windows", "0,20", "--out", narrow]) == 0
+    rows = read_sweep_csv(wide)
+    assert rows[:2] == read_sweep_csv(narrow)
+    assert rows[1].pairs < rows[2].pairs == 2700
+
+
+def _assert_clean_exit(capsys, argv, want):
+    assert main(argv) == want
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_event_time_beyond_int64_exits_3_with_line(tmp_path, capsys):
+    events = tmp_path / "t.jsonl"
+    events.write_text(
+        '{"island":"T","t_ns":5,"setting":"a","outcome":1}\n'
+        '{"island":"T","t_ns":9223372036854775808,"setting":"a","outcome":1}\n'
+    )
+    right = tmp_path / "l.jsonl"
+    right.write_text('{"island":"L","t_ns":5,"setting":"b","outcome":1}\n')
+    err = _assert_clean_exit(capsys, ["pair", "--left", str(events), "--right", str(right),
+                                      "--window-ns", "5", "--out", str(tmp_path / "p.jsonl")], 3)
+    assert "t.jsonl:2:" in err
+    raw = tmp_path / "station.log"
+    raw.write_text("5 a 1\n9223372036854775808 a 1\n")
+    err = _assert_clean_exit(capsys, ["ingest", "--raw", str(raw), "--island", "T",
+                                      "--out", str(tmp_path / "e.jsonl")], 3)
+    assert "station.log:2:" in err
+
+
+def test_pairs_file_with_bool_or_float_outcomes_exits_3(tmp_path, capsys):
+    doc = {"t_left_ns": 5, "t_right_ns": 6, "setting_left": "a", "setting_right": "b",
+           "outcome_left": True, "outcome_right": 1.0, "window_ns": 3}
+    pairs = tmp_path / "p.jsonl"
+    pairs.write_text(json.dumps(doc) + "\n")
+    err = _assert_clean_exit(capsys, ["tally", "--pairs", str(pairs), "--out", str(tmp_path / "t.json")], 3)
+    assert "p.jsonl:1:" in err
+
+
+def test_feasibility_zero_denominator_exits_3(tmp_path, capsys):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"a;b": {"pp": "1/0", "pm": "0", "mp": "0", "mm": "0"}}))
+    err = _assert_clean_exit(capsys, ["feasibility", "--tables", str(path)], 3)
+    assert "zero denominator" in err
+
+
+def test_simulate_zero_denominator_weight_exits_2(tmp_path, capsys):
+    doc = json.loads((ROOT / "configs/wigner_uniform.json").read_text())
+    doc["domain_weights"]["+++;+++"] = "1/0"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "x")], 2)
+    assert "zero denominator" in err
+
+
+# ---------------------------------------------------------------------------
+# bounded structured fuzz: every input exits 0, 2 or 3 without a traceback
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([INT64_MAX, 2**63, 2**64, -(2**63), 10**30, -1, 0, True, False, None,
+                     "1/0", "-3/0", "0/0", "1/2", "a", "T", "", [], {}]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _maybe(valid):
+    """Mostly well-formed values, sometimes an odd one."""
+    return st.one_of(valid, valid, ODD_VALUES)
+
+
+def _event_lines(island):
+    row = st.fixed_dictionaries({
+        "island": _maybe(st.just(island)),
+        "t_ns": _maybe(st.integers(0, 50)),
+        "setting": _maybe(st.sampled_from("abcd")),
+        "outcome": _maybe(st.sampled_from((1, -1))),
+    })
+    return st.lists(row, max_size=6)
+
+
+def _fuzz_main(argv_for):
+    """Write the drawn files to a fresh directory, run the command, and check
+    that it exits 0, 2 or 3 and prints no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv_for(Path(tmp))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _jsonl(rows):
+    return "".join(json.dumps(r) + "\n" for r in rows)
+
+
+@settings(deadline=None, max_examples=25)
+@given(t_rows=_event_lines("T"), l_rows=_event_lines("L"),
+       window=st.one_of(st.integers(-1, 100), st.sampled_from([INT64_MAX, 2**64, 10**30])))
+def test_fuzz_pair(t_rows, l_rows, window):
+    def argv_for(tmp):
+        (tmp / "t.jsonl").write_text(_jsonl(t_rows))
+        (tmp / "l.jsonl").write_text(_jsonl(l_rows))
+        return ["pair", "--left", str(tmp / "t.jsonl"), "--right", str(tmp / "l.jsonl"),
+                "--window-ns", str(window), "--out", str(tmp / "p.jsonl")]
+
+    _fuzz_main(argv_for)
+
+
+@settings(deadline=None, max_examples=25)
+@given(rows=st.lists(st.tuples(_maybe(st.integers(0, 50)), _maybe(st.sampled_from("abcd")),
+                               _maybe(st.sampled_from(("1", "+1", "-1")))), max_size=6))
+def test_fuzz_ingest(rows):
+    def argv_for(tmp):
+        (tmp / "raw.log").write_text("".join(f"{t} {s} {o}\n" for t, s, o in rows))
+        return ["ingest", "--raw", str(tmp / "raw.log"), "--island", "L", "--out", str(tmp / "e.jsonl")]
+
+    _fuzz_main(argv_for)
+
+
+@settings(deadline=None, max_examples=25)
+@given(rows=st.lists(st.fixed_dictionaries({
+    "t_left_ns": _maybe(st.integers(0, 50)),
+    "t_right_ns": _maybe(st.integers(0, 50)),
+    "setting_left": _maybe(st.sampled_from("abcd")),
+    "setting_right": _maybe(st.sampled_from("abcd")),
+    "outcome_left": _maybe(st.sampled_from((1, -1))),
+    "outcome_right": _maybe(st.sampled_from((1, -1))),
+    "window_ns": _maybe(st.just(100)),
+}), max_size=6))
+def test_fuzz_tally(rows):
+    def argv_for(tmp):
+        (tmp / "p.jsonl").write_text(_jsonl(rows))
+        return ["tally", "--pairs", str(tmp / "p.jsonl"), "--out", str(tmp / "t.json")]
+
+    _fuzz_main(argv_for)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    tables=st.dictionaries(
+        st.sampled_from(["a;b", "a;c", "c;b", "b;b"]),
+        st.fixed_dictionaries({c: _maybe(st.sampled_from(["1/4", "1/2", "0", 0, 1, 3]))
+                               for c in ("pp", "pm", "mp", "mm")}),
+        max_size=3,
+    ),
+    convention=st.sampled_from([None, "anti", "equal", "sideways"]),
+    identify=st.booleans(),
+)
+def test_fuzz_feasibility(tables, convention, identify):
+    def argv_for(tmp):
+        doc = tables if convention is None else {"convention": convention, "tables": tables}
+        (tmp / "tables.json").write_text(json.dumps(doc))
+        return ["feasibility", "--tables", str(tmp / "tables.json")] + (["--identify-equal-settings"] if identify else [])
+
+    _fuzz_main(argv_for)

@@ -17,6 +17,7 @@ from eprblab.ioformats import (
     read_events,
     read_manifest,
     read_pairs,
+    read_raw_station,
     read_sweep_csv,
     read_tables,
     read_tally,
@@ -24,7 +25,6 @@ from eprblab.ioformats import (
     sha256_file,
     write_events,
     write_manifest,
-    write_pairs,
     write_pairs_indexed,
     write_sweep_csv,
     write_tally,
@@ -77,6 +77,10 @@ def test_events_round_trip_and_byte_format(tmp_path):
         ('{"island":"T","t_ns":5,"setting":"e","outcome":1}', "setting"),
         ('{"island":"T","t_ns":5,"setting":"a","outcome":0}', "outcome"),
         ("not json", "invalid JSON"),
+        ('{"island":"T","t_ns":9223372036854775808,"setting":"a","outcome":1}', "below 2^63"),
+        ('{"island":"T","t_ns":5.0,"setting":"a","outcome":1}', "nonnegative integer"),
+        ('{"island":"T","t_ns":5,"setting":"a","outcome":true}', "outcome"),
+        ('{"island":"T","t_ns":5,"setting":"a","outcome":1.0}', "outcome"),
     ],
 )
 def test_read_events_rejects_bad_lines(tmp_path, line, complaint):
@@ -107,18 +111,49 @@ def test_read_events_rejects_order_island_and_empty(tmp_path):
         read_events(str(path))
 
 
+def test_raw_station_log_round_trip_and_rejections(tmp_path):
+    path = tmp_path / "raw.log"
+    path.write_text("# comment\n5 a +1\n9 b -1\n\n12 a 1\n")
+    s = read_raw_station(str(path), "L")
+    assert (s.island, s.labels) == ("L", ("a", "b"))
+    assert s.t_ns.tolist() == [5, 9, 12]
+    assert s.outcome.tolist() == [1, -1, 1]
+    for line, complaint in [
+        ("3 a 1", "strictly increasing"),
+        ("9223372036854775808 a 1", r"below 2\^63"),
+        ("-7 a 1", "nonnegative"),
+        ("7 e 1", "setting"),
+        ("7 a 2", "outcome"),
+        ("7 a", "t_ns setting outcome"),
+        ("x a 1", "integer"),
+    ]:
+        path.write_text("5 a 1\n" + line + "\n")
+        with pytest.raises(FormatError, match=complaint) as info:
+            read_raw_station(str(path), "T")
+        assert ":2:" in str(info.value)
+    path.write_text("# nothing\n")
+    with pytest.raises(FormatError, match="empty"):
+        read_raw_station(str(path), "T")
+
+
 # ---------------------------------------------------------------------------
 # pairs
 
 
 def test_pairs_writers_agree(tmp_path):
+    """The pair writer emits the pinned pair-line bytes, and the reader
+    gives back the same records."""
     left = stream("T", [(5, "a", 1), (20, "b", -1)])
     right = stream("L", [(6, "c", -1), (21, "a", 1)])
-    a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    a = str(tmp_path / "a.jsonl")
     write_pairs_indexed(a, left, right, np.array([0, 1]), np.array([0, 1]), 3)
+    assert open(a).read() == (
+        '{"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"c",'
+        '"outcome_left":1,"outcome_right":-1,"window_ns":3}\n'
+        '{"t_left_ns":20,"t_right_ns":21,"setting_left":"b","setting_right":"a",'
+        '"outcome_left":-1,"outcome_right":1,"window_ns":3}\n'
+    )
     records = [pair(5, 6, "a", "c", 1, -1, window=3), pair(20, 21, "b", "a", -1, 1, window=3)]
-    write_pairs(b, records)
-    assert open(a).read() == open(b).read()
     assert read_pairs(a) == records
 
 

@@ -50,6 +50,16 @@ def test_detection_event_validation():
         DetectionEvent("T", 10, "a", 0)
 
 
+@pytest.mark.parametrize("outcome", [True, 1.0, -1.0, np.float64(1.0), np.bool_(True)])
+def test_detection_event_rejects_non_integer_outcomes(outcome):
+    with pytest.raises(ValueError, match="outcome"):
+        DetectionEvent("T", 10, "a", outcome)
+
+
+def test_detection_event_accepts_numpy_integer_outcomes():
+    assert DetectionEvent("T", 10, "a", np.int8(-1)).outcome == -1
+
+
 def test_pair_record_window():
     pair(100, 130, "a", "b", 1, -1, window=30)
     with pytest.raises(ValueError):

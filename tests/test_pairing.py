@@ -11,10 +11,9 @@ from eprblab.pairing import (
     PairingConfig,
     _match_heap,
     _match_materialized,
-    match_pairs,
     match_pairs_indexed,
-    pair_count_curve,
 )
+from eprblab.stats import sweep_window
 
 
 def naive_greedy(tl, tr, window):
@@ -44,8 +43,14 @@ def l_stream(times):
     return stream("L", [(t, "b", -1) for t in times])
 
 
+def matched_times(left, right, window):
+    """(t, t') of every matched pair in T-time order, plus the unmatched counts."""
+    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(window))
+    return list(zip(left.t_ns[mi].tolist(), right.t_ns[mj].tolist())), ul, ur
+
+
 def test_no_pairs_outside_window():
-    pairs, ul, ur = match_pairs(t_stream([0, 100]), l_stream([50]), PairingConfig(10))
+    pairs, ul, ur = matched_times(t_stream([0, 100]), l_stream([50]), 10)
     assert pairs == []
     assert (ul, ur) == (2, 1)
 
@@ -55,9 +60,8 @@ def test_two_pair_example_and_brute_force_uniqueness():
     (10,12) then (30,29).  Brute force over all one-to-one matchings
     confirms this is a maximum matching and the unique greedy outcome."""
     left, right = t_stream([10, 30]), l_stream([12, 29])
-    pairs, ul, ur = match_pairs(left, right, PairingConfig(20))
-    got = [(p.left.time_ns, p.right.time_ns) for p in pairs]
-    assert got == [(10, 12), (30, 29)]
+    pairs, ul, ur = matched_times(left, right, 20)
+    assert pairs == [(10, 12), (30, 29)]
     assert ul == ur == 0
 
     tl, tr = [10, 30], [12, 29]
@@ -73,16 +77,16 @@ def test_two_pair_example_and_brute_force_uniqueness():
 
 def test_tie_breaks_prefer_earlier_left_then_earlier_right():
     # two lefts equidistant from one right: earlier left wins
-    pairs, _, _ = match_pairs(t_stream([10, 14]), l_stream([12]), PairingConfig(5))
-    assert [(p.left.time_ns, p.right.time_ns) for p in pairs] == [(10, 12)]
+    pairs, _, _ = matched_times(t_stream([10, 14]), l_stream([12]), 5)
+    assert pairs == [(10, 12)]
     # one left equidistant from two rights: earlier right wins
-    pairs, _, _ = match_pairs(t_stream([10]), l_stream([8, 12]), PairingConfig(5))
-    assert [(p.left.time_ns, p.right.time_ns) for p in pairs] == [(10, 8)]
+    pairs, _, _ = matched_times(t_stream([10]), l_stream([8, 12]), 5)
+    assert pairs == [(10, 8)]
 
 
 def test_window_zero_requires_exact_equality():
-    pairs, ul, ur = match_pairs(t_stream([5, 9]), l_stream([5, 8]), PairingConfig(0))
-    assert [(p.left.time_ns, p.right.time_ns) for p in pairs] == [(5, 5)]
+    pairs, ul, ur = matched_times(t_stream([5, 9]), l_stream([5, 8]), 0)
+    assert pairs == [(5, 5)]
     assert (ul, ur) == (1, 1)
 
 
@@ -98,7 +102,7 @@ def test_empty_streams():
 
 def test_invalid_stream_rejected():
     with pytest.raises(InvalidStreamError):
-        match_pairs([("T", 5, "a", 1), ("T", 4, "a", 1)], l_stream([5]), PairingConfig(1))
+        match_pairs_indexed([("T", 5, "a", 1), ("T", 4, "a", 1)], l_stream([5]), PairingConfig(1))
 
 
 def test_negative_window_rejected():
@@ -158,13 +162,13 @@ def test_matching_is_one_to_one_and_sound(tl, tr, window):
     if not tl or not tr:
         return
     left, right = t_stream(tl), l_stream(tr)
-    pairs, ul, ur = match_pairs(left, right, PairingConfig(window))
-    lefts = [p.left.time_ns for p in pairs]
-    rights = [p.right.time_ns for p in pairs]
+    pairs, ul, ur = matched_times(left, right, window)
+    lefts = [t for t, _ in pairs]
+    rights = [t2 for _, t2 in pairs]
     assert len(set(lefts)) == len(lefts)
     assert len(set(rights)) == len(rights)
-    for p in pairs:
-        assert abs(p.left.time_ns - p.right.time_ns) <= window
+    for t, t2 in pairs:
+        assert abs(t - t2) <= window
     assert ul + len(pairs) == len(tl)
     assert ur + len(pairs) == len(tr)
     # output is sorted by T time
@@ -183,12 +187,31 @@ def test_determinism_on_repeated_calls(rng):
 
 
 def test_pair_count_curve():
+    """A sweep's rows carry the pair count at each window."""
     left, right = t_stream([0, 100, 200]), l_stream([3, 101, 290])
-    curve = pair_count_curve(left, right, [0, 5, 50, 100])
+    rows = sweep_window(left, right, [0, 5, 50, 100], kind="chsh")
+    curve = [(row.window_ns, row.pairs) for row in rows]
     assert curve == [(0, 0), (5, 2), (50, 2), (100, 3)]
     counts = [c for _, c in curve]
     assert counts == sorted(counts)
     with pytest.raises(ValueError):
-        pair_count_curve(left, right, [10, 5])
+        sweep_window(left, right, [10, 5], kind="chsh")
     with pytest.raises(ValueError):
-        pair_count_curve(left, right, [])
+        sweep_window(left, right, [], kind="chsh")
+
+
+@pytest.mark.parametrize("window", [2**63 - 1, 10**30])
+def test_window_wider_than_int64_matches_everything_nearest_first(window):
+    """Windows beyond the streams' span match as the span itself does; t + W
+    must not wrap around int64."""
+    left, right = t_stream([0, 100, 200]), l_stream([3, 101, 290])
+    assert matched_times(left, right, window) == matched_times(left, right, 290)
+    assert matched_times(left, right, window)[0] == [(0, 3), (100, 101), (200, 290)]
+
+
+def test_times_near_int64_limit():
+    top = 2**63 - 1
+    tl, tr = [0, top - 5], [top - 7, top]
+    for window in (0, 7, top, 10**30):
+        mi, mj, _, _ = match_pairs_indexed(t_stream(tl), l_stream(tr), PairingConfig(window))
+        assert sorted(zip(mi.tolist(), mj.tolist())) == naive_greedy(tl, tr, window)

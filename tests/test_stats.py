@@ -1,17 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pair, stream
 from eprblab.counting import augment_triple
 from eprblab.errors import EmptyCellError
-from eprblab.model import Setting, TallyTable, WignerDomainDistribution
-from eprblab.pairing import PairingConfig, match_pairs, match_pairs_indexed
+from eprblab.model import PairRecord, Setting, TallyTable, WignerDomainDistribution
+from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
 from eprblab.stats import (
+    SweepRow,
     bell_wigner,
     chsh,
     correlation,
@@ -64,10 +66,10 @@ def test_tally_indexed_agrees_with_tally(rng):
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(150))
     fast = tally_indexed(left, right, mi, mj, ul, ur)
-    pairs, ul2, ur2 = match_pairs(left, right, PairingConfig(150))
-    slow = tally(pairs, ul2, ur2)
+    pairs = [PairRecord(left.event(int(i)), right.event(int(j)), 150) for i, j in zip(mi, mj)]
+    slow = tally(pairs, len(left) - len(pairs), len(right) - len(pairs))
     assert fast.counts == slow.counts
-    assert (fast.unmatched_left, fast.unmatched_right) == (ul2, ur2)
+    assert (fast.unmatched_left, fast.unmatched_right) == (slow.unmatched_left, slow.unmatched_right)
 
 
 def test_correlation_and_equal_fraction():
@@ -253,6 +255,56 @@ def test_sweep_validates_inputs():
         sweep_window(left, right, [], kind="chsh")
     with pytest.raises(ValueError):
         sweep_window(left, right, [5], kind="steering")
+
+
+def per_window_sweep(left, right, windows, kind, ordering, convention):
+    """Reference sweep: a fresh matching and tally at every window."""
+    rows = []
+    for w in windows:
+        mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(w))
+        t = tally_indexed(left, right, mi, mj, ul, ur)
+        try:
+            rep = chsh(t, ordering) if kind == "chsh" else bell_wigner(t, ordering, convention)
+            rows.append(SweepRow(w, len(mi), rep.statistic, rep.standard_error, rep.violated))
+        except EmptyCellError:
+            rows.append(SweepRow(w, len(mi), None, None, None))
+    return rows
+
+
+def event_rows(labels):
+    """Strictly increasing (t, setting, outcome) rows over the given labels."""
+    return st.lists(
+        st.tuples(st.integers(1, 60), st.sampled_from(labels), st.sampled_from((1, -1))), min_size=8, max_size=40
+    ).map(lambda rows: [(t, s, o) for t, (_, s, o) in zip(itertools.accumulate(r[0] for r in rows), rows)])
+
+
+# CHSH reads T in {a, c} against L in {b, d}; Bell-Wigner needs a, b, c on both sides
+SWEEP_MENUS = {"chsh": ("ac", "bd", ("a", "b", "c", "d")), "bell-wigner": ("abc", "abc", ("a", "b", "c"))}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    inner=st.lists(st.integers(0, 200), max_size=5),
+    kind=st.sampled_from(sorted(SWEEP_MENUS)),
+    convention=st.sampled_from(("anti", "equal")),
+)
+def test_sweep_rows_equal_per_window_rematch(data, inner, kind, convention):
+    """One matching at the largest window, cut to |dt| <= W, gives the same
+    rows as matching afresh at every window, including window 0 and
+    windows beyond the streams' span."""
+    t_labels, l_labels, ordering = SWEEP_MENUS[kind]
+    left = stream("T", data.draw(event_rows(t_labels), label="tl"))
+    right = stream("L", data.draw(event_rows(l_labels), label="tr"))
+    windows = sorted({0, *inner, 10**6, 2**63 - 1})
+    got = sweep_window(left, right, windows, kind, ordering, convention)
+    assert got == per_window_sweep(left, right, windows, kind, ordering, convention)
+
+
+def test_sweep_rejects_negative_window():
+    left, right = _singlet_streams(n=10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sweep_window(left, right, [-5, 10], kind="chsh")
 
 
 # ---------------------------------------------------------------------------
