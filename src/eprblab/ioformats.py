@@ -45,7 +45,6 @@ from .sources import SourceConfig
 from .stats import SweepRow
 
 EVENT_KEYS = ("island", "t_ns", "setting", "outcome")
-_EVENT_KEY_SET = frozenset(EVENT_KEYS)
 # event times are stored as int64
 _MAX_T_NS = 2**63 - 1
 PAIR_KEYS = (
@@ -104,6 +103,18 @@ def _format_error(path: str, line: int, message: str) -> FormatError:
     return FormatError(message, line=line, path=path)
 
 
+def _read_json(path: str):
+    """Parse a whole-file JSON document.  Any ValueError from the parser,
+    including an integer too long to convert, becomes a FormatError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
+        except ValueError as exc:
+            raise FormatError(f"invalid JSON: {exc}", path=path)
+
+
 def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStream:
     """Check one station's (lineno, island, t_ns, setting, outcome) rows in
     file order and build its stream.
@@ -149,19 +160,37 @@ def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStrea
     )
 
 
-def _event_rows(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
+def _lines(path: str):
+    """Yield (lineno, stripped text) for each line of a UTF-8 file; a line
+    that does not decode is a FormatError naming it."""
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text:
-                continue
             try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise _format_error(path, lineno, f"invalid JSON: {exc.msg}")
-            if not isinstance(obj, dict) or obj.keys() != _EVENT_KEY_SET:
-                raise _format_error(path, lineno, f"event must have exactly the keys {list(EVENT_KEYS)}")
-            yield lineno, obj["island"], obj["t_ns"], obj["setting"], obj["outcome"]
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise _format_error(path, lineno, "line is not valid UTF-8")
+            yield lineno, text.strip()
+
+
+def _json_rows(path: str, keys: tuple[str, ...], what: str):
+    """Yield (lineno, object) for each nonblank line of a JSON-lines file,
+    each object having exactly the given keys."""
+    key_set = frozenset(keys)
+    for lineno, text in _lines(path):
+        if not text:
+            continue
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise _format_error(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}")
+        if not isinstance(obj, dict) or obj.keys() != key_set:
+            raise _format_error(path, lineno, f"{what} must have exactly the keys {list(keys)}")
+        yield lineno, obj
+
+
+def _event_rows(path: str):
+    for lineno, obj in _json_rows(path, EVENT_KEYS, "event"):
+        yield lineno, obj["island"], obj["t_ns"], obj["setting"], obj["outcome"]
 
 
 def read_events(path: str) -> EventStream:
@@ -213,23 +242,13 @@ def write_pairs_indexed(
 
 def read_pairs(path: str) -> list[PairRecord]:
     out: list[PairRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise _format_error(path, lineno, f"invalid JSON: {exc.msg}")
-            if not isinstance(obj, dict) or set(obj) != set(PAIR_KEYS):
-                raise _format_error(path, lineno, f"pair must have exactly the keys {list(PAIR_KEYS)}")
-            try:
-                left = DetectionEvent("T", obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
-                right = DetectionEvent("L", obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
-                out.append(PairRecord(left, right, obj["window_ns"]))
-            except (ValueError, TypeError) as exc:
-                raise _format_error(path, lineno, str(exc))
+    for lineno, obj in _json_rows(path, PAIR_KEYS, "pair"):
+        try:
+            left = DetectionEvent("T", obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
+            right = DetectionEvent("L", obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
+            out.append(PairRecord(left, right, obj["window_ns"]))
+        except (ValueError, TypeError) as exc:
+            raise _format_error(path, lineno, str(exc))
     return out
 
 
@@ -257,11 +276,7 @@ def write_tally(path: str, tally: TallyTable) -> None:
 
 
 def read_tally(path: str) -> TallyTable:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise FormatError("tally file must be a JSON object keyed by 'x;y'", path=path)
     counts: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
@@ -464,11 +479,7 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
     {"convention": ..., "tables": {...}} to pin the reporting convention;
     the returned convention is None when the file does not state one.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
+    doc = _read_json(path)
     convention = None
     if isinstance(doc, dict) and "tables" in doc:
         extra = set(doc) - {"tables", "convention"}
@@ -521,20 +532,18 @@ _RAW_OUTCOMES = {"1": 1, "+1": 1, "-1": -1}
 
 
 def _raw_rows(path: str, island: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise _format_error(path, lineno, f"expected 't_ns setting outcome', got {len(parts)} field(s)")
-            t_text, setting, o_text = parts
-            try:
-                t_ns = int(t_text)
-            except ValueError:
-                raise _format_error(path, lineno, f"t_ns must be an integer, got {t_text!r}")
-            yield lineno, island, t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text)
+    for lineno, text in _lines(path):
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise _format_error(path, lineno, f"expected 't_ns setting outcome', got {len(parts)} field(s)")
+        t_text, setting, o_text = parts
+        try:
+            t_ns = int(t_text)
+        except ValueError:
+            raise _format_error(path, lineno, f"t_ns must be an integer, got {t_text!r}")
+        yield lineno, island, t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text)
 
 
 def read_raw_station(path: str, island: str) -> EventStream:
@@ -580,8 +589,4 @@ def write_manifest(path: str, manifest: RunManifest) -> None:
 
 
 def read_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
+    return _read_json(path)

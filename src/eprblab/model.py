@@ -96,6 +96,8 @@ class PairRecord:
             raise ValueError("left event of a pair must come from island T")
         if self.right.island != "L":
             raise ValueError("right event of a pair must come from island L")
+        if not isinstance(self.window_ns, (int, np.integer)) or isinstance(self.window_ns, bool):
+            raise ValueError(f"window_ns must be an integer, got {self.window_ns!r}")
         if self.window_ns < 0:
             raise ValueError("window_ns must be nonnegative")
         if abs(self.left.time_ns - self.right.time_ns) > self.window_ns:

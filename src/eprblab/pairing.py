@@ -19,11 +19,26 @@ matching at W is the matching at W' cut to |dt| <= W.  A window sweep
 (``stats.sweep_window``) relies on this to match once, at its largest
 window.
 
-``match_pairs_indexed`` has two implementations behind it.  A vectorized
-one materializes all candidates and is several times faster while their
-number is moderate; a lazy heap walk enumerates each T event's candidates
-outward and is the only one whose memory stays bounded when the window is
-wide.  Both produce bit-identical matchings; the property tests assert it.
+One matcher computes the greedy matching without listing candidates, in
+two phases, each exact:
+
+* Vectorized rounds.  Each live event finds its nearest live partner under
+  the scan order, with one ``searchsorted`` per island.  A mutually nearest
+  pair is a locally dominant edge: it precedes every other candidate at
+  its two events, so greedy accepts it whatever else happens (Preis, STACS
+  1999).  Accepted events leave, and so do events whose nearest partner
+  lies outside the window: removals only take candidates away.
+* Merged-order walk.  Rounds on adversarial input (gaps that grow along
+  the streams) accept one pair each, so once a round accepts too small a
+  share of the events, the residue is finished by a heap walk over the
+  live events in one merged time order.  Between the two events of the
+  smallest remaining candidate no other live event can lie (it would form
+  a smaller candidate), so a min-heap of adjacent opposite-island pairs
+  always holds it; accepting it unlinks two events and creates one new
+  adjacency.
+
+Time is O(n log n) and memory O(n) in the number of events n, whatever the
+window: no phase ever holds more than a few arrays of length n.
 """
 
 from __future__ import annotations
@@ -35,9 +50,11 @@ import numpy as np
 
 from .model import require_valid_stream
 
-# Largest number of candidate pairs the vectorized path may materialize
-# before the matcher switches to the lazy heap walk.
-MAX_MATERIALIZED_CANDIDATES = 10_000_000
+# A round that accepts fewer than this share of the live events that still
+# have a candidate hands the rest to the merged-order walk.  Every other
+# round shrinks the live set by at least this share, so all rounds together
+# cost at most 1 / share times the first one.
+_MIN_ROUND_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,109 +62,63 @@ class PairingConfig:
     window_ns: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.window_ns, (int, np.integer)) or isinstance(self.window_ns, bool):
+            raise ValueError(f"window_ns must be an integer, got {self.window_ns!r}")
         if self.window_ns < 0:
             raise ValueError("window_ns must be nonnegative")
 
 
-def _candidate_bounds(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per T event, the index range [lo, hi) of the L events within the
-    window.  Times are nonnegative int64, so t - W cannot wrap for
-    W < 2^63; the upper end is capped at the last L time, so t + W cannot."""
-    lo = np.searchsorted(tr, tl - window, side="left")
-    hi = np.searchsorted(tr, tl + np.minimum(window, tr[-1] - tl), side="right")
-    return lo, hi
+def _nearest(x: np.ndarray, y: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each time in x, the index of its nearest time in the nonempty y
+    under (|dt|, y), and whether that one lies within the window.  Times are
+    nonnegative, so no difference wraps int64."""
+    hi = np.searchsorted(y, x)
+    below = np.maximum(hi - 1, 0)
+    above = np.minimum(hi, len(y) - 1)
+    d_below = x - y[below]
+    d_above = y[above] - x
+    take_below = (hi > 0) & ((hi == len(y)) | (d_below <= d_above))
+    return np.where(take_below, below, above), np.where(take_below, d_below, d_above) <= window
 
 
-def _match_materialized(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = _candidate_bounds(tl, tr, window)
-    counts = (hi - lo).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    i = np.repeat(np.arange(len(tl), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    j = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + np.repeat(lo, counts)
-    dt = np.abs(tl[i] - tr[j])
-    order = np.lexsort((tr[j], tl[i], dt))
-    ii = i[order].tolist()
-    jj = j[order].tolist()
+def _walk(tl: np.ndarray, tr: np.ndarray, ti: np.ndarray, ri: np.ndarray, window: int):
+    """Greedy matching of the live T events ti and L events ri by a heap
+    walk over their merged time order (T before L at equal times)."""
+    times = np.concatenate([tl[ti], tr[ri]])
+    is_l = np.concatenate([np.zeros(len(ti), dtype=bool), np.ones(len(ri), dtype=bool)])
+    order = np.lexsort((is_l, times))
+    times, is_l, orig = times[order], is_l[order], np.concatenate([ti, ri])[order]
+    edges = np.flatnonzero((is_l[1:] != is_l[:-1]) & (times[1:] - times[:-1] <= window))
+    times, is_l, orig = times.tolist(), is_l.tolist(), orig.tolist()
 
-    used_l = bytearray(len(tl))
-    used_r = bytearray(len(tr))
-    out_i: list[int] = []
-    out_j: list[int] = []
-    for a, b in zip(ii, jj):
-        if used_l[a] or used_r[b]:
-            continue
-        used_l[a] = 1
-        used_r[b] = 1
-        out_i.append(a)
-        out_j.append(b)
-    return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
+    def entry(x: int, y: int) -> tuple[int, int, int, int, int]:
+        # the candidate of adjacent events x < y, keyed by (|dt|, t, t')
+        t, t2 = (times[y], times[x]) if is_l[x] else (times[x], times[y])
+        return times[y] - times[x], t, t2, x, y
 
-
-def _match_heap(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    nl, nr = len(tl), len(tr)
-    tl_list = tl.tolist()
-    tr_list = tr.tolist()
-    used_l = bytearray(nl)
-    used_r = bytearray(nr)
-    # per-left cursors walking outward from the insertion point, so each
-    # left event enumerates its candidates in increasing |dt| (ties: the
-    # earlier right event first, matching the global tie rule on t')
-    left_cursor = np.searchsorted(tr, tl).tolist()
-    lo = [c - 1 for c in left_cursor]
-    hi = left_cursor
-
-    def next_candidate(i: int):
-        t = tl_list[i]
-        while True:
-            l, h = lo[i], hi[i]
-            dl = t - tr_list[l] if l >= 0 else None
-            dr = tr_list[h] - t if h < nr else None
-            if dl is not None and dl > window:
-                dl = None
-            if dr is not None and dr > window:
-                dr = None
-            if dl is None and dr is None:
-                return None
-            if dr is None or (dl is not None and dl <= dr):
-                j, d = l, dl
-                lo[i] = l - 1
-            else:
-                j, d = h, dr
-                hi[i] = h + 1
-            if not used_r[j]:
-                return d, j
-
-    heap: list[tuple[int, int, int, int, int]] = []
-    for i in range(nl):
-        cand = next_candidate(i)
-        if cand is not None:
-            heap.append((cand[0], tl_list[i], tr_list[cand[1]], i, cand[1]))
+    heap = [entry(k, k + 1) for k in edges.tolist()]
     heapq.heapify(heap)
-
+    n = len(times)
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    alive = bytearray(b"\x01") * n
     out_i: list[int] = []
     out_j: list[int] = []
     while heap:
-        _d, _t, _t2, i, j = heapq.heappop(heap)
-        if used_l[i]:
+        _d, _t, _t2, x, y = heapq.heappop(heap)
+        if not (alive[x] and alive[y]):
             continue
-        if used_r[j]:
-            cand = next_candidate(i)
-            if cand is not None:
-                heapq.heappush(heap, (cand[0], tl_list[i], tr_list[cand[1]], i, cand[1]))
-            continue
-        used_l[i] = 1
-        used_r[j] = 1
-        out_i.append(i)
-        out_j.append(j)
+        alive[x] = alive[y] = 0
+        out_i.append(orig[y] if is_l[x] else orig[x])
+        out_j.append(orig[x] if is_l[x] else orig[y])
+        u, v = prev[x], nxt[y]
+        if u >= 0:
+            nxt[u] = v
+        if v < n:
+            prev[v] = u
+            if u >= 0 and is_l[u] != is_l[v] and times[v] - times[u] <= window:
+                heapq.heappush(heap, entry(u, v))
     return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
-
-
-def _candidate_count(tl: np.ndarray, tr: np.ndarray, window: int) -> int:
-    lo, hi = _candidate_bounds(tl, tr, window)
-    return int((hi - lo).sum())
 
 
 def _match_arrays(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,10 +127,26 @@ def _match_arrays(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarr
     # no |dt| exceeds the span of the two streams, so a wider window matches
     # the same pairs; the clamp keeps every window in int64 arithmetic
     window = min(window, int(max(tl[-1], tr[-1])) - int(min(tl[0], tr[0])))
-    if _candidate_count(tl, tr, window) <= MAX_MATERIALIZED_CANDIDATES:
-        mi, mj = _match_materialized(tl, tr, window)
-    else:
-        mi, mj = _match_heap(tl, tr, window)
+    ti = np.arange(len(tl), dtype=np.int64)
+    ri = np.arange(len(tr), dtype=np.int64)
+    found_i: list[np.ndarray] = []
+    found_j: list[np.ndarray] = []
+    while len(ti) and len(ri):
+        a, b = tl[ti], tr[ri]
+        to_l, ok_t = _nearest(a, b, window)
+        to_t, ok_l = _nearest(b, a, window)
+        mutual = ok_t & ok_l[to_l] & (to_t[to_l] == np.arange(len(ti)))
+        found_i.append(ti[mutual])
+        found_j.append(ri[to_l[mutual]])
+        keep_l = ok_l.copy()
+        keep_l[to_l[mutual]] = False
+        ti, ri = ti[ok_t & ~mutual], ri[keep_l]
+        if 2 * int(mutual.sum()) < _MIN_ROUND_SHARE * (int(ok_t.sum()) + int(ok_l.sum())):
+            wi, wj = _walk(tl, tr, ti, ri, window)
+            found_i.append(wi)
+            found_j.append(wj)
+            break
+    mi, mj = np.concatenate(found_i), np.concatenate(found_j)
     order = np.argsort(mi, kind="stable")
     return mi[order], mj[order]
 

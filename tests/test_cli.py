@@ -279,6 +279,58 @@ def test_pairs_file_with_bool_or_float_outcomes_exits_3(tmp_path, capsys):
     assert "p.jsonl:1:" in err
 
 
+def test_json_integer_too_long_to_convert_exits_3(tmp_path, capsys):
+    """An integer past the interpreter's digit limit is bad data, not a usage
+    error, and the event-file case names its line."""
+    huge = "9" * 5001
+    events = tmp_path / "t.jsonl"
+    events.write_text(f'{{"island":"T","t_ns":{huge},"setting":"a","outcome":1}}\n')
+    right = tmp_path / "l.jsonl"
+    right.write_text('{"island":"L","t_ns":5,"setting":"b","outcome":1}\n')
+    err = _assert_clean_exit(capsys, ["pair", "--left", str(events), "--right", str(right),
+                                      "--window-ns", "5", "--out", str(tmp_path / "p.jsonl")], 3)
+    assert "t.jsonl:1:" in err
+    tables = tmp_path / "tables.json"
+    tables.write_text(f'{{"a;b": {{"pp": {huge}, "pm": 0, "mp": 0, "mm": 0}}}}')
+    _assert_clean_exit(capsys, ["feasibility", "--tables", str(tables)], 3)
+
+
+def test_non_utf8_line_exits_3_with_line(tmp_path, capsys):
+    good = '{"island":"T","t_ns":5,"setting":"a","outcome":1}\n'.encode()
+    events = tmp_path / "t.jsonl"
+    events.write_bytes(good + b'{"island":"T","t_ns":\xff}\n')
+    right = tmp_path / "l.jsonl"
+    right.write_text('{"island":"L","t_ns":5,"setting":"b","outcome":1}\n')
+    err = _assert_clean_exit(capsys, ["pair", "--left", str(events), "--right", str(right),
+                                      "--window-ns", "5", "--out", str(tmp_path / "p.jsonl")], 3)
+    assert "t.jsonl:2:" in err
+    pairs = tmp_path / "p.jsonl"
+    pairs.write_bytes(b'{"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"b",'
+                      b'"outcome_left":1,"outcome_right":1,"window_ns":3}\n\xff\n')
+    err = _assert_clean_exit(capsys, ["tally", "--pairs", str(pairs), "--out", str(tmp_path / "t.json")], 3)
+    assert "p.jsonl:2:" in err
+    raw = tmp_path / "station.log"
+    raw.write_bytes(b"5 a 1\n9 \xe9 1\n")
+    err = _assert_clean_exit(capsys, ["ingest", "--raw", str(raw), "--island", "T",
+                                      "--out", str(tmp_path / "e.jsonl")], 3)
+    assert "station.log:2:" in err
+    tables = tmp_path / "tables.json"
+    tables.write_bytes(b'{"a;b": "\xff"}')
+    _assert_clean_exit(capsys, ["feasibility", "--tables", str(tables)], 3)
+
+
+@pytest.mark.parametrize("window", ["true", "2.5"])
+def test_pairs_file_with_non_integer_window_exits_3(tmp_path, capsys, window):
+    pairs = tmp_path / "p.jsonl"
+    pairs.write_text(
+        '{"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"b",'
+        f'"outcome_left":1,"outcome_right":1,"window_ns":{window}}}\n'
+    )
+    err = _assert_clean_exit(capsys, ["tally", "--pairs", str(pairs), "--out", str(tmp_path / "t.json")], 3)
+    assert "p.jsonl:1:" in err
+    assert "window_ns must be an integer" in err
+
+
 def test_feasibility_zero_denominator_exits_3(tmp_path, capsys):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"a;b": {"pp": "1/0", "pm": "0", "mp": "0", "mm": "0"}}))

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stream
+from eprblab import pairing
 from eprblab.errors import InvalidStreamError
-from eprblab.pairing import (
-    PairingConfig,
-    _match_heap,
-    _match_materialized,
-    match_pairs_indexed,
-)
+from eprblab.model import EventStream
+from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.stats import sweep_window
 
 
@@ -110,6 +108,16 @@ def test_negative_window_rejected():
         PairingConfig(-1)
 
 
+@pytest.mark.parametrize("window", [True, 2.5, 3.0])
+def test_non_integer_window_rejected(window):
+    with pytest.raises(ValueError, match="window_ns must be an integer"):
+        PairingConfig(window)
+
+
+def test_numpy_integer_window_accepted():
+    assert PairingConfig(np.int64(7)).window_ns == 7
+
+
 times_lists = st.lists(st.integers(1, 60), min_size=0, max_size=25).map(
     lambda deltas: list(itertools.accumulate(deltas))
 )
@@ -130,16 +138,66 @@ def test_matches_naive_reference(tl, tr, window):
     assert ur == len(tr) - len(got)
 
 
-@settings(deadline=None, max_examples=120)
-@given(tl=times_lists, tr=times_lists, window=st.integers(0, 120))
-def test_heap_and_materialized_paths_agree(tl, tr, window):
+@st.composite
+def competing_streams(draw):
+    """T and L times built from runs of three kinds: dense clusters, sparse
+    stretches, and alternating T/L runs whose gaps grow (with ties), which
+    stall the mutual-nearest rounds.  Any event may land on both islands at
+    once, giving equal T/L times."""
+    t, tl, tr = 0, [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["cluster", "sparse", "growing"]))
+        for k in range(draw(st.integers(1, 12))):
+            if kind == "growing":
+                t += k + 1 + draw(st.integers(0, 1))
+                side = draw(st.sampled_from([("T", "L")[k % 2], "both"]))
+            else:
+                t += draw(st.integers(1, 3) if kind == "cluster" else st.integers(1, 60))
+                side = draw(st.sampled_from(["T", "L", "both"]))
+            if side != "L":
+                tl.append(t)
+            if side != "T":
+                tr.append(t)
+    window = draw(st.one_of(st.integers(0, 150), st.just(2**63 - 1)))
+    return tl, tr, window
+
+
+def _pairs(mi, mj):
+    return sorted(zip(mi.tolist(), mj.tolist()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=competing_streams())
+def test_both_phases_match_naive_reference(case):
+    """The matcher gives the naive matching at its own hand-off share, with
+    rounds only (share 0), with one round and then the walk (share 1), and
+    with the merged-order walk alone."""
+    tl, tr, window = case
+    if not tl or not tr:
+        return
+    want = naive_greedy(tl, tr, window)
     a = np.asarray(tl, dtype=np.int64)
     b = np.asarray(tr, dtype=np.int64)
-    if len(a) == 0 or len(b) == 0:
-        return
-    m1 = sorted(zip(*(x.tolist() for x in _match_materialized(a, b, window))))
-    m2 = sorted(zip(*(x.tolist() for x in _match_heap(a, b, window))))
-    assert m1 == m2
+    for share in (pairing._MIN_ROUND_SHARE, 0, 1):
+        with mock.patch.object(pairing, "_MIN_ROUND_SHARE", share):
+            assert _pairs(*pairing._match_arrays(a, b, window)) == want
+    assert _pairs(*pairing._walk(a, b, np.arange(len(a)), np.arange(len(b)), window)) == want
+
+
+def test_growing_gaps_pair_kth_with_kth():
+    """Alternating T/L times whose every gap is one larger than the last: the
+    only mutually nearest pair is always the first, so the rounds stall and
+    the walk does the work.  Greedy pairs the k-th T event with the k-th L
+    event, whose gap is 2k + 1; a window W keeps the pairs with 2k + 1 <= W."""
+    n = 10_000
+    x = np.arange(2 * n, dtype=np.int64)
+    x = x * (x + 1) // 2
+    left = EventStream("T", ("a",), x[0::2], np.zeros(n, dtype=np.int16), np.ones(n, dtype=np.int8))
+    right = EventStream("L", ("b",), x[1::2], np.zeros(n, dtype=np.int16), np.ones(n, dtype=np.int8))
+    for window, count in ((2**63 - 1, n), (9_999, 5_000)):
+        mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(window))
+        assert np.array_equal(mi, np.arange(count)) and np.array_equal(mj, np.arange(count))
+        assert ul == ur == n - count
 
 
 @settings(deadline=None, max_examples=120)
