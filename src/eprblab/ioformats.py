@@ -6,6 +6,27 @@ Writers are atomic (temp file in the same directory, then rename) and
 deterministic: the same data produces the same bytes.  Readers validate
 eagerly and raise FormatError with a 1-based line number wherever a line
 is attributable.
+
+Event and pair files are written one line per row from a fixed template
+over the columns, with no whitespace and keys in a fixed order, each line
+ending in a newline:
+
+    {"island":"T","t_ns":5,"setting":"a","outcome":-1}
+    {"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"c","outcome_left":1,"outcome_right":-1,"window_ns":3}
+
+These are the bytes ``json.dumps(row, separators=(",", ":"))`` gives.
+``read_events`` and ``read_raw_station`` first try a strict whole-file
+reader: one compiled pattern checks that every line of the file is in
+that exact form (for raw logs, ``t_ns setting outcome`` with single
+spaces, t_ns without leading zeros and outcome 1, +1 or -1), and numpy
+builds the columns from the byte positions of each line.  It also checks,
+in vectorized form, what the per-line reader checks: one island, t_ns
+strictly increasing and below 2^63.  Any other file (other key order or
+whitespace, CRLF line ends, blank or comment lines, escapes, a missing
+final newline, leading zeros, or a bad line) goes to the per-line reader,
+which parses each line on its own and either accepts the file or raises
+the line-numbered FormatError.  Both readers give the same stream for
+every file the strict one accepts.
 """
 
 from __future__ import annotations
@@ -13,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,16 +109,12 @@ def sha256_file(path: str) -> str:
 
 
 def write_events(path: str, stream: EventStream) -> None:
-    lines = []
-    labels = stream.labels
-    for t, si, oc in zip(stream.t_ns.tolist(), stream.setting_idx.tolist(), stream.outcome.tolist()):
-        lines.append(
-            json.dumps(
-                {"island": stream.island, "t_ns": t, "setting": labels[si], "outcome": oc},
-                separators=(",", ":"),
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    island, labels = stream.island, stream.labels
+    lines = [
+        f'{{"island":"{island}","t_ns":{t},"setting":"{labels[s]}","outcome":{o}}}\n'
+        for t, s, o in zip(stream.t_ns.tolist(), stream.setting_idx.tolist(), stream.outcome.tolist())
+    ]
+    atomic_write_text(path, "".join(lines))
 
 
 def _format_error(path: str, line: int, message: str) -> FormatError:
@@ -200,7 +218,104 @@ def read_events(path: str) -> EventStream:
     setting, outcome; one island per file; t_ns a nonnegative integer below
     2^63, strictly increasing down the file.
     """
-    return _stream_from_rows(path, _event_rows(path), "event file")
+    stream = _read_strict(path, _EVENT_FILE, _event_layout)
+    if stream is None:
+        stream = _stream_from_rows(path, _event_rows(path), "event file")
+    return stream
+
+
+# ---------------------------------------------------------------------------
+# strict whole-file reading of the writers' exact line formats
+
+_T_NS = rb"(?:0|[1-9][0-9]{0,18})"  # no leading zeros; at most 19 digits fit uint64
+_LABEL = b"[" + "".join(SETTING_LABELS).encode() + b"]"  # the labels are single letters
+_EVENT_FILE = re.compile(
+    rb'(?:\{"island":"[TL]","t_ns":' + _T_NS + rb',"setting":"' + _LABEL + rb'","outcome":-?1\}\n)*'
+)
+_RAW_FILE = re.compile(rb"(?:" + _T_NS + rb" " + _LABEL + rb" [+-]?1\n)*")
+# Whole lines per fullmatch call.  A single call over the file would grow
+# the pattern engine's backtracking stack by a few hundred bytes per line.
+_STRICT_RUN_BYTES = 1 << 20
+_MINUS, _SPACE, _ZERO = ord("-"), ord(" "), ord("0")
+
+
+def _line_ends(data: bytes, whole: re.Pattern):
+    """The offsets of the newlines of data if it is nonempty and every line
+    of it, newline included, matches whole's line pattern; else None."""
+    ends = []
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _STRICT_RUN_BYTES) + 1 or len(data)
+        if whole.fullmatch(data, start, stop) is None:
+            return None
+        run = np.frombuffer(data, np.uint8, stop - start, start)
+        ends.append(np.flatnonzero(run == ord("\n")) + start)
+        start = stop
+    return np.concatenate(ends) if ends else None
+
+
+def _event_layout(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Field positions in lines '{"island":"T","t_ns":5,"setting":"a","outcome":-1}'.
+    A field that ends k bytes before a newline starts at the newline's offset
+    minus k."""
+    islands = buf[starts + len('{"island":"')]
+    negative = buf[ends - len("-1}")] == _MINUS
+    setting_at = ends - len('a","outcome":1}') - negative
+    t_from = starts + len('{"island":"T","t_ns":')
+    t_to = setting_at - len(',"setting":"')
+    island = chr(islands[0]) if (islands == islands[0]).all() else None
+    return island, t_from, t_to, setting_at, negative
+
+
+def _raw_layout(island: str):
+    """Field positions in lines '5 a 1', '5 a +1' and '5 a -1'."""
+
+    def layout(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        sign = buf[ends - len("+1")]
+        setting_at = ends - len("a +1") + (sign == _SPACE)
+        return island, starts, setting_at - len(" "), setting_at, sign == _MINUS
+
+    return layout
+
+
+def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The decimal numbers buf[start:stop] row by row, as uint64; each has at
+    most 19 digits, so none overflows."""
+    width = stop - start
+    value = np.zeros(len(start), dtype=np.uint64)
+    for k in range(int(width.max())):
+        has = width > k
+        digit = buf[np.where(has, start + k, 0)] - _ZERO
+        value = np.where(has, value * np.uint64(10) + digit, value)
+    return value
+
+
+def _read_strict(path: str, whole: re.Pattern, layout) -> EventStream | None:
+    """The stream of a file in the exact line format whole matches, or None
+    when any line is not, or when a check the per-line reader makes fails.
+    layout maps (bytes, line starts, line ends) to the island (None when
+    lines disagree), the start and stop of each t_ns, the offset of each
+    setting letter and whether each outcome is negative."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    ends = _line_ends(data, whole)
+    if ends is None:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    island, t_from, t_to, setting_at, negative = layout(buf, starts, ends)
+    t = _decimals(buf, t_from, t_to)
+    if island is None or t.max() > _MAX_T_NS or not (t[1:] > t[:-1]).all():
+        return None
+    codes = buf[setting_at]
+    menu = np.unique(codes)
+    return EventStream(
+        island=island,
+        labels=tuple(chr(c) for c in menu.tolist()),
+        t_ns=t.astype(np.int64),
+        setting_idx=np.searchsorted(menu, codes).astype(np.int16),
+        outcome=np.where(negative, -1, 1).astype(np.int8),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +330,21 @@ def write_pairs_indexed(
     right_idx: np.ndarray,
     window_ns: int,
 ) -> None:
-    lines = []
-    lt = left.t_ns[left_idx].tolist()
-    rt = right.t_ns[right_idx].tolist()
-    ls = left.setting_idx[left_idx].tolist()
-    rs = right.setting_idx[right_idx].tolist()
-    lo = left.outcome[left_idx].tolist()
-    ro = right.outcome[right_idx].tolist()
-    for tl, tr, sl, sr, ol, orr in zip(lt, rt, ls, rs, lo, ro):
-        lines.append(
-            json.dumps(
-                {
-                    "t_left_ns": tl,
-                    "t_right_ns": tr,
-                    "setting_left": left.labels[sl],
-                    "setting_right": right.labels[sr],
-                    "outcome_left": ol,
-                    "outcome_right": orr,
-                    "window_ns": window_ns,
-                },
-                separators=(",", ":"),
-            )
+    window = json.dumps(window_ns)
+    ll, rl = left.labels, right.labels
+    lines = [
+        f'{{"t_left_ns":{tl},"t_right_ns":{tr},"setting_left":"{ll[sl]}","setting_right":"{rl[sr]}",'
+        f'"outcome_left":{ol},"outcome_right":{orr},"window_ns":{window}}}\n'
+        for tl, tr, sl, sr, ol, orr in zip(
+            left.t_ns[left_idx].tolist(),
+            right.t_ns[right_idx].tolist(),
+            left.setting_idx[left_idx].tolist(),
+            right.setting_idx[right_idx].tolist(),
+            left.outcome[left_idx].tolist(),
+            right.outcome[right_idx].tolist(),
         )
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    ]
+    atomic_write_text(path, "".join(lines))
 
 
 def read_pairs(path: str) -> list[PairRecord]:
@@ -431,6 +538,10 @@ def load_config(path: str, seed_override: int | None = None) -> SourceConfig:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except UnicodeDecodeError:
+        raise ConfigParseError(f"config {path}: not valid UTF-8")
+    except ValueError as exc:  # e.g. an integer too long for the parser to convert
+        raise ConfigParseError(f"config {path}: invalid JSON: {exc}")
     return config_from_dict(doc, seed_override)
 
 
@@ -551,7 +662,10 @@ def read_raw_station(path: str, island: str) -> EventStream:
     (outcome +1, 1 or -1; '#' starts a comment line)."""
     if island not in ISLANDS:
         raise ValueError(f"island must be 'T' or 'L', got {island!r}")
-    return _stream_from_rows(path, _raw_rows(path, island), "raw station log")
+    stream = _read_strict(path, _RAW_FILE, _raw_layout(island))
+    if stream is None:
+        stream = _stream_from_rows(path, _raw_rows(path, island), "raw station log")
+    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -380,13 +380,23 @@ class EventStream:
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @classmethod
-    def from_events(cls, events: Sequence[DetectionEvent], labels: tuple[str, ...] | None = None) -> "EventStream":
+    def from_events(
+        cls,
+        events: Sequence[DetectionEvent],
+        labels: tuple[str, ...] | None = None,
+        island: str | None = None,
+    ) -> "EventStream":
+        """Build a stream from records.  ``island`` names the station; it
+        defaults to the first event's island, or "T" when there is none."""
         if labels is None:
             labels = tuple(l for l in SETTING_LABELS if any(e.setting_label == l for e in events))
             if not labels:
                 labels = ("a",)
         index = {l: i for i, l in enumerate(labels)}
-        island = events[0].island if events else "T"
+        if island is None:
+            island = events[0].island if events else "T"
+        elif events and events[0].island != island:
+            raise ValueError(f"events are from island {events[0].island!r}, not {island!r}")
         if any(e.island != island for e in events):
             raise InvalidStreamError(validate_stream(events))
         missing = [e.setting_label for e in events if e.setting_label not in index]
@@ -420,6 +430,7 @@ class ViolationKind(Enum):
     NON_MONOTONIC_TIME = "NonMonotonicTime"
     MIXED_ISLAND = "MixedIsland"
     BAD_OUTCOME = "BadOutcome"
+    BAD_SETTING = "BadSetting"
 
 
 @dataclass(frozen=True)
@@ -441,9 +452,13 @@ def _validate_columns(
     bad_oc = np.nonzero(np.abs(oc) != 1)[0]
     for i in bad_oc:
         out.append(StreamViolation(ViolationKind.BAD_OUTCOME, int(i), f"outcome {int(oc[i])} is not +1/-1"))
-    if np.any(si < 0) or np.any(si >= n_labels):
-        i = int(np.nonzero((si < 0) | (si >= n_labels))[0][0])
-        raise ValueError(f"setting index {int(si[i])} out of range at event {i}")
+    bad_si = np.nonzero((si < 0) | (si >= n_labels))[0]
+    for i in bad_si:
+        out.append(
+            StreamViolation(
+                ViolationKind.BAD_SETTING, int(i), f"setting index {int(si[i])} is outside the {n_labels}-label menu"
+            )
+        )
     non_incr = np.nonzero(np.diff(t) <= 0)[0]
     for i in non_incr:
         out.append(

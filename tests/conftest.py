@@ -22,7 +22,7 @@ def ev(island: str, t: int, setting: str, outcome: int) -> DetectionEvent:
 
 def stream(island: str, rows) -> EventStream:
     """Build an EventStream from (t, setting, outcome) rows."""
-    return EventStream.from_events([DetectionEvent(island, t, s, o) for t, s, o in rows])
+    return EventStream.from_events([DetectionEvent(island, t, s, o) for t, s, o in rows], island=island)
 
 
 def pair(tl: int, tr: int, x: str, y: str, sl: int, sr: int, window: int | None = None) -> PairRecord:

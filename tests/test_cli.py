@@ -331,6 +331,22 @@ def test_pairs_file_with_non_integer_window_exits_3(tmp_path, capsys, window):
     assert "window_ns must be an integer" in err
 
 
+def test_config_integer_too_long_to_convert_exits_2_naming_config(tmp_path, capsys):
+    doc = json.loads((ROOT / "configs/singlet_bell.json").read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace(f'"seed": {doc["seed"]}', '"seed": ' + "7" * 5001))
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")], 2)
+    assert f"config {path}: invalid JSON" in err
+
+
+def test_config_not_utf8_exits_2_naming_config(tmp_path, capsys):
+    raw = (ROOT / "configs/singlet_bell.json").read_bytes()
+    path = tmp_path / "config.json"
+    path.write_bytes(raw.replace(b'"singlet"', b'"singl\xe9t"'))
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")], 2)
+    assert f"config {path}: not valid UTF-8" in err
+
+
 def test_feasibility_zero_denominator_exits_3(tmp_path, capsys):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"a;b": {"pp": "1/0", "pm": "0", "mp": "0", "mm": "0"}}))

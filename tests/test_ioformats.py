@@ -1,14 +1,19 @@
 import json
 import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pair, stream
+from eprblab import ioformats
 from eprblab.errors import ConfigParseError, FormatError
 from eprblab.ioformats import (
     EMPTY_CELL_MARKER,
+    EVENT_KEYS,
     RunManifest,
     atomic_write_text,
     config_from_dict,
@@ -29,7 +34,7 @@ from eprblab.ioformats import (
     write_sweep_csv,
     write_tally,
 )
-from eprblab.model import TallyTable
+from eprblab.model import ISLANDS, OUTCOMES, SETTING_LABELS, EventStream, TallyTable
 from eprblab.stats import SweepRow
 
 
@@ -134,6 +139,229 @@ def test_raw_station_log_round_trip_and_rejections(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(FormatError, match="empty"):
         read_raw_station(str(path), "T")
+
+
+# ---------------------------------------------------------------------------
+# template writers against json.dumps, strict reader against per-line reader
+
+
+@st.composite
+def valid_streams(draw):
+    """Nonempty streams of any island and menu, times anywhere in int64."""
+    times = sorted(draw(st.sets(st.integers(0, 2000) | st.integers(0, 2**63 - 1), min_size=1, max_size=40)))
+    labels = draw(st.lists(st.sampled_from(SETTING_LABELS), min_size=len(times), max_size=len(times)))
+    outcomes = draw(st.lists(st.sampled_from(OUTCOMES), min_size=len(times), max_size=len(times)))
+    menu = tuple(sorted(set(labels)))
+    return EventStream(
+        island=draw(st.sampled_from(ISLANDS)),
+        labels=menu,
+        t_ns=np.array(times, dtype=np.int64),
+        setting_idx=np.array([menu.index(label) for label in labels], dtype=np.int16),
+        outcome=np.array(outcomes, dtype=np.int8),
+    )
+
+
+def _same_stream(a: EventStream, b: EventStream) -> bool:
+    return (
+        (a.island, a.labels) == (b.island, b.labels)
+        and a.t_ns.tolist() == b.t_ns.tolist()
+        and a.setting_idx.tolist() == b.setting_idx.tolist()
+        and a.outcome.tolist() == b.outcome.tolist()
+    )
+
+
+def _per_line_events(path: str) -> EventStream:
+    return ioformats._stream_from_rows(path, ioformats._event_rows(path), "event file")
+
+
+def _per_line_raw(path: str, island: str) -> EventStream:
+    return ioformats._stream_from_rows(path, ioformats._raw_rows(path, island), "raw station log")
+
+
+def _strict_events(path: str):
+    return ioformats._read_strict(path, ioformats._EVENT_FILE, ioformats._event_layout)
+
+
+def _strict_raw(path: str, island: str):
+    return ioformats._read_strict(path, ioformats._RAW_FILE, ioformats._raw_layout(island))
+
+
+def _event_objects(s: EventStream) -> list[dict]:
+    return [{"island": e.island, "t_ns": e.time_ns, "setting": e.setting_label, "outcome": e.outcome} for e in s]
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_streams(), st.sampled_from([ioformats._STRICT_RUN_BYTES, 64]))
+def test_written_events_read_the_same_through_both_readers(tmp_path_factory, s, run_bytes):
+    path = str(tmp_path_factory.mktemp("ev") / "ev.jsonl")
+    write_events(path, s)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert lines == [json.dumps(obj, separators=(",", ":")) for obj in _event_objects(s)]
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        strict = _strict_events(path)
+        assert strict is not None
+        assert _same_stream(strict, s)
+        assert _same_stream(read_events(path), s)
+    assert _same_stream(_per_line_events(path), s)
+
+
+@settings(deadline=None, max_examples=40)
+@given(valid_streams(), valid_streams(), st.integers(0, 2**63 - 1))
+def test_pair_writer_matches_json_dumps(tmp_path_factory, left, right, window):
+    n = min(len(left), len(right))
+    left_idx, right_idx = np.arange(n), np.arange(len(right))[::-1][:n]
+    path = str(tmp_path_factory.mktemp("pairs") / "pairs.jsonl")
+    write_pairs_indexed(path, left, right, left_idx, right_idx, window)
+    expected = [
+        json.dumps(
+            {
+                "t_left_ns": left.event(i).time_ns,
+                "t_right_ns": right.event(j).time_ns,
+                "setting_left": left.event(i).setting_label,
+                "setting_right": right.event(j).setting_label,
+                "outcome_left": left.event(i).outcome,
+                "outcome_right": right.event(j).outcome,
+                "window_ns": window,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for i, j in zip(left_idx.tolist(), right_idx.tolist())
+    ]
+    assert open(path, encoding="utf-8").read() == "".join(expected)
+
+
+def _event_variants(objects: list[dict], order: list[str], blank_at: int) -> dict[str, str]:
+    plain = [json.dumps(obj, separators=(",", ":")) for obj in objects]
+    with_blank = plain[:blank_at] + [""] + plain[blank_at:]
+    return {
+        "default separators": "".join(json.dumps(obj) + "\n" for obj in objects),
+        "shuffled keys": "".join(json.dumps({k: obj[k] for k in order}, separators=(",", ":")) + "\n" for obj in objects),
+        "crlf": "".join(line + "\r\n" for line in plain),
+        "blank line": "".join(line + "\n" for line in with_blank),
+        "no final newline": "\n".join(plain),
+    }
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    valid_streams(),
+    st.permutations(EVENT_KEYS).filter(lambda order: tuple(order) != EVENT_KEYS),
+    st.integers(0, 40),
+)
+def test_other_valid_event_layouts_read_to_the_same_stream(tmp_path_factory, s, order, blank_at):
+    directory = tmp_path_factory.mktemp("ev")
+    for name, text in _event_variants(_event_objects(s), order, min(blank_at, len(s))).items():
+        path = str(directory / "ev.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        assert _strict_events(path) is None, name
+        assert _same_stream(read_events(path), s), name
+
+
+def _raw_lines(s: EventStream, plus: str) -> list[str]:
+    return [f"{e.time_ns} {e.setting_label} {plus if e.outcome > 0 else '-1'}" for e in s]
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_streams(), st.sampled_from(["1", "+1"]), st.sampled_from([ioformats._STRICT_RUN_BYTES, 64]))
+def test_strict_raw_logs_read_the_same_through_both_readers(tmp_path_factory, s, plus, run_bytes):
+    path = str(tmp_path_factory.mktemp("raw") / "raw.log")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in _raw_lines(s, plus)))
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        strict = _strict_raw(path, s.island)
+        assert strict is not None
+        assert _same_stream(strict, s)
+        assert _same_stream(read_raw_station(path, s.island), s)
+    assert _same_stream(_per_line_raw(path, s.island), s)
+
+
+@settings(deadline=None, max_examples=40)
+@given(valid_streams(), st.integers(0, 40))
+def test_other_valid_raw_layouts_read_to_the_same_stream(tmp_path_factory, s, blank_at):
+    plain = _raw_lines(s, "+1")
+    at = min(blank_at, len(plain))
+    variants = {
+        "crlf": "".join(line + "\r\n" for line in plain),
+        "blank line": "".join(line + "\n" for line in plain[:at] + [""] + plain[at:]),
+        "comment line": "".join(line + "\n" for line in plain[:at] + ["# station L, run 7"] + plain[at:]),
+        "no final newline": "\n".join(plain),
+        "tabs and runs of spaces": "".join(line.replace(" ", "\t", 1).replace(" ", "   ") + "\n" for line in plain),
+        "leading zeros": "".join("00" + line + "\n" for line in plain),
+        "leading and trailing spaces": "".join(f"  {line} \n" for line in plain),
+    }
+    directory = tmp_path_factory.mktemp("raw")
+    for name, text in variants.items():
+        path = str(directory / "raw.log")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        assert _strict_raw(path, s.island) is None, name
+        assert _same_stream(read_raw_station(path, s.island), s), name
+
+
+# Each case is a bad line and the message the readers give for it.  T_NS
+# stands for a time past every earlier line, LAST for the time of the line
+# before.
+_BAD_EVENT_LINES = [
+    ('{"island":"T","t_ns":T_NS,"setting":"a"}', "event must have exactly the keys ['island', 't_ns', 'setting', 'outcome']"),
+    ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":1,"x":0}',
+     "event must have exactly the keys ['island', 't_ns', 'setting', 'outcome']"),
+    ('{"island":"Q","t_ns":T_NS,"setting":"a","outcome":1}', "island must be 'T' or 'L', got 'Q'"),
+    ('{"island":"L","t_ns":T_NS,"setting":"a","outcome":1}', "mixed islands: file started with 'T', line has 'L'"),
+    ('{"island":"T","t_ns":-1,"setting":"a","outcome":1}', "t_ns must be a nonnegative integer below 2^63, got -1"),
+    ('{"island":"T","t_ns":9223372036854775808,"setting":"a","outcome":1}',
+     "t_ns must be a nonnegative integer below 2^63, got 9223372036854775808"),
+    ('{"island":"T","t_ns":9223372036854775809,"setting":"a","outcome":1}',
+     "t_ns must be a nonnegative integer below 2^63, got 9223372036854775809"),
+    ('{"island":"T","t_ns":9999999999999999999,"setting":"a","outcome":1}',
+     "t_ns must be a nonnegative integer below 2^63, got 9999999999999999999"),
+    ('{"island":"T","t_ns":5.0,"setting":"a","outcome":1}', "t_ns must be a nonnegative integer below 2^63, got 5.0"),
+    ('{"island":"T","t_ns":LAST,"setting":"a","outcome":1}', "timestamps must be strictly increasing, got LAST after LAST"),
+    ('{"island":"T","t_ns":T_NS,"setting":"e","outcome":1}', "setting must be one of ['a', 'b', 'c', 'd'], got 'e'"),
+    ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":0}', "outcome must be +1 or -1, got 0"),
+    ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":2}', "outcome must be +1 or -1, got 2"),
+    ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":true}', "outcome must be +1 or -1, got True"),
+    ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":1.0}', "outcome must be +1 or -1, got 1.0"),
+    ("not json", "invalid JSON: Expecting value"),
+]
+_BAD_RAW_LINES = [
+    ("LAST a 1", "timestamps must be strictly increasing, got LAST after LAST"),
+    ("0 a 1", "timestamps must be strictly increasing, got 0 after LAST"),
+    ("9223372036854775808 a 1", "t_ns must be a nonnegative integer below 2^63, got 9223372036854775808"),
+    ("9223372036854775809 a 1", "t_ns must be a nonnegative integer below 2^63, got 9223372036854775809"),
+    ("-7 a 1", "t_ns must be a nonnegative integer below 2^63, got -7"),
+    ("T_NS e 1", "setting must be one of ['a', 'b', 'c', 'd'], got 'e'"),
+    ("T_NS a 2", "outcome must be +1 or -1, got '2'"),
+    ("T_NS a true", "outcome must be +1 or -1, got 'true'"),
+    ("T_NS a", "expected 't_ns setting outcome', got 2 field(s)"),
+    ("x a 1", "t_ns must be an integer, got 'x'"),
+]
+
+
+def _fill(template: str, last: int) -> str:
+    return template.replace("T_NS", str(10**6)).replace("LAST", str(last))
+
+
+@pytest.mark.parametrize("good_lines", [1, 1000])
+@pytest.mark.parametrize("line,message", _BAD_EVENT_LINES)
+def test_bad_event_line_message_and_number_after_good_lines(tmp_path, good_lines, line, message):
+    path = tmp_path / "ev.jsonl"
+    good = "".join(f'{{"island":"T","t_ns":{t},"setting":"a","outcome":1}}\n' for t in range(1, good_lines + 1))
+    path.write_text(good + _fill(line, good_lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        read_events(str(path))
+    assert str(info.value) == f"{path}:{good_lines + 1}: {_fill(message, good_lines)}"
+
+
+@pytest.mark.parametrize("good_lines", [1, 1000])
+@pytest.mark.parametrize("line,message", _BAD_RAW_LINES)
+def test_bad_raw_line_message_and_number_after_good_lines(tmp_path, good_lines, line, message):
+    path = tmp_path / "raw.log"
+    path.write_text("".join(f"{t} a -1\n" for t in range(1, good_lines + 1)) + _fill(line, good_lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        read_raw_station(str(path), "T")
+    assert str(info.value) == f"{path}:{good_lines + 1}: {_fill(message, good_lines)}"
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,22 @@ def test_event_stream_rejects_label_outside_menu():
         EventStream.from_events([ev("T", 1, "c", 1)], labels=("a", "b"))
 
 
+def test_event_stream_reports_setting_index_outside_menu():
+    with pytest.raises(InvalidStreamError) as err:
+        EventStream("T", ("a", "b"), np.array([1, 2, 3]), np.array([0, 2, -1]), np.array([1, 1, -1]))
+    violations = err.value.violations
+    assert [(v.kind, v.index) for v in violations] == [(ViolationKind.BAD_SETTING, 1), (ViolationKind.BAD_SETTING, 2)]
+    assert "BadSetting at index 1: setting index 2" in str(err.value)
+
+
+def test_empty_stream_keeps_its_island():
+    assert stream("L", []).island == "L"
+    assert stream("T", []).island == "T"
+    assert EventStream.from_events([]).island == "T"
+    with pytest.raises(ValueError, match="island"):
+        EventStream.from_events([ev("T", 1, "a", 1)], island="L")
+
+
 @given(
     st.lists(
         st.tuples(st.integers(1, 50), st.sampled_from("abcd"), st.sampled_from([-1, 1])),
