@@ -120,17 +120,18 @@ def _cmd_pair(args) -> int:
 def _cmd_tally(args) -> int:
     t0 = time.monotonic()
     pairs = read_pairs(args.pairs)
-    table = tally(pairs)
+    table = tally(*pairs)
+    n_pairs = len(pairs[2])
     write_tally(args.out, table)
     manifest = RunManifest(
         command="tally",
         inputs={args.pairs: sha256_file(args.pairs)},
         outputs={args.out: sha256_file(args.out)},
-        parameters={"pairs": len(pairs)},
+        parameters={"pairs": n_pairs},
         wall_time_s=round(time.monotonic() - t0, 6),
     )
     write_manifest(f"{args.out}.manifest.json", manifest)
-    _emit({"pairs": len(pairs), "setting_pairs": len(table.counts)})
+    _emit({"pairs": n_pairs, "setting_pairs": len(table.counts)})
     return 0
 
 

@@ -35,7 +35,7 @@ from .model import (
     all_domain_keys,
     domain_key_to_string,
 )
-from .stats import _q_cell
+from .stats import _q
 
 
 def _as_fraction(value) -> Fraction:
@@ -321,19 +321,6 @@ def joint_feasibility(
     )
 
 
-def _q_exact(tables: PairwiseTables, x: str, y: str, convention: str) -> Fraction:
-    """P(hidden x-outcome +, hidden y-outcome -) read off the measured
-    table for (x, y), falling back to the transposed table (valid under
-    identification) when only (y, x) was measured."""
-    if (x, y) in tables.tables:
-        cells, transposed = tables.tables[(x, y)], False
-    elif (y, x) in tables.tables:
-        cells, transposed = tables.tables[(y, x)], True
-    else:
-        raise EmptyCellError(f"no table for measured pair {x};{y} in either orientation")
-    return cells[_q_cell(convention, transposed)]
-
-
 def wigner_residual(
     tables: PairwiseTables | TallyTable,
     ordering: Sequence[str] = ("a", "b", "c"),
@@ -354,8 +341,9 @@ def wigner_residual(
     if len(ordering) != 3 or len(set(ordering)) != 3 or any(o not in SETTING_LABELS for o in ordering):
         raise ValueError(f"ordering must be three distinct setting labels, got {ordering!r}")
     x1, x2, x3 = ordering
+    # each table sums to exactly 1, so every q is an exact Fraction
     return (
-        _q_exact(tables, x1, x2, convention)
-        - _q_exact(tables, x1, x3, convention)
-        - _q_exact(tables, x3, x2, convention)
+        _q(tables.tables, x1, x2, convention)[0]
+        - _q(tables.tables, x1, x3, convention)[0]
+        - _q(tables.tables, x3, x2, convention)[0]
     )

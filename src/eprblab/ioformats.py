@@ -27,6 +27,12 @@ final newline, leading zeros, or a bad line) goes to the per-line reader,
 which parses each line on its own and either accepts the file or raises
 the line-numbered FormatError.  Both readers give the same stream for
 every file the strict one accepts.
+
+``read_pairs`` reads a pair file line by line into the matcher's form
+(left, right, left_idx, right_idx), the one form ``write_pairs_indexed``
+and ``stats.tally`` take: each side of a row gets the event files' row
+check, and since a detection is paired at most once, a T or L time that
+appears on two rows is a FormatError naming both lines.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import __version__ as _version
-from .errors import ConfigParseError, FormatError
+from .errors import ConfigParseError, FormatError, InvalidStreamError
 from .feasibility import PairwiseTables, _as_fraction
 from .model import (
     CELL_FROM_NAME,
@@ -53,13 +59,12 @@ from .model import (
     ISLANDS,
     OUTCOMES,
     SETTING_LABELS,
-    DetectionEvent,
     EventStream,
-    PairRecord,
     Setting,
     TallyTable,
     WignerDomainDistribution,
     all_domain_keys,
+    check_window,
     domain_key_from_string,
     domain_key_to_string,
 )
@@ -83,11 +88,16 @@ EMPTY_CELL_MARKER = "EmptyCell"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.  The
+    file gets the mode open() would give it under the current umask, not
+    the owner-only mode of the temp file."""
+    umask = os.umask(0)  # setting the umask is the only way to read it
+    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -133,18 +143,49 @@ def _read_json(path: str):
             raise FormatError(f"invalid JSON: {exc}", path=path)
 
 
+def _check_row(path: str, lineno: int, t_ns, setting, outcome, after: int = -1) -> None:
+    """Check one event's fields: t_ns an integer that fits the stream's int64
+    column and lies past ``after``, a known setting, outcome +1 or -1.
+    Raises FormatError naming the line."""
+    if type(t_ns) is not int or not 0 <= t_ns <= _MAX_T_NS:
+        raise _format_error(path, lineno, f"t_ns must be a nonnegative integer below 2^63, got {t_ns!r}")
+    if t_ns <= after:
+        raise _format_error(path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {after}")
+    if setting not in SETTING_LABELS:
+        raise _format_error(path, lineno, f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
+    if type(outcome) is not int or outcome not in OUTCOMES:
+        raise _format_error(path, lineno, f"outcome must be +1 or -1, got {outcome!r}")
+
+
+def _sorted_stream(island: str, rows: list[tuple]) -> tuple[EventStream, np.ndarray]:
+    """The stream of checked (t_ns, setting, outcome) rows with distinct
+    times, sorted by time, its label menu the labels present; and the
+    index of each row's event in it."""
+    t = np.asarray([row[0] for row in rows], dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    menu = tuple(sorted({row[1] for row in rows})) or SETTING_LABELS[:1]
+    index = {lab: i for i, lab in enumerate(menu)}
+    stream = EventStream(
+        island=island,
+        labels=menu,
+        t_ns=t[order],
+        setting_idx=np.asarray([index[row[1]] for row in rows], dtype=np.int16)[order],
+        outcome=np.asarray([row[2] for row in rows], dtype=np.int8)[order],
+    )
+    return stream, at
+
+
 def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStream:
     """Check one station's (lineno, island, t_ns, setting, outcome) rows in
     file order and build its stream.
 
     Raises FormatError naming the line of the first bad row, or naming the
-    file (``what``) when it holds no row.  t_ns must fit the stream's int64
-    column.
+    file (``what``) when it holds no row.
     """
     island = None
-    times: list[int] = []
-    labels: list[str] = []
-    outcomes: list[int] = []
+    events: list[tuple] = []
     prev = -1
     for lineno, isl, t_ns, setting, outcome in rows:
         if isl not in ISLANDS:
@@ -153,29 +194,12 @@ def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStrea
             island = isl
         elif isl != island:
             raise _format_error(path, lineno, f"mixed islands: file started with {island!r}, line has {isl!r}")
-        if type(t_ns) is not int or not 0 <= t_ns <= _MAX_T_NS:
-            raise _format_error(path, lineno, f"t_ns must be a nonnegative integer below 2^63, got {t_ns!r}")
-        if t_ns <= prev:
-            raise _format_error(path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {prev}")
-        if setting not in SETTING_LABELS:
-            raise _format_error(path, lineno, f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
-        if type(outcome) is not int or outcome not in OUTCOMES:
-            raise _format_error(path, lineno, f"outcome must be +1 or -1, got {outcome!r}")
+        _check_row(path, lineno, t_ns, setting, outcome, after=prev)
         prev = t_ns
-        times.append(t_ns)
-        labels.append(setting)
-        outcomes.append(outcome)
+        events.append((t_ns, setting, outcome))
     if island is None:
         raise FormatError(f"{what} is empty", path=path)
-    menu = tuple(sorted(set(labels)))
-    index = {lab: i for i, lab in enumerate(menu)}
-    return EventStream(
-        island=island,
-        labels=menu,
-        t_ns=np.asarray(times, dtype=np.int64),
-        setting_idx=np.asarray([index[lab] for lab in labels], dtype=np.int16),
-        outcome=np.asarray(outcomes, dtype=np.int8),
-    )
+    return _sorted_stream(island, events)[0]
 
 
 def _lines(path: str):
@@ -347,16 +371,38 @@ def write_pairs_indexed(
     atomic_write_text(path, "".join(lines))
 
 
-def read_pairs(path: str) -> list[PairRecord]:
-    out: list[PairRecord] = []
+def read_pairs(path: str) -> tuple[EventStream, EventStream, np.ndarray, np.ndarray]:
+    """Parse a pair file into the matcher's form (left, right, left_idx,
+    right_idx): the file's T and L events as streams sorted by time, and
+    row k pairing left event left_idx[k] with right event right_idx[k].
+    """
+    lines: list[int] = []
+    left_rows: list[tuple] = []
+    right_rows: list[tuple] = []
     for lineno, obj in _json_rows(path, PAIR_KEYS, "pair"):
+        left = (obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
+        right = (obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
+        _check_row(path, lineno, *left)
+        _check_row(path, lineno, *right)
         try:
-            left = DetectionEvent("T", obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
-            right = DetectionEvent("L", obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
-            out.append(PairRecord(left, right, obj["window_ns"]))
-        except (ValueError, TypeError) as exc:
+            check_window(obj["window_ns"], abs(left[0] - right[0]))
+        except ValueError as exc:
             raise _format_error(path, lineno, str(exc))
-    return out
+        lines.append(lineno)
+        left_rows.append(left)
+        right_rows.append(right)
+    try:
+        left, left_idx = _sorted_stream("T", left_rows)
+        right, right_idx = _sorted_stream("L", right_rows)
+    except InvalidStreamError:  # every row passed its checks, so a time repeats
+        first: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        for lineno, *row in zip(lines, left_rows, right_rows):
+            for island, (t_ns, _, _), seen in zip(ISLANDS, row, first):
+                earlier = seen.setdefault(t_ns, lineno)
+                if earlier != lineno:
+                    raise _format_error(path, lineno, f"{island} detection at t_ns {t_ns} is already paired on line {earlier}")
+        raise
+    return left, right, left_idx, right_idx
 
 
 # ---------------------------------------------------------------------------

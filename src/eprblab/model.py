@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,6 +83,17 @@ class DetectionEvent:
             raise ValueError(f"outcome must be +1 or -1, got {self.outcome!r}")
 
 
+def check_window(window_ns, dt: int = 0) -> None:
+    """Raise ValueError unless window_ns is a nonnegative integer (not a
+    bool) and the pair's time difference dt = |t - t'| lies within it."""
+    if not isinstance(window_ns, (int, np.integer)) or isinstance(window_ns, bool):
+        raise ValueError(f"window_ns must be an integer, got {window_ns!r}")
+    if window_ns < 0:
+        raise ValueError("window_ns must be nonnegative")
+    if dt > window_ns:
+        raise ValueError(f"|t - t'| = {dt} exceeds window {window_ns}")
+
+
 @dataclass(frozen=True)
 class PairRecord:
     """A time-matched pair of detections, one per island, under window W."""
@@ -96,14 +107,7 @@ class PairRecord:
             raise ValueError("left event of a pair must come from island T")
         if self.right.island != "L":
             raise ValueError("right event of a pair must come from island L")
-        if not isinstance(self.window_ns, (int, np.integer)) or isinstance(self.window_ns, bool):
-            raise ValueError(f"window_ns must be an integer, got {self.window_ns!r}")
-        if self.window_ns < 0:
-            raise ValueError("window_ns must be nonnegative")
-        if abs(self.left.time_ns - self.right.time_ns) > self.window_ns:
-            raise ValueError(
-                f"|t - t'| = {abs(self.left.time_ns - self.right.time_ns)} exceeds window {self.window_ns}"
-            )
+        check_window(self.window_ns, abs(self.left.time_ns - self.right.time_ns))
 
     @property
     def setting_pair(self) -> tuple[str, str]:
@@ -444,11 +448,19 @@ class StreamViolation:
 
 
 def _validate_columns(
-    island: str, t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_labels: int
+    islands, t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_labels: int
 ) -> list[StreamViolation]:
+    """Every violation in a stream's columns.  ``islands`` is the island of
+    each event, or one island for all of them."""
     out: list[StreamViolation] = []
     if len(t) == 0:
         return out
+    islands = np.asarray(islands)
+    ref = str(islands.flat[0])
+    for i in np.flatnonzero(islands != ref):
+        out.append(
+            StreamViolation(ViolationKind.MIXED_ISLAND, int(i), f"island {str(islands[i])!r} differs from {ref!r}")
+        )
     bad_oc = np.nonzero(np.abs(oc) != 1)[0]
     for i in bad_oc:
         out.append(StreamViolation(ViolationKind.BAD_OUTCOME, int(i), f"outcome {int(oc[i])} is not +1/-1"))
@@ -459,56 +471,32 @@ def _validate_columns(
                 ViolationKind.BAD_SETTING, int(i), f"setting index {int(si[i])} is outside the {n_labels}-label menu"
             )
         )
-    non_incr = np.nonzero(np.diff(t) <= 0)[0]
+    non_incr = np.nonzero(t[1:] <= t[:-1])[0]
     for i in non_incr:
         out.append(
             StreamViolation(
                 ViolationKind.NON_MONOTONIC_TIME,
                 int(i) + 1,
-                f"time {int(t[i + 1])} does not increase past {int(t[i])}",
+                f"time {t[i + 1]} does not increase past {t[i]}",
             )
         )
     return sorted(out, key=lambda v: (v.index, v.kind.value))
 
 
-def _event_fields(e) -> tuple[str, int, str, int]:
-    """Accept DetectionEvent or a loose (island, time, setting, outcome) tuple."""
-    if isinstance(e, DetectionEvent):
-        return e.island, e.time_ns, e.setting_label, e.outcome
-    island, time_ns, setting, outcome = e
-    return island, time_ns, setting, outcome
-
-
-def validate_stream(events: Iterable) -> list[StreamViolation]:
+def validate_stream(events: EventStream | Sequence[DetectionEvent]) -> list[StreamViolation]:
     """Check one station's stream and return the complete violation list.
 
-    An empty list means the stream is valid.  Accepts DetectionEvent
-    sequences, loose (island, time_ns, setting, outcome) tuples, or an
-    EventStream (always valid by construction).
+    An empty list means the stream is valid.  Accepts an EventStream
+    (always valid by construction) or a DetectionEvent sequence.
     """
     if isinstance(events, EventStream):
         return []
-    out: list[StreamViolation] = []
-    ref_island: str | None = None
-    prev_time: int | None = None
-    for i, raw in enumerate(events):
-        island, time_ns, _setting, outcome = _event_fields(raw)
-        if ref_island is None:
-            ref_island = island
-        elif island != ref_island:
-            out.append(
-                StreamViolation(ViolationKind.MIXED_ISLAND, i, f"island {island!r} differs from {ref_island!r}")
-            )
-        if outcome not in OUTCOMES:
-            out.append(StreamViolation(ViolationKind.BAD_OUTCOME, i, f"outcome {outcome!r} is not +1/-1"))
-        if prev_time is not None and time_ns <= prev_time:
-            out.append(
-                StreamViolation(
-                    ViolationKind.NON_MONOTONIC_TIME, i, f"time {time_ns} does not increase past {prev_time}"
-                )
-            )
-        prev_time = time_ns
-    return out
+    events = list(events)
+    islands = np.array([e.island for e in events])
+    times = np.array([e.time_ns for e in events])
+    outcomes = np.array([e.outcome for e in events])
+    # each DetectionEvent has checked its own setting label and outcome
+    return _validate_columns(islands, times, np.zeros(len(times), dtype=np.int16), outcomes, 1)
 
 
 def require_valid_stream(events) -> EventStream:
@@ -516,8 +504,4 @@ def require_valid_stream(events) -> EventStream:
     full violation list if any invariant fails."""
     if isinstance(events, EventStream):
         return events
-    events = list(events)
-    violations = validate_stream(events)
-    if violations:
-        raise InvalidStreamError(violations)
-    return EventStream.from_events([e if isinstance(e, DetectionEvent) else DetectionEvent(*_event_fields(e)) for e in events])
+    return EventStream.from_events(list(events))

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import require_valid_stream
+from .model import check_window, require_valid_stream
 
 # A round that accepts fewer than this share of the live events that still
 # have a candidate hands the rest to the merged-order walk.  Every other
@@ -62,10 +62,7 @@ class PairingConfig:
     window_ns: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.window_ns, (int, np.integer)) or isinstance(self.window_ns, bool):
-            raise ValueError(f"window_ns must be an integer, got {self.window_ns!r}")
-        if self.window_ns < 0:
-            raise ValueError("window_ns must be nonnegative")
+        check_window(self.window_ns)
 
 
 def _nearest(x: np.ndarray, y: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,11 @@
 """Estimators over matched pairs: tallies, correlations, the Bell-Wigner
 and CHSH inequalities, window sweeps, and cross-trial re-pairing.
 
+Pairs come in the matcher's form (left, right, left_idx, right_idx): two
+EventStreams and the indices of the paired events.  A tally reads only
+stream events, so an imagined entry (a setting never measured, with no
+time and no outcome) has no way into any statistic here.
+
 Inequality conventions.  The Bell-Wigner bound is used in its
 single-probability form
 
@@ -34,33 +39,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCellError
-from .model import CELLS, CONVENTIONS, EventStream, PairRecord, TallyTable
+from .model import CELLS, CONVENTIONS, EventStream, TallyTable
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
 # tallies
 
 
-def tally(pairs: Sequence[PairRecord], unmatched_left: int = 0, unmatched_right: int = 0) -> TallyTable:
-    """Count outcomes per measured setting pair.
-
-    Accepts only real PairRecord measurements; counterfactually augmented
-    triples (and anything else) are refused, keeping imagined entries out
-    of every statistic by construction.
-    """
-    counts: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
-    for p in pairs:
-        if not isinstance(p, PairRecord):
-            raise TypeError(
-                f"tally counts measured pairs only, got {type(p).__name__}; "
-                "counterfactually augmented records cannot be tallied"
-            )
-        cells = counts.setdefault(p.setting_pair, {c: 0 for c in CELLS})
-        cells[(p.left.outcome, p.right.outcome)] += 1
-    return TallyTable(counts, unmatched_left, unmatched_right)
-
-
-def tally_indexed(
+def tally(
     left: EventStream,
     right: EventStream,
     left_idx: np.ndarray,
@@ -68,70 +54,70 @@ def tally_indexed(
     unmatched_left: int = 0,
     unmatched_right: int = 0,
 ) -> TallyTable:
-    """Vectorized tally over matched index arrays (the large-run path)."""
+    """Count outcomes per measured setting pair over the pairs
+    (left.event(i), right.event(j)) for i, j in zip(left_idx, right_idx).
+
+    Every counted outcome is a detection in an EventStream, so a tally
+    holds measured outcomes only: an imagined entry, such as the third
+    slot of a counterfactually augmented triple, has no time and no
+    outcome and cannot become a stream event.
+    """
     xi = left.setting_idx[left_idx].astype(np.int64)
     yi = right.setting_idx[right_idx].astype(np.int64)
     so = (left.outcome[left_idx] > 0).astype(np.int64)
     so2 = (right.outcome[right_idx] > 0).astype(np.int64)
     n_l, n_r = len(left.labels), len(right.labels)
     code = ((xi * n_r + yi) * 2 + so) * 2 + so2
-    hist = np.bincount(code, minlength=n_l * n_r * 4)
+    hist = np.bincount(code, minlength=n_l * n_r * 4).reshape(n_l, n_r, 2, 2)
     counts: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
-    for xi_ in range(n_l):
-        for yi_ in range(n_r):
-            base = (xi_ * n_r + yi_) * 4
-            cells = {
-                (1, 1): int(hist[base + 3]),
-                (1, -1): int(hist[base + 2]),
-                (-1, 1): int(hist[base + 1]),
-                (-1, -1): int(hist[base + 0]),
-            }
-            if any(cells.values()):
-                counts[(left.labels[xi_], right.labels[yi_])] = cells
+    for xi_, x in enumerate(left.labels):
+        for yi_, y in enumerate(right.labels):
+            if hist[xi_, yi_].any():
+                counts[(x, y)] = {(s, s2): int(hist[xi_, yi_, int(s > 0), int(s2 > 0)]) for s, s2 in CELLS}
     return TallyTable(counts, unmatched_left, unmatched_right)
 
 
-def _cells_for(t: TallyTable, x: str, y: str) -> tuple[Mapping[tuple[int, int], int], bool]:
-    """The tallied table for settings {x on T, y on L} or its transpose.
+def _cells_for(tables: Mapping, x: str, y: str) -> tuple[Mapping, bool]:
+    """The nonempty table for settings {x on T, y on L} or its transpose,
+    from tally counts or exact probability tables.
 
     Returns (cells, transposed).  Raises EmptyCellError when neither
     orientation has any pairs.
     """
-    if t.total(x, y) > 0:
-        return t.counts[(x, y)], False
-    if t.total(y, x) > 0:
-        return t.counts[(y, x)], True
-    raise EmptyCellError(f"no tallied pairs for settings ({x};{y}) in either orientation")
+    for key, transposed in (((x, y), False), ((y, x), True)):
+        cells = tables.get(key)
+        if cells and any(cells.values()):
+            return cells, transposed
+    raise EmptyCellError(f"no measured pairs for settings ({x};{y}) in either orientation")
 
 
 def correlation(t: TallyTable, x: str, y: str) -> float:
     """E = (N++ + N-- - N+- - N-+)/N for the setting pair; transpose-safe."""
-    cells, _ = _cells_for(t, x, y)
+    cells, _ = _cells_for(t.counts, x, y)
     n = sum(cells.values())
     return (cells[(1, 1)] + cells[(-1, -1)] - cells[(1, -1)] - cells[(-1, 1)]) / n
 
 
 def equal_fraction(t: TallyTable, x: str, y: str) -> float:
     """(N++ + N--)/N for the setting pair; equals (1 + E)/2 identically."""
-    cells, _ = _cells_for(t, x, y)
+    cells, _ = _cells_for(t.counts, x, y)
     n = sum(cells.values())
     return (cells[(1, 1)] + cells[(-1, -1)]) / n
 
 
-def _q_cell(convention: str, transposed: bool) -> tuple[int, int]:
-    """Observed cell holding the hidden-level event (x -> +, y -> -); see the
-    module docstring for the derivation."""
+def _q(tables: Mapping, x: str, y: str, convention: str) -> tuple:
+    """(q(x, y), the table's total, the measured pair it was read from),
+    from tally counts or exact probability tables.  q is the share of the
+    observed cell holding the hidden-level event (x -> +, y -> -) in the
+    table for (x, y) or its transpose; see the module docstring for the
+    derivation."""
+    cells, transposed = _cells_for(tables, x, y)
     if convention == "anti":
-        return (-1, -1) if transposed else (1, 1)
-    return (-1, 1) if transposed else (1, -1)
-
-
-def _q(t: TallyTable, x: str, y: str, convention: str) -> tuple[float, int, tuple[str, str]]:
-    cells, transposed = _cells_for(t, x, y)
+        cell = (-1, -1) if transposed else (1, 1)
+    else:
+        cell = (-1, 1) if transposed else (1, -1)
     n = sum(cells.values())
-    cell = _q_cell(convention, transposed)
-    key = (y, x) if transposed else (x, y)
-    return cells[cell] / n, n, key
+    return cells[cell] / n, n, ((y, x) if transposed else (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +152,9 @@ def bell_wigner(t: TallyTable, ordering: tuple[str, str, str] = ("a", "b", "c"),
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be 'equal' or 'anti', got {convention!r}")
     a, b, c = ordering
-    q_ab, n_ab, k_ab = _q(t, a, b, convention)
-    q_ac, n_ac, k_ac = _q(t, a, c, convention)
-    q_cb, n_cb, k_cb = _q(t, c, b, convention)
+    q_ab, n_ab, k_ab = _q(t.counts, a, b, convention)
+    q_ac, n_ac, k_ac = _q(t.counts, a, c, convention)
+    q_cb, n_cb, k_cb = _q(t.counts, c, b, convention)
     stderr = math.sqrt(
         q_ab * (1 - q_ab) / n_ab + q_ac * (1 - q_ac) / n_ac + q_cb * (1 - q_cb) / n_cb
     )
@@ -190,7 +176,7 @@ def chsh(t: TallyTable, ordering: tuple[str, str, str, str] = ("a", "b", "c", "d
     var = 0.0
     pair_counts: dict[tuple[str, str], int] = {}
     for (x, y), sign in terms:
-        cells, transposed = _cells_for(t, x, y)
+        cells, transposed = _cells_for(t.counts, x, y)
         n = sum(cells.values())
         e = (cells[(1, 1)] + cells[(-1, -1)] - cells[(1, -1)] - cells[(-1, 1)]) / n
         s += sign * e
@@ -254,7 +240,7 @@ def sweep_window(
     for w in windows:
         keep = dt <= w
         mi, mj = all_i[keep], all_j[keep]
-        t = tally_indexed(left, right, mi, mj, len(left) - len(mi), len(right) - len(mj))
+        t = tally(left, right, mi, mj, len(left) - len(mi), len(right) - len(mj))
         try:
             if kind == "chsh":
                 rep = chsh(t, ordering)  # type: ignore[arg-type]
@@ -270,31 +256,25 @@ def sweep_window(
 # cross-trial re-pairing
 
 
-def repair_across_trials(pairs: Sequence[PairRecord], seed: int) -> TallyTable:
+def repair_across_trials(
+    left: EventStream, right: EventStream, left_idx: np.ndarray, right_idx: np.ndarray, seed: int
+) -> TallyTable:
     """Destroy time pairing: within each setting-pair class, re-permute the
     right-hand outcomes uniformly at random, then tally.
 
     If the original equal-setting pairs were perfectly correlated, the
     scrambled table's equal fraction drops to p^2 + (1-p)^2, which is 1/2
     for balanced marginals: time-agnostic bookkeeping keeps only half of
-    the perfect correlation.  Deterministic given ``seed``.
+    the perfect correlation.  Deterministic given ``seed``: one permutation
+    of the class's right events per class, drawn in sorted class order.
     """
-    if not pairs:
+    if len(left_idx) == 0:
         raise ValueError("repair_across_trials needs at least one pair")
-    for p in pairs:
-        if not isinstance(p, PairRecord):
-            raise TypeError(f"expected PairRecord, got {type(p).__name__}")
+    xs = np.asarray(left.labels)[left.setting_idx[left_idx]]
+    ys = np.asarray(right.labels)[right.setting_idx[right_idx]]
     rng = np.random.default_rng(seed)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, p in enumerate(pairs):
-        groups.setdefault(p.setting_pair, []).append(i)
-    counts: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
-    for key in sorted(groups):
-        idx = groups[key]
-        rights = [pairs[i].right.outcome for i in idx]
-        perm = rng.permutation(len(idx))
-        cells = {c: 0 for c in CELLS}
-        for pos, i in enumerate(idx):
-            cells[(pairs[i].left.outcome, rights[perm[pos]])] += 1
-        counts[key] = cells
-    return TallyTable(counts)
+    repaired = np.array(right_idx)
+    for x, y in sorted(set(zip(xs.tolist(), ys.tolist()))):
+        members = np.flatnonzero((xs == x) & (ys == y))
+        repaired[members] = repaired[members][rng.permutation(len(members))]
+    return tally(left, right, left_idx, repaired)

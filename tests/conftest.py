@@ -25,6 +25,15 @@ def stream(island: str, rows) -> EventStream:
     return EventStream.from_events([DetectionEvent(island, t, s, o) for t, s, o in rows], island=island)
 
 
+def pair_columns(records):
+    """The matcher's pair form (left, right, left_idx, right_idx) of
+    PairRecords listed in increasing T and L time."""
+    left = EventStream.from_events([p.left for p in records], island="T")
+    right = EventStream.from_events([p.right for p in records], island="L")
+    idx = np.arange(len(records))
+    return left, right, idx, idx
+
+
 def pair(tl: int, tr: int, x: str, y: str, sl: int, sr: int, window: int | None = None) -> PairRecord:
     if window is None:
         window = abs(tl - tr)

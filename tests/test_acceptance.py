@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import pair
+from conftest import pair, pair_columns
 from eprblab.cli import main
 from eprblab.counting import (
     _classes_by_multiset,
@@ -29,7 +29,7 @@ from eprblab.ioformats import load_config, read_manifest, sha256_file
 from eprblab.model import BellTriple, Setting, WignerDomainDistribution, all_domain_keys
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
-from eprblab.stats import bell_wigner, chsh, equal_fraction, repair_across_trials, sweep_window, tally, tally_indexed
+from eprblab.stats import bell_wigner, chsh, equal_fraction, repair_across_trials, sweep_window, tally
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,7 +46,7 @@ def run_cli(capsys, *argv):
 def pipeline(config: SourceConfig, window_ns: int):
     left, right = generate(config)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(window_ns))
-    return tally_indexed(left, right, mi, mj, ul, ur)
+    return tally(left, right, mi, mj, ul, ur)
 
 
 def test_criterion_01_single_pair_classes(capsys):
@@ -238,9 +238,9 @@ def test_criterion_11_cross_trial_repairing_halves_correlation():
     rng = np.random.default_rng(611)
     outcomes = rng.choice([-1, 1], n)
     pairs = [pair(10 * i, 10 * i, "a", "a", int(o), int(o), window=0) for i, o in enumerate(outcomes)]
-    before = tally(pairs)
+    before = tally(*pair_columns(pairs))
     assert equal_fraction(before, "a", "a") == 1.0
-    after = repair_across_trials(pairs, seed=611)
+    after = repair_across_trials(*pair_columns(pairs), seed=611)
     assert abs(equal_fraction(after, "a", "a") - 0.5) <= 4 * math.sqrt(0.25 / n)
 
 

@@ -68,7 +68,7 @@ def test_pipeline_end_to_end(tmp_path, capsys, config_path):
     assert code == 0
     assert paired["pairs"] == 2700  # jitter 40 < window, every emission pairs
     assert paired["unmatched_left"] == paired["unmatched_right"] == 0
-    assert len(read_pairs(pairs_path)) == 2700
+    assert len(read_pairs(pairs_path)[2]) == 2700
 
     tally_path = str(tmp_path / "tally.json")
     code, tallied = run(capsys, "tally", "--pairs", pairs_path, "--out", tally_path)
@@ -329,6 +329,51 @@ def test_pairs_file_with_non_integer_window_exits_3(tmp_path, capsys, window):
     err = _assert_clean_exit(capsys, ["tally", "--pairs", str(pairs), "--out", str(tmp_path / "t.json")], 3)
     assert "p.jsonl:1:" in err
     assert "window_ns must be an integer" in err
+
+
+@pytest.mark.parametrize("repeat", ["T", "L"])
+def test_pairs_file_repeating_a_detection_exits_3(tmp_path, capsys, repeat):
+    """A detection is paired at most once: a row that names an earlier
+    row's T (or L) event again is bad data, not a second count."""
+    rows = [(5, 6), (20, 21), (5, 31) if repeat == "T" else (30, 6)]
+    pairs = tmp_path / "p.jsonl"
+    pairs.write_text("".join(
+        f'{{"t_left_ns":{tl},"t_right_ns":{tr},"setting_left":"a","setting_right":"b",'
+        f'"outcome_left":1,"outcome_right":1,"window_ns":30}}\n'
+        for tl, tr in rows
+    ))
+    err = _assert_clean_exit(capsys, ["tally", "--pairs", str(pairs), "--out", str(tmp_path / "t.json")], 3)
+    assert "p.jsonl:3:" in err
+    assert f"{repeat} detection at t_ns {5 if repeat == 'T' else 6} is already paired on line 1" in err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_empty_pairs_file_tallies_to_nothing(tmp_path, capsys):
+    pairs = tmp_path / "p.jsonl"
+    pairs.write_text("")
+    out = tmp_path / "t.json"
+    code, payload = run(capsys, "tally", "--pairs", str(pairs), "--out", str(out))
+    assert code == 0
+    assert payload == {"pairs": 0, "setting_pairs": 0}
+    assert out.read_text() == "{}\n"
+
+
+def test_traced_entry_points_are_the_library_functions():
+    """The CLI and the matcher call the library functions under their own
+    names, which is what per-function tracing keys on."""
+    from eprblab import cli, ioformats, model, pairing, stats
+
+    for module, name, owner in [
+        (cli, "tally", stats),
+        (cli, "read_pairs", ioformats),
+        (cli, "write_pairs_indexed", ioformats),
+        (cli, "match_pairs_indexed", pairing),
+        (pairing, "require_valid_stream", model),
+    ]:
+        fn = getattr(module, name)
+        assert fn is getattr(owner, name)
+        assert fn.__name__ == name
+        assert fn.__module__ == owner.__name__
 
 
 def test_config_integer_too_long_to_convert_exits_2_naming_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 from fractions import Fraction
 from unittest import mock
 
@@ -35,7 +36,8 @@ from eprblab.ioformats import (
     write_tally,
 )
 from eprblab.model import ISLANDS, OUTCOMES, SETTING_LABELS, EventStream, TallyTable
-from eprblab.stats import SweepRow
+from eprblab.pairing import PairingConfig, match_pairs_indexed
+from eprblab.stats import SweepRow, tally
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -45,6 +47,19 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(str(path), "replaced\n")
     assert path.read_text() == "replaced\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        with open(tmp_path / "plain.txt", "w") as handle:
+            handle.write("x\n")
+    finally:
+        os.umask(saved)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic.txt", "plain.txt")]
+    assert modes[0] == modes[1]
 
 
 def test_sha256_file_known_value(tmp_path):
@@ -370,7 +385,7 @@ def test_bad_raw_line_message_and_number_after_good_lines(tmp_path, good_lines, 
 
 def test_pairs_writers_agree(tmp_path):
     """The pair writer emits the pinned pair-line bytes, and the reader
-    gives back the same records."""
+    gives back the same pairs."""
     left = stream("T", [(5, "a", 1), (20, "b", -1)])
     right = stream("L", [(6, "c", -1), (21, "a", 1)])
     a = str(tmp_path / "a.jsonl")
@@ -382,7 +397,70 @@ def test_pairs_writers_agree(tmp_path):
         '"outcome_left":-1,"outcome_right":1,"window_ns":3}\n'
     )
     records = [pair(5, 6, "a", "c", 1, -1, window=3), pair(20, 21, "b", "a", -1, 1, window=3)]
-    assert read_pairs(a) == records
+    assert _pair_events(*read_pairs(a)) == [(p.left, p.right) for p in records]
+
+
+def _pair_events(left, right, left_idx, right_idx):
+    return [(left.event(i), right.event(j)) for i, j in zip(left_idx.tolist(), right_idx.tolist())]
+
+
+def _station(island: str, s: EventStream) -> EventStream:
+    return EventStream(island, s.labels, s.t_ns, s.setting_idx, s.outcome)
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_streams(), valid_streams(), st.integers(0, 3000) | st.integers(0, 2**63 - 1))
+def test_matched_pairs_round_trip_through_a_pair_file(tmp_path_factory, left, right, window):
+    left, right = _station("T", left), _station("L", right)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(window))
+    path = str(tmp_path_factory.mktemp("pairs") / "pairs.jsonl")
+    write_pairs_indexed(path, left, right, mi, mj, window)
+    back = read_pairs(path)
+    assert _pair_events(*back) == _pair_events(left, right, mi, mj)
+    assert tally(*back) == tally(left, right, mi, mj)
+
+
+# Each case is a bad pair line and the message read_pairs gives for it.
+# T_NS stands for a time past every earlier line.
+_BAD_PAIR_LINES = [
+    (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":true,"outcome_right":1,"window_ns":3}', "outcome must be +1 or -1, got True"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1.0,"window_ns":3}', "outcome must be +1 or -1, got 1.0"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":true}', "window_ns must be an integer, got True"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":2.5}', "window_ns must be an integer, got 2.5"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":-1}', "window_ns must be nonnegative"),
+    (b'{"t_left_ns":2000000,"t_right_ns":2000900,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":10}', "|t - t'| = 900 exceeds window 10"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"e","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":3}', "setting must be one of ['a', 'b', 'c', 'd'], got 'e'"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":-1,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":3}', "t_ns must be a nonnegative integer below 2^63, got -1"),
+    (b'{"t_left_ns":1,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":2000000}', "T detection at t_ns 1 is already paired on line 1"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":1,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":2000000}', "L detection at t_ns 1 is already paired on line 1"),
+    (b'{"t_left_ns":T_NS,"setting_left":"a"}', "pair must have exactly the keys " + str(list(ioformats.PAIR_KEYS))),
+    (b'\xff', "line is not valid UTF-8"),
+]
+
+
+@pytest.mark.parametrize("good_lines", [1, 1000])
+@pytest.mark.parametrize("line,message", _BAD_PAIR_LINES)
+def test_bad_pair_line_message_and_number_after_good_lines(tmp_path, good_lines, line, message):
+    path = tmp_path / "p.jsonl"
+    good = "".join(
+        f'{{"t_left_ns":{t},"t_right_ns":{t},"setting_left":"a","setting_right":"b",'
+        f'"outcome_left":1,"outcome_right":-1,"window_ns":3}}\n'
+        for t in range(1, good_lines + 1)
+    )
+    path.write_bytes(good.encode() + line.replace(b"T_NS", str(10**6).encode()) + b"\n")
+    with pytest.raises(FormatError) as info:
+        read_pairs(str(path))
+    assert str(info.value) == f"{path}:{good_lines + 1}: {message}"
 
 
 def test_read_pairs_wraps_record_errors(tmp_path):

@@ -201,24 +201,33 @@ def test_validate_stream_catches_each_violation():
     good = [ev("T", 1, "a", 1), ev("T", 5, "b", -1)]
     assert validate_stream(good) == []
 
-    v = validate_stream([("T", 5, "a", 1), ("T", 5, "a", 1)])
+    v = validate_stream([ev("T", 5, "a", 1), ev("T", 5, "a", 1)])
     assert [x.kind for x in v] == [ViolationKind.NON_MONOTONIC_TIME]
     assert v[0].index == 1
+    assert v[0].message == "time 5 does not increase past 5"
 
-    v = validate_stream([("T", 1, "a", 1), ("L", 2, "a", 1), ("T", 3, "a", 1)])
+    v = validate_stream([ev("T", 1, "a", 1), ev("L", 2, "a", 1), ev("T", 3, "a", 1)])
     assert [x.kind for x in v] == [ViolationKind.MIXED_ISLAND]
     assert v[0].index == 1
+    assert v[0].message == "island 'L' differs from 'T'"
 
-    v = validate_stream([("L", 1, "a", 1), ("T", 2, "a", 1), ("T", 3, "a", 1)])
+    v = validate_stream([ev("L", 1, "a", 1), ev("T", 2, "a", 1), ev("T", 3, "a", 1)])
     assert [x.kind for x in v] == [ViolationKind.MIXED_ISLAND, ViolationKind.MIXED_ISLAND]
 
-    v = validate_stream([("T", 1, "a", 0), ("T", 2, "a", 2)])
+    # an outcome other than +1/-1 cannot be a DetectionEvent; the stream
+    # constructor reports it
+    with pytest.raises(InvalidStreamError) as err:
+        EventStream("T", ("a",), np.array([1, 2]), np.array([0, 0]), np.array([0, 2]))
+    v = err.value.violations
     assert [x.kind for x in v] == [ViolationKind.BAD_OUTCOME, ViolationKind.BAD_OUTCOME]
 
     # one pass reports everything at once
-    v = validate_stream([("T", 3, "a", 0), ("L", 2, "a", 1)])
-    kinds = {x.kind for x in v}
-    assert kinds == {ViolationKind.BAD_OUTCOME, ViolationKind.MIXED_ISLAND, ViolationKind.NON_MONOTONIC_TIME}
+    v = validate_stream([ev("T", 3, "a", 1), ev("L", 2, "a", 1)])
+    assert [(x.kind, x.index) for x in v] == [(ViolationKind.MIXED_ISLAND, 1), (ViolationKind.NON_MONOTONIC_TIME, 1)]
+    with pytest.raises(InvalidStreamError) as err:
+        EventStream("T", ("a",), np.array([3, 2]), np.array([0, 0]), np.array([0, 1]))
+    kinds = {x.kind for x in err.value.violations}
+    assert kinds == {ViolationKind.BAD_OUTCOME, ViolationKind.NON_MONOTONIC_TIME}
 
 
 def test_require_valid_stream():
@@ -226,7 +235,7 @@ def test_require_valid_stream():
     assert isinstance(s, EventStream)
     assert s.island == "L"
     with pytest.raises(InvalidStreamError) as err:
-        require_valid_stream([("T", 5, "a", 1), ("T", 4, "a", 1)])
+        require_valid_stream([ev("T", 5, "a", 1), ev("T", 4, "a", 1)])
     assert "NonMonotonicTime" in str(err.value)
 
 

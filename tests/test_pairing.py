@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stream
+from conftest import ev, stream
 from eprblab import pairing
 from eprblab.errors import InvalidStreamError
 from eprblab.model import EventStream
@@ -100,7 +100,7 @@ def test_empty_streams():
 
 def test_invalid_stream_rejected():
     with pytest.raises(InvalidStreamError):
-        match_pairs_indexed([("T", 5, "a", 1), ("T", 4, "a", 1)], l_stream([5]), PairingConfig(1))
+        match_pairs_indexed([ev("T", 5, "a", 1), ev("T", 4, "a", 1)], l_stream([5]), PairingConfig(1))
 
 
 def test_negative_window_rejected():

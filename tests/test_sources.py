@@ -11,7 +11,7 @@ from eprblab.feasibility import marginalize
 from eprblab.model import Setting, WignerDomainDistribution, domain_key_from_string, validate_stream
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
-from eprblab.stats import chsh, equal_fraction, tally_indexed
+from eprblab.stats import chsh, equal_fraction, tally
 
 ABC = (Setting("a", 0.0), Setting("b", 120.0), Setting("c", 60.0))
 
@@ -139,7 +139,7 @@ def test_singlet_equal_same_setting_is_perfectly_correlated():
 def _paired_equal_fraction(cfg, x, y):
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(cfg.emission_period_ns // 2))
-    t = tally_indexed(left, right, mi, mj, ul, ur)
+    t = tally(left, right, mi, mj, ul, ur)
     return equal_fraction(t, x, y), t.total(x, y)
 
 
@@ -225,7 +225,7 @@ def test_wigner_identified_equal_settings_agree():
     )
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
-    t = tally_indexed(left, right, mi, mj, ul, ur)
+    t = tally(left, right, mi, mj, ul, ur)
     for x in "abc":
         assert t.count(x, x, 1, -1) == 0
         assert t.count(x, x, -1, 1) == 0
@@ -247,7 +247,7 @@ def test_wigner_uniform_matches_exact_marginals():
     )
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
-    t = tally_indexed(left, right, mi, mj, ul, ur)
+    t = tally(left, right, mi, mj, ul, ur)
     exact = marginalize(
         WignerDomainDistribution.uniform(), [("a", "b"), ("a", "c"), ("c", "b")], convention="equal"
     )
@@ -311,7 +311,7 @@ def test_local_delay_without_delays_respects_chsh():
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(cfg.emission_period_ns // 2))
     assert len(mi) == 100_000
-    rep = chsh(tally_indexed(left, right, mi, mj, ul, ur))
+    rep = chsh(tally(left, right, mi, mj, ul, ur))
     assert abs(rep.s_value) <= 2.0 + 4 * rep.standard_error
 
 

@@ -1,15 +1,16 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair, stream
+from conftest import pair, pair_columns, stream
 from eprblab.counting import augment_triple
 from eprblab.errors import EmptyCellError
-from eprblab.model import PairRecord, Setting, TallyTable, WignerDomainDistribution
+from eprblab.model import CELLS, DetectionEvent, Setting, TallyTable, WignerDomainDistribution
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
 from eprblab.stats import (
@@ -21,7 +22,6 @@ from eprblab.stats import (
     repair_across_trials,
     sweep_window,
     tally,
-    tally_indexed,
 )
 
 
@@ -40,21 +40,28 @@ def test_tally_counts_cells():
         pair(20, 20, "a", "b", 1, 1),
         pair(30, 30, "c", "b", -1, -1),
     ]
-    t = tally(pairs, unmatched_left=2, unmatched_right=0)
+    t = tally(*pair_columns(pairs), unmatched_left=2, unmatched_right=0)
     assert t.count("a", "b", 1, 1) == 2
     assert t.count("a", "b", 1, -1) == 1
     assert t.total("c", "b") == 1
     assert t.unmatched_left == 2
 
 
+def _assert_slot_is_no_event(fake):
+    """The never-measured slot of an augmented triple has no time and no
+    outcome, so it cannot become a DetectionEvent, the only way into a
+    stream and so into a tally."""
+    for island in ("T", "L"):
+        with pytest.raises(ValueError):
+            DetectionEvent(island, fake.extra_time_ns, fake.extra_setting, fake.extra_outcome)
+
+
 def test_tally_refuses_counterfactual_records():
     p = pair(0, 0, "a", "b", 1, 1)
-    fake = augment_triple(p, "c")
-    with pytest.raises(TypeError, match="counterfactually augmented"):
-        tally([p, fake])
+    _assert_slot_is_no_event(augment_triple(p, "c"))
 
 
-def test_tally_indexed_agrees_with_tally(rng):
+def test_tally_agrees_with_event_counter(rng):
     cfg = SourceConfig(
         kind="singlet",
         settings=(Setting("a", 0.0), Setting("b", 120.0), Setting("c", 60.0)),
@@ -65,11 +72,13 @@ def test_tally_indexed_agrees_with_tally(rng):
     )
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(150))
-    fast = tally_indexed(left, right, mi, mj, ul, ur)
-    pairs = [PairRecord(left.event(int(i)), right.event(int(j)), 150) for i, j in zip(mi, mj)]
-    slow = tally(pairs, len(left) - len(pairs), len(right) - len(pairs))
-    assert fast.counts == slow.counts
-    assert (fast.unmatched_left, fast.unmatched_right) == (slow.unmatched_left, slow.unmatched_right)
+    fast = tally(left, right, mi, mj, ul, ur)
+    slow = Counter()
+    for i, j in zip(mi.tolist(), mj.tolist()):
+        a, b = left.event(i), right.event(j)
+        slow[(a.setting_label, b.setting_label), (a.outcome, b.outcome)] += 1
+    assert {(key, cell): n for key, cells in fast.counts.items() for cell, n in cells.items() if n} == dict(slow)
+    assert (fast.unmatched_left, fast.unmatched_right) == (len(left) - len(mi), len(right) - len(mj))
 
 
 def test_correlation_and_equal_fraction():
@@ -166,7 +175,7 @@ def test_bell_wigner_identified_source_not_violated():
     )
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
-    rep = bell_wigner(tally_indexed(left, right, mi, mj, ul, ur), ("a", "b", "c"), "equal")
+    rep = bell_wigner(tally(left, right, mi, mj, ul, ur), ("a", "b", "c"), "equal")
     assert rep.lhs <= rep.rhs + 4 * rep.standard_error
 
 
@@ -262,7 +271,7 @@ def per_window_sweep(left, right, windows, kind, ordering, convention):
     rows = []
     for w in windows:
         mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(w))
-        t = tally_indexed(left, right, mi, mj, ul, ur)
+        t = tally(left, right, mi, mj, ul, ur)
         try:
             rep = chsh(t, ordering) if kind == "chsh" else bell_wigner(t, ordering, convention)
             rows.append(SweepRow(w, len(mi), rep.statistic, rep.standard_error, rep.violated))
@@ -315,19 +324,19 @@ def test_repair_across_trials_halves_perfect_correlation(rng):
     n = 40_000
     outcomes = rng.choice([-1, 1], n)
     pairs = [pair(10 * i, 10 * i, "a", "a", int(o), int(o), window=0) for i, o in enumerate(outcomes)]
-    t = tally(pairs)
+    t = tally(*pair_columns(pairs))
     assert equal_fraction(t, "a", "a") == 1.0
-    scrambled = repair_across_trials(pairs, seed=99)
+    scrambled = repair_across_trials(*pair_columns(pairs), seed=99)
     ef = equal_fraction(scrambled, "a", "a")
     assert abs(ef - 0.5) <= 4 * math.sqrt(0.25 / n)
 
 
 def test_repair_is_deterministic_and_preserves_marginals():
     pairs = [pair(10 * i, 10 * i, "a", "b", 1 if i % 3 else -1, -1 if i % 2 else 1) for i in range(60)]
-    t1 = repair_across_trials(pairs, seed=4)
-    t2 = repair_across_trials(pairs, seed=4)
+    t1 = repair_across_trials(*pair_columns(pairs), seed=4)
+    t2 = repair_across_trials(*pair_columns(pairs), seed=4)
     assert t1.counts == t2.counts
-    orig = tally(pairs)
+    orig = tally(*pair_columns(pairs))
     # scrambling permutes right outcomes within the class: totals and the
     # one-sided marginals cannot move
     key = ("a", "b")
@@ -338,14 +347,46 @@ def test_repair_is_deterministic_and_preserves_marginals():
     assert right_plus == orig.count(*key, 1, 1) + orig.count(*key, -1, 1)
 
 
+def _repair_by_records(pairs, seed):
+    """Reference re-pairing, record by record: one permutation of the right
+    outcomes per setting pair, drawn in sorted setting-pair order."""
+    rng = np.random.default_rng(seed)
+    groups: dict = {}
+    for i, p in enumerate(pairs):
+        groups.setdefault(p.setting_pair, []).append(i)
+    counts = {}
+    for key in sorted(groups):
+        idx = groups[key]
+        rights = [pairs[i].right.outcome for i in idx]
+        perm = rng.permutation(len(idx))
+        cells = dict.fromkeys(CELLS, 0)
+        for pos, i in enumerate(idx):
+            cells[(pairs[i].left.outcome, rights[perm[pos]])] += 1
+        counts[key] = cells
+    return counts
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"), st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(0, 2**32),
+)
+def test_repair_matches_record_reference(rows, seed):
+    pairs = [pair(10 * i, 10 * i, x, y, sl, sr) for i, (x, y, sl, sr) in enumerate(rows)]
+    assert repair_across_trials(*pair_columns(pairs), seed=seed).counts == _repair_by_records(pairs, seed)
+
+
 def test_repair_single_pair_is_unchanged():
     p = [pair(0, 0, "a", "b", 1, -1)]
-    t = repair_across_trials(p, seed=1)
+    t = repair_across_trials(*pair_columns(p), seed=1)
     assert t.count("a", "b", 1, -1) == 1
 
 
 def test_repair_rejects_bad_input():
     with pytest.raises(ValueError):
-        repair_across_trials([], seed=1)
-    with pytest.raises(TypeError):
-        repair_across_trials([augment_triple(pair(0, 0, "a", "b", 1, 1), "c")], seed=1)
+        repair_across_trials(*pair_columns([]), seed=1)
+    _assert_slot_is_no_event(augment_triple(pair(0, 0, "a", "b", 1, 1), "c"))
