@@ -16,24 +16,39 @@ implemented:
 * ``shared-identified`` - additionally t2 = s2, i.e. both sides'
                       hypothetical b-outcomes coincide.
 
-Enumeration, not a closed form, is the ground truth here: reports carry the
-closed-form count claimed by the coarse counting argument ((M+1)^3,
-2(M+1)^2, (M+1)^2 respectively) next to the enumerated count, and the
-``agrees`` flag records whether they match.  They do not always match; the
-counting convention behind the claimed reductions is not pinned down enough
-to reproduce them for every M, and the point of enumerating is to make the
-count reproducible under explicitly named models.
+The walk over the (M+1)^3 grid of class triples is checked against exact
+counts, which follow from the per-trial patterns:
+
+* ``shared`` shows all 8 patterns, the same as ``independent``.  Take
+  s1 = +1; then t2 sets the ab comparison, t3 the ac comparison and s2 the
+  bc comparison, each freely.  So every triple (x, y, z) in [0, M]^3 is
+  reachable (trial i is ab-equal iff i <= x, ac-equal iff i <= y, bc-equal
+  iff i <= z), and both models reach (M+1)^3 triples.
+* ``shared-identified`` shows 4 patterns.  With t2 = s2 the three
+  comparisons multiply to s1^2 s2^2 t3^2 = +1, so an even number of them
+  are unequal, which leaves (1,1,1), (1,0,0), (0,1,0) and (0,0,1) (1 for
+  equal).  If n0 trials show (1,1,1) and n1, n2, n3 the others, then
+  x + y + z = M + 2 n0, and x, y, z give back n0, n1, n2, n3.  Distinct
+  multisets of M patterns thus give distinct triples, and there are
+  C(M+3, 3) of them (220 at M = 9).
+
+Reports also carry the count claimed by the coarse counting argument
+((M+1)^3, 2(M+1)^2, (M+1)^2 respectively), and the ``agrees`` flag records
+whether the exact count matches it.  Beyond M = 1 it matches only for
+``independent``: the reduction the argument claims depends on how the
+outcomes are assumed to be shared.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import MalformedTupleError, SettingCollisionError, TooLargeError
+from .errors import InternalInvariantError, MalformedTupleError, SettingCollisionError, TooLargeError
 from .model import BellTriple, DetectionEvent, PairRecord, SETTING_LABELS, CorrelationClass
 
 ENUMERATION_GUARD = 10_000_000
@@ -73,7 +88,7 @@ def enumerate_eu_classes(M: int) -> list[CorrelationClass]:
     the 2^M equal/unequal strings, most-equal first.  Always M+1 classes."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    if 2**M > ENUMERATION_GUARD:
+    if M >= ENUMERATION_GUARD.bit_length():  # 2^M > guard, without computing 2^M
         raise TooLargeError(f"2^{M} equal/unequal strings exceed the guard of {ENUMERATION_GUARD}")
     seen = {bits.bit_count() for bits in range(2**M)}
     return [CorrelationClass(e, M - e) for e in sorted(seen, reverse=True)]
@@ -96,24 +111,9 @@ def per_trial_patterns(model: ConstraintModel | str) -> frozenset[Pattern]:
     return frozenset(pats)
 
 
-def _classes_by_scan(M: int, patterns: frozenset[Pattern]) -> set[tuple[int, int, int]]:
-    """Direct product-space scan over all per-trial pattern tuples."""
-    out: set[tuple[int, int, int]] = set()
-    for combo in itertools.product(sorted(patterns), repeat=M):
-        out.add(
-            (
-                sum(p[0] for p in combo),
-                sum(p[1] for p in combo),
-                sum(p[2] for p in combo),
-            )
-        )
-    return out
-
-
-def _classes_by_multiset(M: int, patterns: frozenset[Pattern]) -> set[tuple[int, int, int]]:
-    """Reachable class triples via an M-step sumset walk on an
-    (M+1)^3 boolean grid; only the multiset of per-trial patterns matters,
-    so this extends far past the direct scan's range."""
+def _class_grid(M: int, patterns: frozenset[Pattern]) -> np.ndarray:
+    """The (M+1)^3 boolean grid of class triples reachable in M trials, by an
+    M-step sumset walk: only the multiset of per-trial patterns matters."""
     reach = np.zeros((M + 1, M + 1, M + 1), dtype=bool)
     reach[0, 0, 0] = True
     steps = [(int(p[0]), int(p[1]), int(p[2])) for p in sorted(patterns)]
@@ -122,7 +122,14 @@ def _classes_by_multiset(M: int, patterns: frozenset[Pattern]) -> set[tuple[int,
         for dx, dy, dz in steps:
             nxt[dx:, dy:, dz:] |= reach[: M + 1 - dx, : M + 1 - dy, : M + 1 - dz]
         reach = nxt
-    return {tuple(int(v) for v in idx) for idx in np.argwhere(reach)}
+    return reach
+
+
+def _exact_count(M: int, kind: str) -> int:
+    """The proven number of reachable class triples (module docstring)."""
+    if kind == "shared-identified":
+        return math.comb(M + 3, 3)
+    return (M + 1) ** 3
 
 
 def _closed_form(M: int, kind: str) -> int:
@@ -137,37 +144,21 @@ def count_triple_classes(M: int, model: ConstraintModel | str) -> ClassCountRepo
     """Count the distinct (ab, ac, bc) class triples reachable in M trials
     per pair under the given constraint model.
 
-    Two independent strategies are run and must agree exactly: the direct
-    scan whenever |patterns|^M stays within the guard, and the multiset
-    walk whenever (M+1)^3 does.  At least one must be in range.
+    The grid walk's count must equal the model's exact count; a mismatch
+    raises InternalInvariantError.
     """
     if isinstance(model, str):
         model = ConstraintModel(model)
     if M < 1:
         raise ValueError("M must be at least 1")
-    patterns = per_trial_patterns(model)
-    scan_ok = len(patterns) ** M <= ENUMERATION_GUARD
-    multiset_ok = (M + 1) ** 3 <= ENUMERATION_GUARD
-    if not scan_ok and not multiset_ok:
-        raise TooLargeError(
-            f"M={M} exceeds both enumeration guards ({len(patterns)}^M and (M+1)^3 over {ENUMERATION_GUARD})"
-        )
-    counts = set()
-    classes: set[tuple[int, int, int]] | None = None
-    if multiset_ok:
-        classes = _classes_by_multiset(M, patterns)
-        counts.add(len(classes))
-    if scan_ok:
-        scanned = _classes_by_scan(M, patterns)
-        counts.add(len(scanned))
-        if classes is not None and scanned != classes:
-            raise AssertionError("enumeration strategies disagree; this is a bug")
-        classes = scanned
-    if len(counts) != 1:
-        raise AssertionError("enumeration strategies disagree; this is a bug")
-    enumerated = counts.pop()
+    if (M + 1) ** 3 > ENUMERATION_GUARD:
+        raise TooLargeError(f"M={M}: the (M+1)^3 class grid exceeds the guard of {ENUMERATION_GUARD}")
+    count = int(_class_grid(M, per_trial_patterns(model)).sum())
+    exact = _exact_count(M, model.kind)
+    if count != exact:
+        raise InternalInvariantError(f"M={M} {model.kind}: the grid walk reached {count} class triples, not {exact}")
     closed = _closed_form(M, model.kind)
-    return ClassCountReport(M, model, enumerated, closed, enumerated == closed)
+    return ClassCountReport(M, model, count, closed, count == closed)
 
 
 def count_domains(settings_per_side: int) -> int:

@@ -57,6 +57,7 @@ from .model import (
     CELLS,
     CONVENTIONS,
     ISLANDS,
+    MAX_T_NS,
     OUTCOMES,
     SETTING_LABELS,
     EventStream,
@@ -72,8 +73,6 @@ from .sources import SourceConfig
 from .stats import SweepRow
 
 EVENT_KEYS = ("island", "t_ns", "setting", "outcome")
-# event times are stored as int64
-_MAX_T_NS = 2**63 - 1
 PAIR_KEYS = (
     "t_left_ns",
     "t_right_ns",
@@ -147,7 +146,7 @@ def _check_row(path: str, lineno: int, t_ns, setting, outcome, after: int = -1) 
     """Check one event's fields: t_ns an integer that fits the stream's int64
     column and lies past ``after``, a known setting, outcome +1 or -1.
     Raises FormatError naming the line."""
-    if type(t_ns) is not int or not 0 <= t_ns <= _MAX_T_NS:
+    if type(t_ns) is not int or not 0 <= t_ns <= MAX_T_NS:
         raise _format_error(path, lineno, f"t_ns must be a nonnegative integer below 2^63, got {t_ns!r}")
     if t_ns <= after:
         raise _format_error(path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {after}")
@@ -329,7 +328,7 @@ def _read_strict(path: str, whole: re.Pattern, layout) -> EventStream | None:
     starts = np.concatenate(([0], ends[:-1] + 1))
     island, t_from, t_to, setting_at, negative = layout(buf, starts, ends)
     t = _decimals(buf, t_from, t_to)
-    if island is None or t.max() > _MAX_T_NS or not (t[1:] > t[:-1]).all():
+    if island is None or t.max() > MAX_T_NS or not (t[1:] > t[:-1]).all():
         return None
     codes = buf[setting_at]
     menu = np.unique(codes)

@@ -7,9 +7,10 @@ consistent and safe to share between threads.
 
 Conventions fixed here and relied on everywhere else:
 
-* Time is an integer nanosecond counter per run.  Only ordering and
-  differences matter, and integers keep coincidence matching exactly
-  deterministic.
+* Time is an integer nanosecond counter per run, from 0 to MAX_T_NS so
+  that it fits an int64 column and no difference of two times wraps.
+  Only ordering and differences matter, and integers keep coincidence
+  matching exactly deterministic.
 * Outcomes are the integers +1 and -1 so that products and correlations
   are plain arithmetic.
 * The two stations are named by their islands, "T" and "L".  Within a
@@ -35,6 +36,8 @@ ISLANDS = ("T", "L")
 OUTCOMES = (1, -1)
 # How the L outcome relates to the hidden tau: "equal" reports tau, "anti" -tau.
 CONVENTIONS = ("equal", "anti")
+# the largest event time; stream times are stored as int64
+MAX_T_NS = 2**63 - 1
 
 # ---------------------------------------------------------------------------
 # elementary records
@@ -351,8 +354,8 @@ class EventStream:
 
     ``labels`` is the setting menu; ``setting_idx`` indexes into it.
     Construction enforces the stream invariants (single island, strictly
-    increasing times, two-valued outcomes), so an EventStream in hand is
-    always valid.  Iteration yields DetectionEvent records.
+    increasing times in [0, MAX_T_NS], two-valued outcomes), so an
+    EventStream in hand is always valid.  Iteration yields DetectionEvent records.
     """
 
     island: str
@@ -368,7 +371,7 @@ class EventStream:
             raise ValueError(f"labels must be drawn from {SETTING_LABELS}, got {self.labels!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("setting labels must be distinct")
-        t = np.asarray(self.t_ns, dtype=np.int64)
+        t = _time_column(self.t_ns)
         si = np.asarray(self.setting_idx, dtype=np.int16)
         oc = np.asarray(self.outcome, dtype=np.int8)
         if not (t.shape == si.shape == oc.shape) or t.ndim != 1:
@@ -406,7 +409,7 @@ class EventStream:
         missing = [e.setting_label for e in events if e.setting_label not in index]
         if missing:
             raise ValueError(f"event setting {missing[0]!r} is not in the label menu {labels}")
-        t = np.array([e.time_ns for e in events], dtype=np.int64)
+        t = _time_column([e.time_ns for e in events])
         si = np.array([index[e.setting_label] for e in events], dtype=np.int16)
         oc = np.array([e.outcome for e in events], dtype=np.int8)
         return cls(island, labels, t, si, oc)
@@ -432,6 +435,7 @@ class EventStream:
 
 class ViolationKind(Enum):
     NON_MONOTONIC_TIME = "NonMonotonicTime"
+    TIME_OUT_OF_RANGE = "TimeOutOfRange"
     MIXED_ISLAND = "MixedIsland"
     BAD_OUTCOME = "BadOutcome"
     BAD_SETTING = "BadSetting"
@@ -445,6 +449,20 @@ class StreamViolation:
 
     def __str__(self) -> str:
         return f"{self.kind.value} at index {self.index}: {self.message}"
+
+
+def _time_column(times) -> np.ndarray:
+    """Times as an int64 column.  Times that are not yet a signed integer
+    array are checked as Python integers first: if one lies outside
+    [0, MAX_T_NS] they all stay Python integers (object dtype), so that
+    _validate_columns reports it where the conversion would wrap, round or
+    raise OverflowError."""
+    if isinstance(times, np.ndarray) and times.dtype.kind == "i":
+        return times.astype(np.int64, copy=False)
+    values = np.asarray(times, dtype=object)
+    if any(isinstance(v, (int, np.integer)) and not 0 <= v <= MAX_T_NS for v in values.flat):
+        return values
+    return values.astype(np.int64)
 
 
 def _validate_columns(
@@ -471,6 +489,10 @@ def _validate_columns(
                 ViolationKind.BAD_SETTING, int(i), f"setting index {int(si[i])} is outside the {n_labels}-label menu"
             )
         )
+    for i in np.flatnonzero((t < 0) | (t > MAX_T_NS)):
+        out.append(
+            StreamViolation(ViolationKind.TIME_OUT_OF_RANGE, int(i), f"time {t[i]} lies outside [0, 2^63 - 1]")
+        )
     non_incr = np.nonzero(t[1:] <= t[:-1])[0]
     for i in non_incr:
         out.append(
@@ -493,7 +515,7 @@ def validate_stream(events: EventStream | Sequence[DetectionEvent]) -> list[Stre
         return []
     events = list(events)
     islands = np.array([e.island for e in events])
-    times = np.array([e.time_ns for e in events])
+    times = _time_column([e.time_ns for e in events])
     outcomes = np.array([e.outcome for e in events])
     # each DetectionEvent has checked its own setting label and outcome
     return _validate_columns(islands, times, np.zeros(len(times), dtype=np.int16), outcomes, 1)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -32,6 +33,15 @@ def pair_columns(records):
     right = EventStream.from_events([p.right for p in records], island="L")
     idx = np.arange(len(records))
     return left, right, idx, idx
+
+
+def scan_class_grid(M: int, patterns) -> np.ndarray:
+    """Naive reference for ``counting._class_grid``: scan all |patterns|^M
+    tuples of per-trial patterns and mark the class triple of each."""
+    grid = np.zeros((M + 1, M + 1, M + 1), dtype=bool)
+    for combo in itertools.product(sorted(patterns), repeat=M):
+        grid[tuple(sum(p[k] for p in combo) for k in range(3))] = True
+    return grid
 
 
 def pair(tl: int, tr: int, x: str, y: str, sl: int, sr: int, window: int | None = None) -> PairRecord:

@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import pair, pair_columns
+from conftest import pair, pair_columns, scan_class_grid
 from eprblab.cli import main
 from eprblab.counting import (
-    _classes_by_multiset,
-    _classes_by_scan,
+    _class_grid,
     count_domains,
     count_nonlocal_domains,
     count_triple_classes,
@@ -62,8 +61,7 @@ def test_criterion_02_unconstrained_cube_law():
     t0 = time.monotonic()
     patterns = per_trial_patterns("independent")
     for M in (1, 2, 3, 4):
-        scanned = _classes_by_scan(M, patterns)
-        assert len(scanned) == (M + 1) ** 3
+        assert scan_class_grid(M, patterns).sum() == (M + 1) ** 3
         assert count_triple_classes(M, "independent").enumerated_count == (M + 1) ** 3
     assert time.monotonic() - t0 < 10.0
 
@@ -73,11 +71,10 @@ def test_criterion_03_constrained_counts_strategy_agreement():
     for kind in ("independent", "shared", "shared-identified"):
         patterns = per_trial_patterns(kind)
         for M in range(1, 7):
-            scanned = _classes_by_scan(M, patterns)
-            walked = _classes_by_multiset(M, patterns)
-            assert scanned == walked
+            scanned = scan_class_grid(M, patterns)
+            assert np.array_equal(scanned, _class_grid(M, patterns))
             report = count_triple_classes(M, kind)
-            assert report.enumerated_count == len(scanned)
+            assert report.enumerated_count == scanned.sum()
             assert report.closed_form is not None
             # comparison values are reported, not asserted
             print(

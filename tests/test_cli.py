@@ -509,3 +509,73 @@ def test_fuzz_feasibility(tables, convention, identify):
         return ["feasibility", "--tables", str(tmp / "tables.json")] + (["--identify-equal-settings"] if identify else [])
 
     _fuzz_main(argv_for)
+
+
+@settings(deadline=None, max_examples=25)
+@given(M=st.one_of(st.integers(1, 40), st.sampled_from([0, -1, 215, 10**30])),
+       model=st.sampled_from([None, "independent", "shared", "shared-identified"]))
+def test_fuzz_enumerate(M, model):
+    _fuzz_main(lambda tmp: ["enumerate", "--M", str(M)] + ([] if model is None else ["--model", model]))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    tables=st.dictionaries(
+        st.sampled_from(["a;b", "a;c", "c;b", "b;c", "b;a", "d;a", "c;d", "b;b", "x;y", "a;b;c", "ab", ""]),
+        st.fixed_dictionaries({c: _maybe(st.integers(0, 20)) for c in ("pp", "pm", "mp", "mm")}),
+        max_size=5,
+    ),
+    wrap=st.sampled_from([None, "equal", "anti"]),
+    kind=st.sampled_from(["bell-wigner", "chsh"]),
+    ordering=st.one_of(st.lists(st.sampled_from(["a", "b", "c", "d", "x", " a", ""]), max_size=5).map(",".join),
+                       st.sampled_from(["a,b,c", "c,b,a", "a,b,c,d", "d,c,b,a", "a,a,b", ",,,"])),
+    convention=st.sampled_from(["equal", "anti", "sideways"]),
+)
+def test_fuzz_inequalities(tables, wrap, kind, ordering, convention):
+    def argv_for(tmp):
+        doc = tables if wrap is None else {"convention": wrap, "tables": tables}
+        (tmp / "tally.json").write_text(json.dumps(doc))
+        return ["inequalities", "--tally", str(tmp / "tally.json"), "--kind", kind,
+                "--ordering", ordering, "--convention", convention]
+
+    _fuzz_main(argv_for)
+
+
+@settings(deadline=None, max_examples=25)
+@given(t_rows=_event_lines("T"), l_rows=_event_lines("L"),
+       windows=st.lists(st.one_of(st.integers(-5, 100), st.sampled_from([INT64_MAX, 2**64, 10**30, -(2**64)])),
+                        max_size=5),
+       kind=st.sampled_from(["bell-wigner", "chsh"]))
+def test_fuzz_sweep(t_rows, l_rows, windows, kind):
+    def argv_for(tmp):
+        (tmp / "t.jsonl").write_text(_jsonl(t_rows))
+        (tmp / "l.jsonl").write_text(_jsonl(l_rows))
+        return ["sweep", "--left", str(tmp / "t.jsonl"), "--right", str(tmp / "l.jsonl"),
+                "--windows", ",".join(map(str, windows)), "--kind", kind, "--out", str(tmp / "sweep.csv")]
+
+    _fuzz_main(argv_for)
+
+
+# each file-reading command, with the file it reads as f and scratch outputs in tmp
+FILE_COMMANDS = {
+    "simulate": lambda f, tmp: ["simulate", "--config", f, "--out", str(tmp / "sim")],
+    "pair": lambda f, tmp: ["pair", "--left", f, "--right", f, "--window-ns", "10", "--out", str(tmp / "p.jsonl")],
+    "tally": lambda f, tmp: ["tally", "--pairs", f, "--out", str(tmp / "t.json")],
+    "inequalities": lambda f, tmp: ["inequalities", "--tally", f, "--kind", "chsh", "--ordering", "a,b,c,d",
+                                    "--convention", "equal"],
+    "sweep": lambda f, tmp: ["sweep", "--left", f, "--right", f, "--windows", "0,10", "--kind", "chsh",
+                             "--out", str(tmp / "s.csv")],
+    "feasibility": lambda f, tmp: ["feasibility", "--tables", f],
+    "ingest": lambda f, tmp: ["ingest", "--raw", f, "--island", "T", "--out", str(tmp / "e.jsonl")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@settings(deadline=None, max_examples=25)
+@given(data=st.binary(max_size=200))
+def test_fuzz_binary_input_file(command, data):
+    def argv_for(tmp):
+        (tmp / "input").write_bytes(data)
+        return FILE_COMMANDS[command](str(tmp / "input"), tmp)
+
+    _fuzz_main(argv_for)

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pair
+from conftest import pair, scan_class_grid
+from eprblab import counting
+from eprblab.cli import main
 from eprblab.counting import (
     ConstraintModel,
     Pairing,
     TopologyViolationKind,
-    _classes_by_multiset,
-    _classes_by_scan,
+    _class_grid,
     augment_triple,
     count_domains,
     count_nonlocal_domains,
@@ -21,7 +26,7 @@ from eprblab.counting import (
     setting_grouped_entries,
     validate_time_topology,
 )
-from eprblab.errors import MalformedTupleError, SettingCollisionError, TooLargeError
+from eprblab.errors import InternalInvariantError, MalformedTupleError, SettingCollisionError, TooLargeError
 from eprblab.model import BellTriple, CorrelationClass
 
 
@@ -37,6 +42,9 @@ def test_enumerate_eu_classes_guards():
         enumerate_eu_classes(0)
     with pytest.raises(TooLargeError):
         enumerate_eu_classes(24)
+    with pytest.raises(TooLargeError):
+        enumerate_eu_classes(10**30)  # refused without computing 2^M
+    assert len(enumerate_eu_classes(23)) == 24
 
 
 def test_constraint_model_kind_is_checked():
@@ -59,7 +67,36 @@ def test_per_trial_patterns():
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6])
 def test_enumeration_strategies_agree(kind, M):
     patterns = per_trial_patterns(kind)
-    assert _classes_by_scan(M, patterns) == _classes_by_multiset(M, patterns)
+    assert np.array_equal(scan_class_grid(M, patterns), _class_grid(M, patterns))
+
+
+@pytest.mark.parametrize("kind", ["independent", "shared", "shared-identified"])
+def test_walk_meets_the_exact_counts(kind):
+    # the counts proven in the counting module docstring
+    for M in range(1, 41):
+        want = math.comb(M + 3, 3) if kind == "shared-identified" else (M + 1) ** 3
+        assert int(_class_grid(M, per_trial_patterns(kind)).sum()) == want
+
+
+def test_miscounting_walk_is_an_internal_error(monkeypatch):
+    real = counting._class_grid
+
+    def off_by_one(M, patterns):
+        grid = real(M, patterns).copy()
+        grid[0, 0, 0] = not grid[0, 0, 0]
+        return grid
+
+    monkeypatch.setattr(counting, "_class_grid", off_by_one)
+    for kind in ("independent", "shared", "shared-identified"):
+        with pytest.raises(InternalInvariantError):
+            count_triple_classes(3, kind)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = main(["enumerate", "--M", "3", "--model", "shared"])
+    assert code == 4
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("internal error:")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_count_triple_classes_M1_matches_closed_forms():
@@ -80,7 +117,7 @@ def test_count_triple_classes_M2_frozen():
 
 
 def test_count_triple_classes_multiset_only_range():
-    # 8^30 is far over the scan guard; the grid walk carries the count alone
+    # 8^30 pattern tuples are out of any scan's reach; the grid walk has 31^3 cells
     rep = count_triple_classes(30, "independent")
     assert rep.enumerated_count == 31**3
     assert rep.agrees
@@ -89,14 +126,17 @@ def test_count_triple_classes_multiset_only_range():
 def test_count_triple_classes_guards():
     with pytest.raises(ValueError):
         count_triple_classes(0, "shared")
-    with pytest.raises(TooLargeError):
-        count_triple_classes(216, "independent")
+    for M in (215, 216, 10**30):
+        with pytest.raises(TooLargeError, match=r"^M=\d+: the \(M\+1\)\^3 class grid exceeds the guard of 10000000$"):
+            count_triple_classes(M, "shared-identified")
+    # 214 is the largest M whose grid fits the guard
+    assert (214 + 1) ** 3 <= counting.ENUMERATION_GUARD < (215 + 1) ** 3
 
 
 @given(st.integers(1, 12))
 def test_shared_identified_counts_are_even_parity_reachable(M):
-    got = _classes_by_multiset(M, per_trial_patterns("shared-identified"))
-    for x, y, z in got:
+    got = np.argwhere(_class_grid(M, per_trial_patterns("shared-identified")))
+    for x, y, z in got.tolist():
         assert 0 <= x <= M and 0 <= y <= M and 0 <= z <= M
         # every even-parity pattern contributes an odd number of equalities
         # (3 or 1), so after M trials x+y+z always has the parity of M

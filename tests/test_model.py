@@ -14,6 +14,7 @@ from eprblab.model import (
     EventStream,
     PairRecord,
     Setting,
+    StreamViolation,
     TallyTable,
     ViolationKind,
     WignerDomainDistribution,
@@ -237,6 +238,34 @@ def test_require_valid_stream():
     with pytest.raises(InvalidStreamError) as err:
         require_valid_stream([ev("T", 5, "a", 1), ev("T", 4, "a", 1)])
     assert "NonMonotonicTime" in str(err.value)
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**63), 2**63, 2**64, -(2**64), 10**30])
+def test_time_outside_int64_range_is_a_violation(bad):
+    events = [ev("T", 1, "a", 1), ev("T", bad, "a", 1)]
+    v = validate_stream(events)
+    # a negative time also fails to increase past 1
+    assert [x for x in v if x.kind is ViolationKind.TIME_OUT_OF_RANGE] == [
+        StreamViolation(ViolationKind.TIME_OUT_OF_RANGE, 1, f"time {bad} lies outside [0, 2^63 - 1]")
+    ]
+    for build in (require_valid_stream, EventStream.from_events):
+        with pytest.raises(InvalidStreamError) as err:
+            build(events)
+        assert err.value.violations == v
+
+
+def test_event_stream_rejects_times_outside_int64_range():
+    # signed arrays are checked as they are; others before their conversion
+    for times in (np.array([-5, 3]), np.array([3, 2**63], dtype=np.uint64), [3, 2**63], [-1, 2**63]):
+        with pytest.raises(InvalidStreamError) as err:
+            EventStream("T", ("a",), times, np.zeros(2), np.ones(2))
+        assert ViolationKind.TIME_OUT_OF_RANGE in {v.kind for v in err.value.violations}
+    s = EventStream("T", ("a",), np.array([0, INT64_MAX], dtype=np.uint64), np.zeros(2), np.ones(2))
+    assert s.t_ns.dtype == np.int64 and s.t_ns.tolist() == [0, INT64_MAX]
+    assert validate_stream([ev("T", 0, "a", 1), ev("T", INT64_MAX, "a", 1)]) == []
 
 
 def test_event_stream_round_trip():

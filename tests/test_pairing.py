@@ -101,6 +101,11 @@ def test_empty_streams():
 def test_invalid_stream_rejected():
     with pytest.raises(InvalidStreamError):
         match_pairs_indexed([ev("T", 5, "a", 1), ev("T", 4, "a", 1)], l_stream([5]), PairingConfig(1))
+    # the int64 difference of these two times would wrap to within the window
+    with pytest.raises(InvalidStreamError, match="TimeOutOfRange"):
+        match_pairs_indexed([ev("T", -(2**63) + 1, "a", 1)], [ev("L", 2**63 - 1, "a", 1)], PairingConfig(10))
+    with pytest.raises(InvalidStreamError, match="TimeOutOfRange"):
+        match_pairs_indexed([ev("T", 5, "a", 1)], [ev("L", 2**64, "a", 1)], PairingConfig(10))
 
 
 def test_negative_window_rejected():
