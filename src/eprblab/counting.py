@@ -84,14 +84,14 @@ class ClassCountReport:
 
 
 def enumerate_eu_classes(M: int) -> list[CorrelationClass]:
-    """All correlation classes of M trials of one pair, by brute force over
-    the 2^M equal/unequal strings, most-equal first.  Always M+1 classes."""
+    """All correlation classes of M trials of one pair, most-equal first: a
+    string of M equal/unequal trials with u unequal is class (M-u)/u, so
+    there are M+1.  M with 2^M strings past the guard is refused."""
     if M < 1:
         raise ValueError("M must be at least 1")
     if M >= ENUMERATION_GUARD.bit_length():  # 2^M > guard, without computing 2^M
         raise TooLargeError(f"2^{M} equal/unequal strings exceed the guard of {ENUMERATION_GUARD}")
-    seen = {bits.bit_count() for bits in range(2**M)}
-    return [CorrelationClass(e, M - e) for e in sorted(seen, reverse=True)]
+    return [CorrelationClass(M - u, u) for u in range(M + 1)]
 
 
 Pattern = tuple[bool, bool, bool]

@@ -10,9 +10,8 @@ with a witness distribution that is re-marginalized and compared exactly;
 infeasibility comes with a separating functional y such that y . b > 0 while
 y . A_d <= 0 for every domain column d, verified before it is returned.
 
-Domains live on the "equal" convention: a domain assigns sigma outcomes to
-the T island and tau outcomes to the L island, and an L detector reports
-tau under the equal convention and -tau under the anti convention.
+A domain assigns sigma outcomes to the T island and tau outcomes to the L
+island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
 Identification (``identify_equal_settings=True``) restricts the domain
 space to tau = sigma.
 """
@@ -27,13 +26,13 @@ from .errors import EmptyCellError, InternalInvariantError, SupportViolationErro
 from .model import (
     CELLS,
     CELL_NAMES,
-    CONVENTIONS,
     SETTING_LABELS,
     DomainKey,
     TallyTable,
     WignerDomainDistribution,
     all_domain_keys,
     domain_key_to_string,
+    l_sign,
 )
 from .stats import _q
 
@@ -125,13 +124,12 @@ def marginalize(
     """Exact per-pair outcome tables induced by a domain distribution.
 
     For measured pair (x, y) the T station reports sigma_x and the L
-    station reports tau_y (equal convention) or -tau_y (anti).  With
+    station reports l_sign(convention) * tau_y.  With
     ``identify_equal_settings`` the distribution must already be supported
     on identified domains (tau = sigma); any weight elsewhere raises
     SupportViolationError rather than being silently projected.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    flip = l_sign(convention)
     if not measured_pairs:
         raise ValueError("measured_pairs must not be empty")
     if identify_equal_settings:
@@ -141,7 +139,6 @@ def marginalize(
             raise SupportViolationError(
                 f"{len(bad)} domain(s) with positive weight are not identified, e.g. {shown!r}"
             )
-    flip = -1 if convention == "anti" else 1
     labels = dist.settings
     n = dist.n_settings
     out: dict[tuple[str, str], dict[tuple[int, int], Fraction]] = {}
@@ -244,16 +241,12 @@ def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bo
     return keys
 
 
-def _column_coefficient(
-    key: DomainKey,
-    labels: tuple[str, ...],
-    pair: tuple[str, str],
-    cell: tuple[int, int],
-    flip: int,
-) -> Fraction:
+def _cell_hits(columns: list[DomainKey], labels: tuple[str, ...], pairs, flip: int) -> list[tuple[int, ...]]:
+    """For each domain column, the index in CELLS of the cell it lands in
+    for each measured pair: (sigma_x, flip * tau_y) for pair (x, y)."""
     n = len(labels)
-    ix, iy = labels.index(pair[0]), labels.index(pair[1])
-    return Fraction(1) if (key[ix], flip * key[n + iy]) == cell else Fraction(0)
+    where = [(labels.index(x), n + labels.index(y)) for x, y in pairs]
+    return [tuple(CELLS.index((col[ix], flip * col[iy])) for ix, iy in where) for col in columns]
 
 
 def joint_feasibility(
@@ -271,24 +264,24 @@ def joint_feasibility(
     """
     if isinstance(tables, TallyTable):
         tables = PairwiseTables.from_tally(tables)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    flip = l_sign(convention)
     labels = tables.setting_labels
     pairs = tables.measured_pairs()
     columns = _domain_columns(labels, identify_equal_settings)
-    flip = -1 if convention == "anti" else 1
+    hits = _cell_hits(columns, labels, pairs, flip)
 
+    zero, one = Fraction(0), Fraction(1)
     row_labels: list[str] = []
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for key in pairs:
-        for cell in CELLS:
+    for p, key in enumerate(pairs):
+        for c, cell in enumerate(CELLS):
             row_labels.append(_row_label(key, cell))
-            rows.append([_column_coefficient(col, labels, key, cell, flip) for col in columns])
+            rows.append([one if h[p] == c else zero for h in hits])
             rhs.append(tables.tables[key][cell])
     row_labels.append("normalization")
-    rows.append([Fraction(1)] * len(columns))
-    rhs.append(Fraction(1))
+    rows.append([one] * len(columns))
+    rhs.append(one)
 
     x, y = _simplex_phase1(rows, rhs)
     if x is not None:
@@ -306,13 +299,9 @@ def joint_feasibility(
     gain = sum(yi * bi for yi, bi in zip(y, rhs))
     if gain <= 0:
         raise InternalInvariantError("separating functional does not separate the right-hand side")
-    row_keys = [(k, c) for k in pairs for c in CELLS]
-    for col in columns:
-        against = sum(
-            yi * _column_coefficient(col, labels, key, cell, flip)
-            for yi, (key, cell) in zip(y, row_keys)
-        )
-        against += y[-1]
+    for col, h in zip(columns, hits):
+        # column col has a 1 in row 4p + h[p] of each pair p and in the normalization row
+        against = sum(y[4 * p + c] for p, c in enumerate(h)) + y[-1]
         if against > 0:
             raise InternalInvariantError(f"separating functional fails on domain column {col!r}")
     certificate = dict(zip(row_labels, y))
@@ -335,8 +324,6 @@ def wigner_residual(
     """
     if isinstance(tables, TallyTable):
         tables = PairwiseTables.from_tally(tables)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     ordering = tuple(ordering)
     if len(ordering) != 3 or len(set(ordering)) != 3 or any(o not in SETTING_LABELS for o in ordering):
         raise ValueError(f"ordering must be three distinct setting labels, got {ordering!r}")

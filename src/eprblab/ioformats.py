@@ -55,7 +55,6 @@ from .model import (
     CELL_FROM_NAME,
     CELL_NAMES,
     CELLS,
-    CONVENTIONS,
     ISLANDS,
     MAX_T_NS,
     OUTCOMES,
@@ -68,6 +67,7 @@ from .model import (
     check_window,
     domain_key_from_string,
     domain_key_to_string,
+    l_sign,
 )
 from .sources import SourceConfig
 from .stats import SweepRow
@@ -643,8 +643,10 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
             raise FormatError(f"unknown top-level key(s) {sorted(extra)}", path=path)
         if "convention" in doc:
             convention = doc["convention"]
-            if convention not in CONVENTIONS:
-                raise FormatError(f"convention must be 'equal' or 'anti', got {convention!r}", path=path)
+            try:
+                l_sign(convention)
+            except ValueError as exc:
+                raise FormatError(str(exc), path=path) from None
         doc = doc["tables"]
     if not isinstance(doc, dict) or not doc:
         raise FormatError("tables must be a nonempty JSON object keyed by 'x;y'", path=path)

@@ -15,6 +15,8 @@ Conventions fixed here and relied on everywhere else:
   are plain arithmetic.
 * The two stations are named by their islands, "T" and "L".  Within a
   stream all events share one island and times are strictly increasing.
+* A hidden domain gives T a sigma and L a tau per setting; T reports
+  sigma, L reports l_sign(convention) * tau.
 * Domain weights are exact rationals (``fractions.Fraction``); samplers
   convert to floats only at their own boundary.
 """
@@ -34,10 +36,22 @@ from .errors import InvalidStreamError
 SETTING_LABELS = ("a", "b", "c", "d")
 ISLANDS = ("T", "L")
 OUTCOMES = (1, -1)
-# How the L outcome relates to the hidden tau: "equal" reports tau, "anti" -tau.
 CONVENTIONS = ("equal", "anti")
 # the largest event time; stream times are stored as int64
 MAX_T_NS = 2**63 - 1
+
+
+def l_sign(convention) -> int:
+    """The sign an L detector puts on the hidden tau at its setting: +1
+    under "equal" (L reports tau), -1 under "anti" (L reports -tau).  The
+    one statement of the reporting convention; other values raise
+    ValueError."""
+    if convention == "equal":
+        return 1
+    if convention == "anti":
+        return -1
+    raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
 
 # ---------------------------------------------------------------------------
 # elementary records

@@ -1,7 +1,7 @@
 """Event-stream generators: a singlet sampler, a domain-distribution sampler,
 and a local hidden-variable model with setting-dependent time delays.
 
-All three share the same emission machinery: emissions happen every
+All three run one emission path (``generate``).  Emissions happen every
 ``emission_period_ns``, each island adds independent integer jitter drawn
 uniformly from [0, jitter_ns], and every random draw flows from one 64-bit
 seed through five named child generators (settings_t, settings_l, jitter_t,
@@ -9,26 +9,37 @@ jitter_l, source).  Splitting the streams per island keeps the locality
 structure explicit: nothing computed for island T ever reads island L's
 setting draws, and vice versa.
 
-Sign conventions.  "anti" means equal settings yield opposite outcomes
-(the singlet's behaviour) and is what the closed forms below are stated
-in; "equal" flips the L outcome relative to "anti".  For the domain
-sampler the natural reading is the opposite: a domain prescribes sigma
-for T and tau for L, "equal" emits tau as is, "anti" emits -tau.
+A kind is one law: from the source generator and both islands' settings it
+draws, per emission, T's outcome sigma, the hidden tau at L's setting, and
+each station's detection delay.  L reports ``model.l_sign(convention) * tau``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigMismatchError, ConfigParseError
-from .model import CONVENTIONS, SETTING_LABELS, EventStream, Setting, WignerDomainDistribution
+from .errors import ConfigParseError
+from .model import EventStream, Setting, WignerDomainDistribution, l_sign
 
 KINDS = ("singlet", "wigner-domain", "local-delay")
 
 _STREAM_NAMES = ("settings_t", "settings_l", "jitter_t", "jitter_l", "source")
+
+_INT_FIELDS = ("seed", "emission_period_ns", "jitter_ns", "total_pairs", "pairs_per_combination", "max_delay_ns")
+_OPTIONAL_FIELDS = ("total_pairs", "pairs_per_combination", "max_delay_ns")
+
+
+def _finite_real(value) -> bool:
+    """True for an int or float (not a bool) that is a finite float."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,16 @@ class SourceConfig:
         labels = [s.label for s in self.settings]
         if len(set(labels)) != len(labels):
             raise ConfigParseError(f"setting labels must be distinct, got {labels}")
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < 2**64):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigParseError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.delay_exponent is not None and not _finite_real(self.delay_exponent):
+            raise ConfigParseError(f"delay_exponent must be a finite number, got {self.delay_exponent!r}")
+        if not 0 <= self.seed < 2**64:
             raise ConfigParseError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.emission_period_ns < 1:
             raise ConfigParseError("emission_period_ns must be positive")
@@ -83,11 +103,12 @@ class SourceConfig:
             raise ConfigParseError("exactly one of total_pairs and pairs_per_combination must be set")
         if given[0] < 1:
             raise ConfigParseError("the pair count must be positive")
-        if self.convention not in CONVENTIONS:
-            raise ConfigParseError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
+        try:
+            l_sign(self.convention)
+        except ValueError as exc:
+            raise ConfigParseError(str(exc)) from None
 
-        needs_delay = self.kind == "local-delay"
-        if needs_delay:
+        if self.kind == "local-delay":
             if self.max_delay_ns is None or self.delay_exponent is None:
                 raise ConfigParseError("local-delay configs require max_delay_ns and delay_exponent")
             if self.max_delay_ns < 0:
@@ -140,11 +161,11 @@ class SourceConfig:
 
 
 def _rngs(seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(int(seed)).spawn(len(_STREAM_NAMES))
+    children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
     return {name: np.random.default_rng(child) for name, child in zip(_STREAM_NAMES, children)}
 
 
-def _setting_plan(config: SourceConfig, rngs) -> tuple[int, np.ndarray, np.ndarray]:
+def _setting_plan(config: SourceConfig, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Per-emission setting indices (into config.settings) for both islands.
 
     With total_pairs, each island draws i.i.d. uniformly from its menu using
@@ -159,18 +180,9 @@ def _setting_plan(config: SourceConfig, rngs) -> tuple[int, np.ndarray, np.ndarr
         n = config.total_pairs
         it = menu_t[rngs["settings_t"].integers(0, len(menu_t), n)]
         il = menu_l[rngs["settings_l"].integers(0, len(menu_l), n)]
-        return n, it, il
+        return it, il
     ppc = config.pairs_per_combination
-    n = ppc * len(menu_t) * len(menu_l)
-    it = np.repeat(menu_t, len(menu_l) * ppc)
-    il = np.tile(np.repeat(menu_l, ppc), len(menu_t))
-    return n, it, il
-
-
-def _jitter(rng: np.random.Generator, jitter_ns: int, n: int) -> np.ndarray:
-    if jitter_ns == 0:
-        return np.zeros(n, dtype=np.int64)
-    return rng.integers(0, jitter_ns + 1, n, dtype=np.int64)
+    return np.repeat(menu_t, len(menu_l) * ppc), np.tile(np.repeat(menu_l, ppc), len(menu_t))
 
 
 def _strictly_increasing(t: np.ndarray) -> np.ndarray:
@@ -179,158 +191,80 @@ def _strictly_increasing(t: np.ndarray) -> np.ndarray:
     Models a one-tick detector dead time; leaves already-strict sequences
     untouched.
     """
-    n = len(t)
-    if n == 0:
-        return t
-    steps = np.arange(n, dtype=np.int64)
+    steps = np.arange(len(t), dtype=np.int64)
     return np.maximum.accumulate(t - steps) + steps
 
 
-def _station_stream(
-    island: str, config: SourceConfig, t_raw: np.ndarray, setting_idx: np.ndarray, outcome: np.ndarray
-) -> EventStream:
-    order = np.argsort(t_raw, kind="stable")
-    t = _strictly_increasing(t_raw[order])
-    return EventStream(island, config.labels, t, setting_idx[order], outcome[order])
-
-
-def _require_kind(config: SourceConfig, kind: str) -> None:
-    if config.kind != kind:
-        raise ConfigMismatchError(f"expected a {kind!r} config, got {config.kind!r}")
-
-
-def generate_singlet(config: SourceConfig) -> tuple[EventStream, EventStream]:
-    """Sample pair outcomes from the singlet closed form.
-
-    For settings at angle difference theta the outcomes satisfy, in
-    convention "anti", P(s = s') = sin^2(theta/2) and E[s s'] = -cos(theta);
-    convention "equal" flips the L outcome.  This closed form is the
-    standard two-spin prediction, adopted as the package's quantum
-    reference source.
-    """
-    _require_kind(config, "singlet")
-    rngs = _rngs(config.seed)
-    n, it, il = _setting_plan(config, rngs)
+def _singlet(config: SourceConfig, rng: np.random.Generator, it: np.ndarray, il: np.ndarray):
+    """The singlet closed form, the package's quantum reference source: at
+    angle difference theta the outcomes agree with probability
+    sin^2(theta/2) under "anti", so E[s s'] = -cos(theta) there."""
     angles = np.array([s.angle_rad for s in config.settings])
     theta = angles[it] - angles[il]
-
-    src = rngs["source"]
-    s_left = (2 * src.integers(0, 2, n) - 1).astype(np.int8)
-    same = src.random(n) < np.sin(theta / 2.0) ** 2
-    s_right = np.where(same, s_left, -s_left).astype(np.int8)
-    if config.convention == "equal":
-        s_right = (-s_right).astype(np.int8)
-
-    base = np.arange(n, dtype=np.int64) * config.emission_period_ns
-    t_left = base + _jitter(rngs["jitter_t"], config.jitter_ns, n)
-    t_right = base + _jitter(rngs["jitter_l"], config.jitter_ns, n)
-    return (
-        _station_stream("T", config, t_left, it, s_left),
-        _station_stream("L", config, t_right, il, s_right),
-    )
+    n = len(it)
+    s_left = (2 * rng.integers(0, 2, n) - 1).astype(np.int8)
+    same = rng.random(n) < np.sin(theta / 2.0) ** 2
+    # L reports -tau under "anti", so tau = -s_left where the outcomes agree
+    return s_left, np.where(same, -s_left, s_left), 0, 0
 
 
-def generate_wigner_domain(config: SourceConfig) -> tuple[EventStream, EventStream]:
-    """Sample from an explicit distribution over joint outcome domains.
-
-    Each emission draws one domain (sigma_1..sigma_n; tau_1..tau_n); island T
-    reports sigma at its drawn setting, island L reports tau (convention
-    "equal") or -tau (convention "anti").
-    """
-    _require_kind(config, "wigner-domain")
-    rngs = _rngs(config.seed)
-    n, it, il = _setting_plan(config, rngs)
+def _wigner_domain(config: SourceConfig, rng: np.random.Generator, it: np.ndarray, il: np.ndarray):
+    """One domain (sigma_1..sigma_n; tau_1..tau_n) per emission, drawn from
+    the config's explicit distribution over joint outcome domains."""
     dist = config.domain_weights
     nset = dist.n_settings
-
     keys = list(dist.weights)
-    probs = np.array([float(dist.weights[k]) for k in keys])
-    cum = np.cumsum(probs)
+    cum = np.cumsum([float(dist.weights[k]) for k in keys])
     cum[-1] = 1.0
-    draw = rngs["source"].random(n)
-    domain_idx = np.searchsorted(cum, draw, side="right")
-
+    domain_idx = np.searchsorted(cum, rng.random(len(it)), side="right")
     sigma = np.array([k[:nset] for k in keys], dtype=np.int8)
     tau = np.array([k[nset:] for k in keys], dtype=np.int8)
     to_dist_col = np.array([dist.settings.index(l) for l in config.labels], dtype=np.int16)
-
-    s_left = sigma[domain_idx, to_dist_col[it]]
-    s_right = tau[domain_idx, to_dist_col[il]]
-    if config.convention == "anti":
-        s_right = (-s_right).astype(np.int8)
-
-    base = np.arange(n, dtype=np.int64) * config.emission_period_ns
-    t_left = base + _jitter(rngs["jitter_t"], config.jitter_ns, n)
-    t_right = base + _jitter(rngs["jitter_l"], config.jitter_ns, n)
-    return (
-        _station_stream("T", config, t_left, it, s_left),
-        _station_stream("L", config, t_right, il, s_right),
-    )
+    return sigma[domain_idx, to_dist_col[it]], tau[domain_idx, to_dist_col[il]], 0, 0
 
 
-def _local_delay_station(
-    angles_rad: np.ndarray,
-    lam: np.ndarray,
-    base_t: np.ndarray,
-    jitter: np.ndarray,
-    max_delay_ns: int,
-    delay_exponent: float,
-    outcome_sign: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One station's raw detection times and outcomes.
+def _local_delay(config: SourceConfig, rng: np.random.Generator, it: np.ndarray, il: np.ndarray):
+    """A local deterministic model: a hidden angle lam, uniform on [0, 2*pi)
+    per emission, gives each station the value sign(cos(angle - lam)) and
+    the delay max_delay_ns * |sin(angle - lam)|^delay_exponent.
 
-    Everything here is local: the per-emission setting angle of THIS island,
-    the source angle lam fixed at emission, and this island's jitter.  The
-    other island's settings are not an input, which is the locality claim in
+    The delay moves detections whose value is near the sign boundary by up
+    to max_delay_ns, so window-based pairing post-selects emissions and can
+    push |S| past the fixed-pairing bound at small windows.  Each station
+    reads only its own setting and lam, which is the locality claim in
     executable form.
     """
-    rel = angles_rad - lam
-    outcome = (outcome_sign * np.where(np.cos(rel) >= 0.0, 1, -1)).astype(np.int8)
-    delay = np.rint(max_delay_ns * np.abs(np.sin(rel)) ** delay_exponent).astype(np.int64)
-    return base_t + delay + jitter, outcome
-
-
-def generate_local_delay(config: SourceConfig) -> tuple[EventStream, EventStream]:
-    """Local deterministic model whose detection delays depend on the local
-    setting and a per-emission hidden angle lam, uniform on [0, 2*pi).
-
-    Outcomes are sign(cos(angle - lam)) on T and, in convention "anti",
-    -sign(cos(angle - lam)) on L.  The delay law
-    max_delay_ns * |sin(angle - lam)|^delay_exponent moves detections whose
-    outcome is near the sign boundary by up to max_delay_ns, so window-based
-    pairing post-selects emissions and can push |S| past the fixed-pairing
-    bound at small windows.  No information crosses between islands after
-    emission.
-    """
-    _require_kind(config, "local-delay")
-    rngs = _rngs(config.seed)
-    n, it, il = _setting_plan(config, rngs)
     angles = np.array([s.angle_rad for s in config.settings])
-    lam = rngs["source"].uniform(0.0, 2.0 * np.pi, n)
-    base = np.arange(n, dtype=np.int64) * config.emission_period_ns
+    lam = rng.uniform(0.0, 2.0 * np.pi, len(it))
 
-    t_left, s_left = _local_delay_station(
-        angles[it], lam, base, _jitter(rngs["jitter_t"], config.jitter_ns, n),
-        config.max_delay_ns, config.delay_exponent, +1,
-    )
-    l_sign = -1 if config.convention == "anti" else +1
-    t_right, s_right = _local_delay_station(
-        angles[il], lam, base, _jitter(rngs["jitter_l"], config.jitter_ns, n),
-        config.max_delay_ns, config.delay_exponent, l_sign,
-    )
-    return (
-        _station_stream("T", config, t_left, it, s_left),
-        _station_stream("L", config, t_right, il, s_right),
-    )
+    def station(setting_idx: np.ndarray):
+        rel = angles[setting_idx] - lam
+        value = np.where(np.cos(rel) >= 0.0, 1, -1).astype(np.int8)
+        delay = np.rint(config.max_delay_ns * np.abs(np.sin(rel)) ** config.delay_exponent).astype(np.int64)
+        return value, delay
+
+    (s_left, delay_t), (tau, delay_l) = station(it), station(il)
+    return s_left, tau, delay_t, delay_l
 
 
-_GENERATORS: dict[str, Callable[[SourceConfig], tuple[EventStream, EventStream]]] = {
-    "singlet": generate_singlet,
-    "wigner-domain": generate_wigner_domain,
-    "local-delay": generate_local_delay,
-}
+# kind -> law(config, source rng, T settings, L settings)
+#      -> (T outcome, tau at L's setting, T delay, L delay)
+_LAWS = {"singlet": _singlet, "wigner-domain": _wigner_domain, "local-delay": _local_delay}
 
 
 def generate(config: SourceConfig) -> tuple[EventStream, EventStream]:
-    """Dispatch to the generator named by ``config.kind``."""
-    return _GENERATORS[config.kind](config)
+    """The T and L streams of one run of ``config.kind``."""
+    rngs = _rngs(config.seed)
+    it, il = _setting_plan(config, rngs)
+    s_left, tau, delay_t, delay_l = _LAWS[config.kind](config, rngs["source"], it, il)
+    s_right = (l_sign(config.convention) * tau).astype(np.int8)
+    base = np.arange(len(it), dtype=np.int64) * config.emission_period_ns
+    t_left = base + delay_t + rngs["jitter_t"].integers(0, config.jitter_ns + 1, len(it), dtype=np.int64)
+    t_right = base + delay_l + rngs["jitter_l"].integers(0, config.jitter_ns + 1, len(it), dtype=np.int64)
+    del base, delay_t, delay_l  # free them before the sorts, the peak of a large run
+    streams = []
+    for island, t_raw, setting_idx, outcome in (("T", t_left, it, s_left), ("L", t_right, il, s_right)):
+        order = np.argsort(t_raw, kind="stable")
+        t = _strictly_increasing(t_raw[order])
+        streams.append(EventStream(island, config.labels, t, setting_idx[order], outcome[order]))
+    return streams[0], streams[1]

@@ -13,13 +13,13 @@ single-probability form
 
 where q(x, y) is the probability, among pairs measured with setting x on
 one island and y on the other, of the event "the x measurement would show
-+ while the hidden value at y is -".  For data in convention "anti"
-(equal settings anticorrelate, the singlet case) and a table tallied as
-(x; y), that event is the observed cell (+, +); tallied the other way
-round, (y; x), it is the cell (-, -).  In convention "equal" the L
-outcome carries the opposite sign, so the cells are (+, -) and (-, +)
-respectively.  Any distribution over identified outcome domains obeys the
-bound in either convention; sampled singlet data violates it.  Reading
++ while the hidden value at y is -".  L reports s * tau with
+s = ``model.l_sign(convention)``, so in a table tallied as (x; y) that
+event is the observed cell (+, -s); tallied the other way round, (y; x),
+it is the cell (-, s).  Under "anti" (s = -1, equal settings
+anticorrelate, the singlet case) these are (+, +) and (-, -).  Any
+distribution over identified outcome domains obeys the bound in either
+convention; sampled singlet data violates it.  Reading
 all three terms naively from the (+, +) cell regardless of table
 orientation looks simpler but is not a valid bound (a deterministic
 identified assignment already breaks it), which is why the lookup is
@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCellError
-from .model import CELLS, CONVENTIONS, EventStream, TallyTable
+from .model import CELLS, EventStream, TallyTable, l_sign
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -111,11 +111,9 @@ def _q(tables: Mapping, x: str, y: str, convention: str) -> tuple:
     observed cell holding the hidden-level event (x -> +, y -> -) in the
     table for (x, y) or its transpose; see the module docstring for the
     derivation."""
+    s = l_sign(convention)
     cells, transposed = _cells_for(tables, x, y)
-    if convention == "anti":
-        cell = (-1, -1) if transposed else (1, 1)
-    else:
-        cell = (-1, 1) if transposed else (1, -1)
+    cell = (-1, s) if transposed else (1, -s)
     n = sum(cells.values())
     return cells[cell] / n, n, ((y, x) if transposed else (x, y))
 
@@ -149,8 +147,6 @@ class InequalityReport:
 
 def bell_wigner(t: TallyTable, ordering: tuple[str, str, str] = ("a", "b", "c"), convention: str = "anti") -> InequalityReport:
     """Evaluate q(a,b) <= q(a,c) + q(c,b) on tallied data."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be 'equal' or 'anti', got {convention!r}")
     a, b, c = ordering
     q_ab, n_ab, k_ab = _q(t.counts, a, b, convention)
     q_ac, n_ac, k_ac = _q(t.counts, a, c, convention)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eprblab.model import DetectionEvent, EventStream, PairRecord
+from eprblab.model import CorrelationClass, DetectionEvent, EventStream, PairRecord
 
 
 def pytest_runtest_logreport(report):
@@ -42,6 +42,13 @@ def scan_class_grid(M: int, patterns) -> np.ndarray:
     for combo in itertools.product(sorted(patterns), repeat=M):
         grid[tuple(sum(p[k] for p in combo) for k in range(3))] = True
     return grid
+
+
+def scan_eu_classes(M: int) -> list[CorrelationClass]:
+    """Naive reference for ``counting.enumerate_eu_classes``: scan all 2^M
+    equal/unequal strings and list the classes seen, most-equal first."""
+    seen = {bits.bit_count() for bits in range(2**M)}
+    return [CorrelationClass(M - u, u) for u in sorted(seen)]
 
 
 def pair(tl: int, tr: int, x: str, y: str, sl: int, sr: int, window: int | None = None) -> PairRecord:

@@ -433,15 +433,15 @@ def _event_lines(island):
     return st.lists(row, max_size=6)
 
 
-def _fuzz_main(argv_for):
+def _fuzz_main(argv_for, codes=(0, 2, 3)):
     """Write the drawn files to a fresh directory, run the command, and check
-    that it exits 0, 2 or 3 and prints no traceback."""
+    that it exits with one of ``codes`` and prints no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = argv_for(Path(tmp))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2, 3), err.getvalue()
+    assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -554,6 +554,61 @@ def test_fuzz_sweep(t_rows, l_rows, windows, kind):
                 "--windows", ",".join(map(str, windows)), "--kind", kind, "--out", str(tmp / "sweep.csv")]
 
     _fuzz_main(argv_for)
+
+
+CONFIGS = {name: json.loads((ROOT / f"configs/{name}.json").read_text())
+           for name in ("singlet_bell", "wigner_uniform", "local_delay_chsh")}
+# a run accepted here has at most 2000 emissions; larger sizes are ones the
+# overflow guard refuses
+SMALL_CONFIGS = {name: dict({k: v for k, v in doc.items() if k != "pairs_per_combination"}, total_pairs=500)
+                 for name, doc in CONFIGS.items()}
+
+
+def _number_field(valid):
+    """A valid value, a size the overflow guard refuses, or a value of the
+    wrong type (a JSON null leaves the field unset)."""
+    return st.one_of(valid, valid, st.sampled_from([2**62, INT64_MAX, 2**64, 10**30]),
+                     st.booleans(), st.floats(allow_nan=True, allow_infinity=True), ODD_VALUES)
+
+
+SIMULATE_FIELDS = {
+    "kind": _maybe(st.sampled_from(["singlet", "wigner-domain", "local-delay"])),
+    "seed": _number_field(st.integers(0, 2**64 - 1)),
+    "emission_period_ns": _number_field(st.integers(-1, 10**6)),
+    "jitter_ns": _number_field(st.integers(-1, 100)),
+    "total_pairs": _number_field(st.integers(-1, 2000)),
+    "pairs_per_combination": _number_field(st.integers(-1, 100)),
+    "max_delay_ns": _number_field(st.integers(-1, 10**4)),
+    "delay_exponent": _number_field(st.floats(0, 8)),
+    "convention": _maybe(st.sampled_from(["anti", "equal", "sideways"])),
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(base=st.sampled_from(sorted(SMALL_CONFIGS)),
+       fields=st.lists(st.sampled_from(sorted(SIMULATE_FIELDS)).flatmap(
+           lambda k: st.tuples(st.just(k), SIMULATE_FIELDS[k])), max_size=3))
+def test_fuzz_simulate(base, fields):
+    doc = dict(SMALL_CONFIGS[base], **dict(fields))
+
+    def argv_for(tmp):
+        (tmp / "config.json").write_text(json.dumps(doc))
+        return ["simulate", "--config", str(tmp / "config.json"), "--out", str(tmp / "run")]
+
+    _fuzz_main(argv_for, codes=(0, 2))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("total_pairs", 1.5), ("total_pairs", True), ("jitter_ns", 0.5), ("seed", True),
+     ("emission_period_ns", 1000.0), ("delay_exponent", float("nan")), ("delay_exponent", float("inf"))],
+)
+def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys, field, value):
+    doc = dict(CONFIGS["local_delay_chsh"], **{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "x")], 2)
+    assert f"{field} must be" in err
 
 
 # each file-reading command, with the file it reads as f and scratch outputs in tmp

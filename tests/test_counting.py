@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pair, scan_class_grid
+from conftest import pair, scan_class_grid, scan_eu_classes
 from eprblab import counting
 from eprblab.cli import main
 from eprblab.counting import (
@@ -35,6 +35,11 @@ def test_enumerate_eu_classes_small():
     got = enumerate_eu_classes(3)
     assert got == [CorrelationClass(3 - u, u) for u in range(4)]
     assert len(enumerate_eu_classes(10)) == 11
+
+
+def test_enumerate_eu_classes_matches_scan():
+    for M in range(1, 17):
+        assert enumerate_eu_classes(M) == scan_eu_classes(M)
 
 
 def test_enumerate_eu_classes_guards():

@@ -1,4 +1,7 @@
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ev, pair, stream
-from eprblab.errors import InvalidStreamError
+from eprblab.errors import ConfigParseError, FormatError, InvalidStreamError
+from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, wigner_residual
+from eprblab.ioformats import read_tables
 from eprblab.model import (
+    CELLS,
     BellTriple,
     CorrelationClass,
     DetectionEvent,
@@ -21,9 +27,12 @@ from eprblab.model import (
     all_domain_keys,
     domain_key_from_string,
     domain_key_to_string,
+    l_sign,
     require_valid_stream,
     validate_stream,
 )
+from eprblab.sources import SourceConfig
+from eprblab.stats import bell_wigner
 
 
 def test_setting_validation():
@@ -325,3 +334,89 @@ def test_streams_round_trip_any_valid_run(rows):
     s = require_valid_stream(events)
     assert validate_stream(s) == []
     assert s.to_events() == events
+
+
+# ---------------------------------------------------------------------------
+# the reporting convention
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "eprblab"
+SIDEWAYS = "convention must be one of ('equal', 'anti'), got 'sideways'"
+
+
+def test_l_sign():
+    assert l_sign("equal") == 1
+    assert l_sign("anti") == -1
+    for bad in ("sideways", "Anti", "", None, 1, ("anti",)):
+        with pytest.raises(ValueError, match=r"^convention must be one of \('equal', 'anti'\), got "):
+            l_sign(bad)
+
+
+def _convention_comparisons(tree: ast.AST) -> list[ast.AST]:
+    """Comparisons and match cases that test against "anti" or "equal"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        if any(
+            isinstance(sub, ast.Constant) and sub.value in ("anti", "equal")
+            for operand in operands
+            for sub in ast.walk(operand)
+        ):
+            found.append(node)
+    return found
+
+
+def test_convention_is_compared_only_in_l_sign():
+    outside = []
+    in_l_sign = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "model.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "l_sign":
+                    allowed.update(map(id, ast.walk(node)))
+        for node in _convention_comparisons(tree):
+            if id(node) in allowed:
+                in_l_sign += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert in_l_sign == 2  # the check itself sees the two comparisons it allows
+
+
+def _bell_tables() -> PairwiseTables:
+    quarter = {c: Fraction(1, 4) for c in CELLS}
+    return PairwiseTables({("a", "b"): quarter, ("a", "c"): quarter, ("c", "b"): quarter})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_wigner(TallyTable({k: {c: 1 for c in CELLS} for k in _bell_tables().tables}), convention="sideways"),
+        lambda: bell_wigner(TallyTable({}), convention="sideways"),
+        lambda: marginalize(WignerDomainDistribution.uniform(), [("a", "b")], False, "sideways"),
+        lambda: joint_feasibility(_bell_tables(), convention="sideways"),
+        lambda: wigner_residual(_bell_tables(), convention="sideways"),
+    ],
+    ids=["bell_wigner", "bell_wigner_empty", "marginalize", "joint_feasibility", "wigner_residual"],
+)
+def test_unknown_convention_is_rejected_with_one_message(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == SIDEWAYS
+
+
+def test_config_and_table_files_reuse_the_convention_message(tmp_path):
+    with pytest.raises(ConfigParseError) as err:
+        SourceConfig("singlet", (Setting("a", 0.0),), 1, 10, total_pairs=1, convention="sideways")
+    assert str(err.value) == SIDEWAYS
+    path = tmp_path / "tables.json"
+    path.write_text('{"convention": "sideways", "tables": {"a;b": {"pp": 1, "pm": 0, "mp": 0, "mm": 0}}}')
+    with pytest.raises(FormatError, match=re.escape(SIDEWAYS)):
+        read_tables(str(path))

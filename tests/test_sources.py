@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from hypothesis import strategies as st
 
 from eprblab.errors import ConfigParseError
 from eprblab.feasibility import marginalize
+from eprblab.ioformats import load_config, sha256_file, write_events
 from eprblab.model import Setting, WignerDomainDistribution, domain_key_from_string, validate_stream
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
 from eprblab.stats import chsh, equal_fraction, tally
 
+ROOT = Path(__file__).resolve().parents[1]
 ABC = (Setting("a", 0.0), Setting("b", 120.0), Setting("c", 60.0))
 
 
@@ -56,6 +61,52 @@ def test_config_field_validation():
         singlet_config(station_t_labels=("a", "z"))
     with pytest.raises(ConfigParseError):
         singlet_config(station_t_labels=())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", True),
+        ("seed", 1.0),
+        ("seed", None),
+        ("emission_period_ns", 1000.0),
+        ("emission_period_ns", "1000"),
+        ("jitter_ns", 0.5),
+        ("jitter_ns", False),
+        ("total_pairs", 1.5),
+        ("total_pairs", True),
+        ("pairs_per_combination", 2.0),
+    ],
+)
+def test_config_integer_fields_are_type_checked(field, value):
+    kw = {field: value}
+    if field == "pairs_per_combination":
+        kw["total_pairs"] = None
+    with pytest.raises(ConfigParseError, match=f"^{field} must be an integer"):
+        singlet_config(**kw)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_delay_ns", 100.0),
+        ("max_delay_ns", True),
+        ("delay_exponent", float("nan")),
+        ("delay_exponent", float("inf")),
+        pytest.param("delay_exponent", 10**400, id="delay_exponent-10**400"),
+        ("delay_exponent", True),
+        ("delay_exponent", "2"),
+    ],
+)
+def test_config_delay_fields_are_type_checked(field, value):
+    with pytest.raises(ConfigParseError, match=f"^{field} must be"):
+        _delay_config(**{field: value})
+
+
+def test_config_accepts_numpy_integers_as_python_ints():
+    cfg = _delay_config(seed=np.uint64(5), total_pairs=np.int32(10), max_delay_ns=np.int64(7), delay_exponent=2)
+    assert type(cfg.seed) is type(cfg.total_pairs) is type(cfg.max_delay_ns) is int
+    assert cfg.delay_exponent == 2
 
 
 def test_config_kind_parameter_coupling():
@@ -116,6 +167,26 @@ def test_jitter_stays_in_range():
     off = left.t_ns - base
     assert off.min() >= 0
     assert off.max() <= 30
+
+
+SOURCE_GOLDENS = json.loads((ROOT / "tests/golden/source_digests.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize(
+    "case", SOURCE_GOLDENS, ids=[f"{Path(c['config']).stem}-{c['convention']}" for c in SOURCE_GOLDENS]
+)
+def test_generated_streams_match_golden_digests(case, tmp_path):
+    """Each kind under each convention writes byte-identical event files."""
+    config = dataclasses.replace(
+        load_config(str(ROOT / case["config"])),
+        total_pairs=case["total_pairs"],
+        pairs_per_combination=None,
+        convention=case["convention"],
+    )
+    for s in generate(config):
+        path = str(tmp_path / f"{s.island}.jsonl")
+        write_events(path, s)
+        assert sha256_file(path) == case["files"][s.island], s.island
 
 
 # ---------------------------------------------------------------------------
