@@ -66,6 +66,27 @@ def _require_islands(left, right) -> None:
         )
 
 
+def _manifest(
+    t0: float, command: str, out: str, inputs: list[str], outputs: dict[str, str], parameters: dict,
+    seed: int | None = None, config: str | None = None,
+) -> None:
+    """Write ``<out>.manifest.json`` for a command started at t0: the digest
+    of each input file (the config's is also the config digest), the output
+    digests the writers returned for the bytes they wrote, and the wall
+    time.  No command reads back a file it wrote."""
+    digests = {path: sha256_file(path) for path in inputs}
+    manifest = RunManifest(
+        command=command,
+        seed=seed,
+        config_digest=digests.get(config),
+        inputs=digests,
+        outputs=outputs,
+        parameters=parameters,
+        wall_time_s=round(time.monotonic() - t0, 6),
+    )
+    write_manifest(f"{out}.manifest.json", manifest)
+
+
 def _parse_ordering(text: str, kind: str) -> tuple[str, ...]:
     ordering = tuple(part.strip() for part in text.split(","))
     want = 3 if kind == "bell-wigner" else 4
@@ -79,19 +100,9 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     left, right = generate(config)
     t_path, l_path = f"{args.out}.T.jsonl", f"{args.out}.L.jsonl"
-    write_events(t_path, left)
-    write_events(l_path, right)
-    config_digest = sha256_file(args.config)
-    manifest = RunManifest(
-        command="simulate",
-        seed=int(config.seed),
-        config_digest=config_digest,
-        inputs={args.config: config_digest},
-        outputs={t_path: sha256_file(t_path), l_path: sha256_file(l_path)},
-        parameters={"kind": config.kind, "emissions": config.n_emissions()},
-        wall_time_s=round(time.monotonic() - t0, 6),
-    )
-    write_manifest(f"{args.out}.manifest.json", manifest)
+    outputs = {t_path: write_events(t_path, left), l_path: write_events(l_path, right)}
+    parameters = {"kind": config.kind, "emissions": config.n_emissions()}
+    _manifest(t0, "simulate", args.out, [args.config], outputs, parameters, seed=int(config.seed), config=args.config)
     _emit({"t_events": len(left), "l_events": len(right), "t_file": t_path, "l_file": l_path})
     return 0
 
@@ -104,15 +115,9 @@ def _cmd_pair(args) -> int:
     right = read_events(args.right)
     _require_islands(left, right)
     mi, mj, unmatched_l, unmatched_r = match_pairs_indexed(left, right, PairingConfig(args.window_ns))
-    write_pairs_indexed(args.out, left, right, mi, mj, args.window_ns)
-    manifest = RunManifest(
-        command="pair",
-        inputs={args.left: sha256_file(args.left), args.right: sha256_file(args.right)},
-        outputs={args.out: sha256_file(args.out)},
-        parameters={"window_ns": args.window_ns, "unmatched_left": unmatched_l, "unmatched_right": unmatched_r},
-        wall_time_s=round(time.monotonic() - t0, 6),
-    )
-    write_manifest(f"{args.out}.manifest.json", manifest)
+    outputs = {args.out: write_pairs_indexed(args.out, left, right, mi, mj, args.window_ns)}
+    parameters = {"window_ns": args.window_ns, "unmatched_left": unmatched_l, "unmatched_right": unmatched_r}
+    _manifest(t0, "pair", args.out, [args.left, args.right], outputs, parameters)
     _emit({"pairs": len(mi), "unmatched_left": unmatched_l, "unmatched_right": unmatched_r})
     return 0
 
@@ -122,15 +127,8 @@ def _cmd_tally(args) -> int:
     pairs = read_pairs(args.pairs)
     table = tally(*pairs)
     n_pairs = len(pairs[2])
-    write_tally(args.out, table)
-    manifest = RunManifest(
-        command="tally",
-        inputs={args.pairs: sha256_file(args.pairs)},
-        outputs={args.out: sha256_file(args.out)},
-        parameters={"pairs": n_pairs},
-        wall_time_s=round(time.monotonic() - t0, 6),
-    )
-    write_manifest(f"{args.out}.manifest.json", manifest)
+    outputs = {args.out: write_tally(args.out, table)}
+    _manifest(t0, "tally", args.out, [args.pairs], outputs, {"pairs": n_pairs})
     _emit({"pairs": n_pairs, "setting_pairs": len(table.counts)})
     return 0
 
@@ -171,15 +169,8 @@ def _cmd_sweep(args) -> int:
     right = read_events(args.right)
     _require_islands(left, right)
     rows = sweep_window(left, right, windows, args.kind)
-    write_sweep_csv(args.out, rows)
-    manifest = RunManifest(
-        command="sweep",
-        inputs={args.left: sha256_file(args.left), args.right: sha256_file(args.right)},
-        outputs={args.out: sha256_file(args.out)},
-        parameters={"kind": args.kind, "windows": windows},
-        wall_time_s=round(time.monotonic() - t0, 6),
-    )
-    write_manifest(f"{args.out}.manifest.json", manifest)
+    outputs = {args.out: write_sweep_csv(args.out, rows)}
+    _manifest(t0, "sweep", args.out, [args.left, args.right], outputs, {"kind": args.kind, "windows": windows})
     _emit({"rows": len(rows), "out": args.out})
     return 0
 
@@ -225,15 +216,8 @@ def _cmd_feasibility(args) -> int:
 def _cmd_ingest(args) -> int:
     t0 = time.monotonic()
     stream = read_raw_station(args.raw, args.island)
-    write_events(args.out, stream)
-    manifest = RunManifest(
-        command="ingest",
-        inputs={args.raw: sha256_file(args.raw)},
-        outputs={args.out: sha256_file(args.out)},
-        parameters={"island": args.island},
-        wall_time_s=round(time.monotonic() - t0, 6),
-    )
-    write_manifest(f"{args.out}.manifest.json", manifest)
+    outputs = {args.out: write_events(args.out, stream)}
+    _manifest(t0, "ingest", args.out, [args.raw], outputs, {"island": args.island})
     _emit({"events": len(stream), "island": stream.island, "out": args.out})
     return 0
 

@@ -233,14 +233,10 @@ def _check_entry(i: int, entry) -> Entry:
         outcome, setting, time_ns, island = entry
     except (TypeError, ValueError):
         raise MalformedTupleError(f"entry {i} must be (outcome, setting, time_ns, island), got {entry!r}")
-    if outcome not in (1, -1):
-        raise MalformedTupleError(f"entry {i}: outcome must be +1 or -1, got {outcome!r}")
-    if setting not in SETTING_LABELS:
-        raise MalformedTupleError(f"entry {i}: setting must be one of {SETTING_LABELS}, got {setting!r}")
-    if not isinstance(time_ns, (int, np.integer)) or isinstance(time_ns, bool):
-        raise MalformedTupleError(f"entry {i}: time_ns must be an integer, got {time_ns!r}")
-    if island not in ("T", "L"):
-        raise MalformedTupleError(f"entry {i}: island must be 'T' or 'L', got {island!r}")
+    try:
+        DetectionEvent(island, time_ns, setting, outcome)
+    except ValueError as exc:
+        raise MalformedTupleError(f"entry {i}: {exc}") from None
     return (int(outcome), setting, int(time_ns), island)
 
 

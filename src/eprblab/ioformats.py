@@ -3,7 +3,9 @@ sweep CSVs, source configs, feasibility table files, raw station logs,
 and run manifests.
 
 Writers are atomic (temp file in the same directory, then rename) and
-deterministic: the same data produces the same bytes.  Readers validate
+deterministic: the same data produces the same bytes.  Each writer returns
+"sha256:<hex>" of the bytes it wrote, so a caller records an output's
+digest without reading the file back.  Readers read a file once, validate
 eagerly and raise FormatError with a 1-based line number wherever a line
 is attributable.
 
@@ -24,26 +26,32 @@ in vectorized form, what the per-line reader checks: one island, t_ns
 strictly increasing and below 2^63.  Any other file (other key order or
 whitespace, CRLF line ends, blank or comment lines, escapes, a missing
 final newline, leading zeros, or a bad line) goes to the per-line reader,
-which parses each line on its own and either accepts the file or raises
-the line-numbered FormatError.  Both readers give the same stream for
-every file the strict one accepts.
+which parses each line of the bytes already read on its own and either
+accepts the file or raises the line-numbered FormatError.  Both readers
+give the same stream for every file the strict one accepts, and both build
+it with one stream builder, ``_station``.
 
 ``read_pairs`` reads a pair file line by line into the matcher's form
 (left, right, left_idx, right_idx), the one form ``write_pairs_indexed``
 and ``stats.tally`` take: each side of a row gets the event files' row
 check, and since a detection is paired at most once, a T or L time that
 appears on two rows is a FormatError naming both lines.
+
+Tally files and the count layout of feasibility table files share one
+key and cell parse; probability tables go through it with exact fractions
+for cells.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -63,7 +71,6 @@ from .model import (
     Setting,
     TallyTable,
     WignerDomainDistribution,
-    all_domain_keys,
     check_window,
     domain_key_from_string,
     domain_key_to_string,
@@ -86,23 +93,26 @@ SWEEP_HEADER = "window_ns,pairs,statistic,stderr,violated"
 EMPTY_CELL_MARKER = "EmptyCell"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename.  The
-    file gets the mode open() would give it under the current umask, not
-    the owner-only mode of the temp file."""
+def atomic_write_text(path: str, text: str) -> str:
+    """Write text to path as UTF-8 via a same-directory temp file and rename,
+    and return "sha256:<hex>" of the bytes written.  The file gets the mode
+    open() would give it under the current umask, not the owner-only mode of
+    the temp file."""
+    data = text.encode("utf-8")
     umask = os.umask(0)  # setting the umask is the only way to read it
     os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: str) -> str:
@@ -117,13 +127,13 @@ def sha256_file(path: str) -> str:
 # event streams
 
 
-def write_events(path: str, stream: EventStream) -> None:
+def write_events(path: str, stream: EventStream) -> str:
     island, labels = stream.island, stream.labels
     lines = [
         f'{{"island":"{island}","t_ns":{t},"setting":"{labels[s]}","outcome":{o}}}\n'
         for t, s, o in zip(stream.t_ns.tolist(), stream.setting_idx.tolist(), stream.outcome.tolist())
     ]
-    atomic_write_text(path, "".join(lines))
+    return atomic_write_text(path, "".join(lines))
 
 
 def _format_error(path: str, line: int, message: str) -> FormatError:
@@ -156,24 +166,25 @@ def _check_row(path: str, lineno: int, t_ns, setting, outcome, after: int = -1) 
         raise _format_error(path, lineno, f"outcome must be +1 or -1, got {outcome!r}")
 
 
-def _sorted_stream(island: str, rows: list[tuple]) -> tuple[EventStream, np.ndarray]:
-    """The stream of checked (t_ns, setting, outcome) rows with distinct
-    times, sorted by time, its label menu the labels present; and the
-    index of each row's event in it."""
-    t = np.asarray([row[0] for row in rows], dtype=np.int64)
-    order = np.argsort(t, kind="stable")
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
-    menu = tuple(sorted({row[1] for row in rows})) or SETTING_LABELS[:1]
-    index = {lab: i for i, lab in enumerate(menu)}
-    stream = EventStream(
+def _station(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray) -> EventStream:
+    """The stream of one station's columns: the times, the byte code of each
+    event's setting letter and whether each outcome is -1.  Its label menu
+    is the labels present, or the first label when there is no event."""
+    menu = np.unique(codes)
+    return EventStream(
         island=island,
-        labels=menu,
-        t_ns=t[order],
-        setting_idx=np.asarray([index[row[1]] for row in rows], dtype=np.int16)[order],
-        outcome=np.asarray([row[2] for row in rows], dtype=np.int8)[order],
+        labels=tuple(chr(c) for c in menu.tolist()) or SETTING_LABELS[:1],
+        t_ns=t.astype(np.int64, copy=False),
+        setting_idx=np.searchsorted(menu, codes).astype(np.int16),
+        outcome=np.where(negative, -1, 1).astype(np.int8),
     )
-    return stream, at
+
+
+def _columns(rows: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_station`` columns of checked (t_ns, setting, outcome) rows."""
+    t, settings, outcomes = zip(*rows) if rows else ((), (), ())
+    codes = np.frombuffer("".join(settings).encode(), np.uint8)
+    return np.array(t, dtype=np.int64), codes, np.array(outcomes, dtype=np.int8) < 0
 
 
 def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStream:
@@ -198,26 +209,26 @@ def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStrea
         events.append((t_ns, setting, outcome))
     if island is None:
         raise FormatError(f"{what} is empty", path=path)
-    return _sorted_stream(island, events)[0]
+    return _station(island, *_columns(events))
 
 
-def _lines(path: str):
-    """Yield (lineno, stripped text) for each line of a UTF-8 file; a line
-    that does not decode is a FormatError naming it."""
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise _format_error(path, lineno, "line is not valid UTF-8")
-            yield lineno, text.strip()
+def _lines(path: str, handle):
+    """Yield (lineno, stripped text) for each line of a binary file object
+    holding path's UTF-8 bytes; a line that does not decode is a FormatError
+    naming it."""
+    for lineno, raw in enumerate(handle, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _format_error(path, lineno, "line is not valid UTF-8")
+        yield lineno, text.strip()
 
 
-def _json_rows(path: str, keys: tuple[str, ...], what: str):
+def _json_rows(path: str, handle, keys: tuple[str, ...], what: str):
     """Yield (lineno, object) for each nonblank line of a JSON-lines file,
     each object having exactly the given keys."""
     key_set = frozenset(keys)
-    for lineno, text in _lines(path):
+    for lineno, text in _lines(path, handle):
         if not text:
             continue
         try:
@@ -229,8 +240,8 @@ def _json_rows(path: str, keys: tuple[str, ...], what: str):
         yield lineno, obj
 
 
-def _event_rows(path: str):
-    for lineno, obj in _json_rows(path, EVENT_KEYS, "event"):
+def _event_rows(path: str, handle):
+    for lineno, obj in _json_rows(path, handle, EVENT_KEYS, "event"):
         yield lineno, obj["island"], obj["t_ns"], obj["setting"], obj["outcome"]
 
 
@@ -241,9 +252,10 @@ def read_events(path: str) -> EventStream:
     setting, outcome; one island per file; t_ns a nonnegative integer below
     2^63, strictly increasing down the file.
     """
-    stream = _read_strict(path, _EVENT_FILE, _event_layout)
+    data = Path(path).read_bytes()
+    stream = _read_strict(data, _EVENT_FILE, _event_layout)
     if stream is None:
-        stream = _stream_from_rows(path, _event_rows(path), "event file")
+        stream = _stream_from_rows(path, _event_rows(path, io.BytesIO(data)), "event file")
     return stream
 
 
@@ -313,14 +325,12 @@ def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     return value
 
 
-def _read_strict(path: str, whole: re.Pattern, layout) -> EventStream | None:
-    """The stream of a file in the exact line format whole matches, or None
-    when any line is not, or when a check the per-line reader makes fails.
-    layout maps (bytes, line starts, line ends) to the island (None when
-    lines disagree), the start and stop of each t_ns, the offset of each
-    setting letter and whether each outcome is negative."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _read_strict(data: bytes, whole: re.Pattern, layout) -> EventStream | None:
+    """The stream of a file's bytes in the exact line format whole matches,
+    or None when any line is not, or when a check the per-line reader makes
+    fails.  layout maps (bytes, line starts, line ends) to the island (None
+    when lines disagree), the start and stop of each t_ns, the offset of
+    each setting letter and whether each outcome is negative."""
     ends = _line_ends(data, whole)
     if ends is None:
         return None
@@ -330,15 +340,7 @@ def _read_strict(path: str, whole: re.Pattern, layout) -> EventStream | None:
     t = _decimals(buf, t_from, t_to)
     if island is None or t.max() > MAX_T_NS or not (t[1:] > t[:-1]).all():
         return None
-    codes = buf[setting_at]
-    menu = np.unique(codes)
-    return EventStream(
-        island=island,
-        labels=tuple(chr(c) for c in menu.tolist()),
-        t_ns=t.astype(np.int64),
-        setting_idx=np.searchsorted(menu, codes).astype(np.int16),
-        outcome=np.where(negative, -1, 1).astype(np.int8),
-    )
+    return _station(island, t, buf[setting_at], negative)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ def write_pairs_indexed(
     left_idx: np.ndarray,
     right_idx: np.ndarray,
     window_ns: int,
-) -> None:
+) -> str:
     window = json.dumps(window_ns)
     ll, rl = left.labels, right.labels
     lines = [
@@ -367,7 +369,7 @@ def write_pairs_indexed(
             right.outcome[right_idx].tolist(),
         )
     ]
-    atomic_write_text(path, "".join(lines))
+    return atomic_write_text(path, "".join(lines))
 
 
 def read_pairs(path: str) -> tuple[EventStream, EventStream, np.ndarray, np.ndarray]:
@@ -376,31 +378,37 @@ def read_pairs(path: str) -> tuple[EventStream, EventStream, np.ndarray, np.ndar
     row k pairing left event left_idx[k] with right event right_idx[k].
     """
     lines: list[int] = []
-    left_rows: list[tuple] = []
-    right_rows: list[tuple] = []
-    for lineno, obj in _json_rows(path, PAIR_KEYS, "pair"):
-        left = (obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
-        right = (obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
-        _check_row(path, lineno, *left)
-        _check_row(path, lineno, *right)
-        try:
-            check_window(obj["window_ns"], abs(left[0] - right[0]))
-        except ValueError as exc:
-            raise _format_error(path, lineno, str(exc))
-        lines.append(lineno)
-        left_rows.append(left)
-        right_rows.append(right)
+    sides: tuple[list[tuple], list[tuple]] = ([], [])
+    with open(path, "rb") as handle:
+        for lineno, obj in _json_rows(path, handle, PAIR_KEYS, "pair"):
+            left = (obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
+            right = (obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
+            _check_row(path, lineno, *left)
+            _check_row(path, lineno, *right)
+            try:
+                check_window(obj["window_ns"], abs(left[0] - right[0]))
+            except ValueError as exc:
+                raise _format_error(path, lineno, str(exc))
+            lines.append(lineno)
+            sides[0].append(left)
+            sides[1].append(right)
+    found = []
     try:
-        left, left_idx = _sorted_stream("T", left_rows)
-        right, right_idx = _sorted_stream("L", right_rows)
+        for island, rows in zip(ISLANDS, sides):
+            t, codes, negative = _columns(rows)
+            order = np.argsort(t, kind="stable")
+            at = np.empty_like(order)  # at[k]: the index of row k's event in the sorted stream
+            at[order] = np.arange(len(order))
+            found.append((_station(island, t[order], codes[order], negative[order]), at))
     except InvalidStreamError:  # every row passed its checks, so a time repeats
         first: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for lineno, *row in zip(lines, left_rows, right_rows):
+        for lineno, *row in zip(lines, *sides):
             for island, (t_ns, _, _), seen in zip(ISLANDS, row, first):
                 earlier = seen.setdefault(t_ns, lineno)
                 if earlier != lineno:
                     raise _format_error(path, lineno, f"{island} detection at t_ns {t_ns} is already paired on line {earlier}")
         raise
+    (left, left_idx), (right, right_idx) = found
     return left, right, left_idx, right_idx
 
 
@@ -408,48 +416,51 @@ def read_pairs(path: str) -> tuple[EventStream, EventStream, np.ndarray, np.ndar
 # tally files
 
 
-def _pair_key_string(pair: tuple[str, str]) -> str:
-    return f"{pair[0]};{pair[1]}"
-
-
-def _parse_pair_key(text: str, path: str) -> tuple[str, str]:
-    parts = text.split(";")
-    if len(parts) != 2 or any(p not in SETTING_LABELS for p in parts):
-        raise FormatError(f"bad setting-pair key {text!r}, expected 'x;y' with labels from {list(SETTING_LABELS)}", path=path)
-    return (parts[0], parts[1])
-
-
-def write_tally(path: str, tally: TallyTable) -> None:
+def write_tally(path: str, tally: TallyTable) -> str:
     doc = {
-        _pair_key_string(pair): {CELL_NAMES[c]: tally.counts[pair][c] for c in CELLS}
+        ";".join(pair): {CELL_NAMES[c]: tally.counts[pair][c] for c in CELLS}
         for pair in sorted(tally.counts)
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _parse_tables(doc, path: str, cell) -> dict[tuple[str, str], dict[tuple[int, int], object]]:
+    """The tables of a JSON object keyed by 'x;y', each holding exactly the
+    four named cells, every value converted by ``cell``; a ValueError from
+    it becomes a FormatError naming the table and cell."""
+    if not isinstance(doc, dict):
+        raise FormatError("tally file must be a JSON object keyed by 'x;y'", path=path)
+    tables = {}
+    for key, cells in doc.items():
+        pair = tuple(key.split(";"))
+        if len(pair) != 2 or any(label not in SETTING_LABELS for label in pair):
+            raise FormatError(f"bad setting-pair key {key!r}, expected 'x;y' with labels from {list(SETTING_LABELS)}", path=path)
+        if not isinstance(cells, dict) or set(cells) != set(CELL_FROM_NAME):
+            raise FormatError(f"table {key!r} must have exactly the cells {sorted(CELL_FROM_NAME)}", path=path)
+        table = tables[pair] = {}
+        for name, value in cells.items():
+            try:
+                table[CELL_FROM_NAME[name]] = cell(value)
+            except ValueError as exc:
+                raise FormatError(f"table {key!r} cell {name!r}: {exc}", path=path) from None
+    return tables
 
 
 def read_tally(path: str) -> TallyTable:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError("tally file must be a JSON object keyed by 'x;y'", path=path)
-    counts: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
-    for key, cells in doc.items():
-        pair = _parse_pair_key(key, path)
-        if not isinstance(cells, dict) or set(cells) != set(CELL_FROM_NAME):
-            raise FormatError(f"table {key!r} must have exactly the cells {sorted(CELL_FROM_NAME)}", path=path)
-        table = {}
-        for name, value in cells.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise FormatError(f"table {key!r} cell {name!r} must be a nonnegative integer, got {value!r}", path=path)
-            table[CELL_FROM_NAME[name]] = value
-        counts[pair] = table
-    return TallyTable(counts)
+    return TallyTable(_parse_tables(_read_json(path), path, _count))
 
 
 # ---------------------------------------------------------------------------
 # sweep CSV
 
 
-def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> None:
+def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> str:
     lines = [SWEEP_HEADER]
     for row in rows:
         if row.statistic is None:
@@ -457,7 +468,7 @@ def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> None:
         else:
             flag = "true" if row.violated else "false"
             lines.append(f"{row.window_ns},{row.pairs},{row.statistic!r},{row.stderr!r},{flag}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_sweep_csv(path: str) -> list[SweepRow]:
@@ -618,8 +629,8 @@ def config_to_dict(config: SourceConfig) -> dict:
     return doc
 
 
-def save_config(path: str, config: SourceConfig) -> None:
-    atomic_write_text(path, json.dumps(config_to_dict(config), indent=2) + "\n")
+def save_config(path: str, config: SourceConfig) -> str:
+    return atomic_write_text(path, json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +641,8 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
     """Read pairwise tables for the feasibility decision.
 
     Two layouts are accepted: a tally file (integer counts, normalized
-    here), or exact probabilities given as 'p/q' strings, integers, or
+    here; a listed table with no count is an EmptyCellError, as an all-zero
+    probability table is an error), or exact probabilities given as 'p/q' strings, integers, or
     decimal numbers.  Either layout may be wrapped in an object
     {"convention": ..., "tables": {...}} to pin the reporting convention;
     the returned convention is None when the file does not state one.
@@ -650,33 +662,13 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
         doc = doc["tables"]
     if not isinstance(doc, dict) or not doc:
         raise FormatError("tables must be a nonempty JSON object keyed by 'x;y'", path=path)
-
-    parsed: dict[tuple[str, str], dict] = {}
-    all_int = True
-    for key, cells in doc.items():
-        pair = _parse_pair_key(key, path)
-        if not isinstance(cells, dict) or set(cells) != set(CELL_FROM_NAME):
-            raise FormatError(f"table {key!r} must have exactly the cells {sorted(CELL_FROM_NAME)}", path=path)
-        table = {}
-        for name, value in cells.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                all_int = False
-            table[CELL_FROM_NAME[name]] = value
-        parsed[pair] = table
-
+    counts = all(type(v) is int for cells in doc.values() if isinstance(cells, dict) for v in cells.values())
     try:
-        if all_int:
-            counts = {}
-            for pair, cells in parsed.items():
-                for c, v in cells.items():
-                    if v < 0:
-                        raise ValueError(f"cell count {v} is negative")
-                counts[pair] = cells
-            tables = PairwiseTables.from_tally(TallyTable(counts))
+        if counts:
+            tally = TallyTable(_parse_tables(doc, path, _count))
+            tables = PairwiseTables.from_tally(tally, pairs=sorted(tally.counts))
         else:
-            tables = PairwiseTables(
-                {pair: {c: _as_fraction(v) for c, v in cells.items()} for pair, cells in parsed.items()}
-            )
+            tables = PairwiseTables(_parse_tables(doc, path, _as_fraction))
     except ValueError as exc:
         raise FormatError(str(exc), path=path)
     return tables, convention
@@ -689,8 +681,8 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
 _RAW_OUTCOMES = {"1": 1, "+1": 1, "-1": -1}
 
 
-def _raw_rows(path: str, island: str):
-    for lineno, text in _lines(path):
+def _raw_rows(path: str, handle, island: str):
+    for lineno, text in _lines(path, handle):
         if not text or text.startswith("#"):
             continue
         parts = text.split()
@@ -709,9 +701,10 @@ def read_raw_station(path: str, island: str) -> EventStream:
     (outcome +1, 1 or -1; '#' starts a comment line)."""
     if island not in ISLANDS:
         raise ValueError(f"island must be 'T' or 'L', got {island!r}")
-    stream = _read_strict(path, _RAW_FILE, _raw_layout(island))
+    data = Path(path).read_bytes()
+    stream = _read_strict(data, _RAW_FILE, _raw_layout(island))
     if stream is None:
-        stream = _stream_from_rows(path, _raw_rows(path, island), "raw station log")
+        stream = _stream_from_rows(path, _raw_rows(path, io.BytesIO(data), island), "raw station log")
     return stream
 
 
@@ -745,8 +738,8 @@ class RunManifest:
         }
 
 
-def write_manifest(path: str, manifest: RunManifest) -> None:
-    atomic_write_text(path, json.dumps(manifest.to_dict(), indent=2) + "\n")
+def write_manifest(path: str, manifest: RunManifest) -> str:
+    return atomic_write_text(path, json.dumps(manifest.to_dict(), indent=2) + "\n")
 
 
 def read_manifest(path: str) -> dict:

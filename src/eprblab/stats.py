@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyCellError
-from .model import CELLS, EventStream, TallyTable, l_sign
+from .model import CELLS, EventStream, TallyTable, l_sign, require_valid_stream
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,8 @@ def sweep_window(
 
     The streams are matched once, at the largest window; each row keeps the
     pairs with |dt| <= W, which is exactly the matching at W (see the prefix
-    property in ``pairing``).
+    property in ``pairing``).  Either side may be an EventStream or a
+    DetectionEvent sequence, as for the matcher.
     """
     windows = [int(w) for w in windows]
     if not windows:
@@ -230,6 +231,7 @@ def sweep_window(
     if windows[0] < 0:
         raise ValueError("window_ns must be nonnegative")
 
+    left, right = require_valid_stream(left), require_valid_stream(right)
     all_i, all_j, _, _ = match_pairs_indexed(left, right, PairingConfig(windows[-1]))
     dt = np.abs(left.t_ns[all_i] - right.t_ns[all_j])
     rows: list[SweepRow] = []

@@ -152,6 +152,16 @@ def test_feasibility_counts_file(tmp_path, capsys):
     assert sum(Fraction(w) for w in payload["witness"].values()) == 1
 
 
+def test_feasibility_counts_file_with_an_all_zero_table_exits_3(tmp_path, capsys):
+    """Every table a counts file lists is required: an all-zero one is an
+    empty cell, as it is when written as probabilities, not a table to drop."""
+    path = tmp_path / "tables.json"
+    ones, zeros = {"pp": 1, "pm": 1, "mp": 1, "mm": 1}, {"pp": 0, "pm": 0, "mp": 0, "mm": 0}
+    path.write_text(json.dumps({"a;b": ones, "c;d": zeros}))
+    err = _assert_clean_exit(capsys, ["feasibility", "--tables", str(path)], 3)
+    assert "no counts for measured pair c;d" in err
+
+
 def test_feasibility_wrapped_probability_file(tmp_path, capsys):
     path = tmp_path / "tables.json"
     eq = {"pp": "3/8", "pm": "1/8", "mp": "1/8", "mm": "3/8"}
@@ -360,20 +370,68 @@ def test_empty_pairs_file_tallies_to_nothing(tmp_path, capsys):
 
 def test_traced_entry_points_are_the_library_functions():
     """The CLI and the matcher call the library functions under their own
-    names, which is what per-function tracing keys on."""
-    from eprblab import cli, ioformats, model, pairing, stats
+    names, which is what per-function tracing keys on: every name here is
+    one that a per-layer benchmark metric is read from."""
+    from eprblab import cli, counting, feasibility, ioformats, model, pairing, sources, stats
 
     for module, name, owner in [
+        *((cli, name, ioformats) for name in (
+            "read_events", "read_raw_station", "write_events", "write_pairs_indexed", "read_pairs",
+            "sha256_file", "write_manifest",
+        )),
         (cli, "tally", stats),
-        (cli, "read_pairs", ioformats),
-        (cli, "write_pairs_indexed", ioformats),
+        (cli, "sweep_window", stats),
         (cli, "match_pairs_indexed", pairing),
+        (cli, "generate", sources),
+        (cli, "joint_feasibility", feasibility),
+        (cli, "count_triple_classes", counting),
         (pairing, "require_valid_stream", model),
     ]:
         fn = getattr(module, name)
         assert fn is getattr(owner, name)
         assert fn.__name__ == name
         assert fn.__module__ == owner.__name__
+
+
+MANIFEST_GOLDEN = ROOT / "tests/golden/manifest_digests.json"
+
+
+def _manifest_pipeline(golden: dict) -> dict:
+    """Run simulate, ingest (T through the per-line reader, L through the
+    strict one), pair, tally and sweep in the working directory with
+    relative paths; return each manifest's inputs and outputs by file name."""
+    doc = json.loads((ROOT / golden["config"]).read_text())
+    Path("config.json").write_text(json.dumps(dict(doc, total_pairs=golden["total_pairs"])))
+    assert main(["simulate", "--config", "config.json", "--out", "run"]) == 0
+    for island in "TL":
+        stream = read_events(f"run.{island}.jsonl")
+        labels = [stream.labels[s] for s in stream.setting_idx.tolist()]
+        lines = [f"{t} {s} {o:+d}\n" for t, s, o in zip(stream.t_ns.tolist(), labels, stream.outcome.tolist())]
+        header = "# station T\n" if island == "T" else ""
+        Path(f"raw.{island}.log").write_text(header + "".join(lines))
+        argv = ["ingest", "--raw", f"raw.{island}.log", "--island", island, "--out", f"ingest.{island}.jsonl"]
+        assert main(argv) == 0
+    streams = ["--left", "ingest.T.jsonl", "--right", "ingest.L.jsonl"]
+    assert main(["pair", *streams, "--window-ns", "1000", "--out", "pairs.jsonl"]) == 0
+    assert main(["tally", "--pairs", "pairs.jsonl", "--out", "tally.json"]) == 0
+    assert main(["sweep", *streams, "--windows", "100,1000,10000", "--kind", "chsh", "--out", "sweep.csv"]) == 0
+    names = ["run", "ingest.T.jsonl", "ingest.L.jsonl", "pairs.jsonl", "tally.json", "sweep.csv"]
+    return {
+        f"{name}.manifest.json": {key: read_manifest(f"{name}.manifest.json")[key] for key in ("inputs", "outputs")}
+        for name in names
+    }
+
+
+def test_manifest_digests_match_golden(tmp_path, capsys, monkeypatch):
+    """Every manifest names the digests of exactly the bytes its command read
+    and wrote, and those digests are pinned."""
+    golden = json.loads(MANIFEST_GOLDEN.read_text())
+    monkeypatch.chdir(tmp_path)
+    manifests = _manifest_pipeline(golden)
+    assert manifests == golden["manifests"]
+    for manifest in manifests.values():
+        for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert sha256_file(path) == digest, path
 
 
 def test_config_integer_too_long_to_convert_exits_2_naming_config(tmp_path, capsys):

@@ -240,6 +240,12 @@ def test_topology_rejects_malformed_input():
     bad[0] = (1, "a", 100.5, "T")
     with pytest.raises(MalformedTupleError):
         validate_time_topology(bad, window_ns=10)
+    # outcomes get DetectionEvent's check: a bool or a float is not +1
+    for outcome in (True, 1.0):
+        bad = list(good)
+        bad[0] = (outcome, *good[0][1:])
+        with pytest.raises(MalformedTupleError, match="entry 0: outcome must be"):
+            validate_time_topology(bad, window_ns=10)
     #  all six on one island
     flat = [(1, "a", 10 * i, "T") for i in range(6)]
     with pytest.raises(MalformedTupleError):

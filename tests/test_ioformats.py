@@ -2,6 +2,7 @@ import json
 import os
 import stat
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -186,19 +187,21 @@ def _same_stream(a: EventStream, b: EventStream) -> bool:
 
 
 def _per_line_events(path: str) -> EventStream:
-    return ioformats._stream_from_rows(path, ioformats._event_rows(path), "event file")
+    with open(path, "rb") as handle:
+        return ioformats._stream_from_rows(path, ioformats._event_rows(path, handle), "event file")
 
 
 def _per_line_raw(path: str, island: str) -> EventStream:
-    return ioformats._stream_from_rows(path, ioformats._raw_rows(path, island), "raw station log")
+    with open(path, "rb") as handle:
+        return ioformats._stream_from_rows(path, ioformats._raw_rows(path, handle, island), "raw station log")
 
 
 def _strict_events(path: str):
-    return ioformats._read_strict(path, ioformats._EVENT_FILE, ioformats._event_layout)
+    return ioformats._read_strict(Path(path).read_bytes(), ioformats._EVENT_FILE, ioformats._event_layout)
 
 
 def _strict_raw(path: str, island: str):
-    return ioformats._read_strict(path, ioformats._RAW_FILE, ioformats._raw_layout(island))
+    return ioformats._read_strict(Path(path).read_bytes(), ioformats._RAW_FILE, ioformats._raw_layout(island))
 
 
 def _event_objects(s: EventStream) -> list[dict]:
