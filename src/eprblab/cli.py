@@ -202,6 +202,12 @@ def _cmd_feasibility(args) -> int:
         "identify_equal_settings": result.identify_equal_settings,
         "convention": result.convention,
         "settings": list(result.setting_labels),
+        "lp": {
+            "rows": result.lp_rows,
+            "cols": result.lp_cols,
+            "float_pivots": result.float_pivots,
+            "path": result.path,
+        },
     }
     if result.witness is not None:
         payload["witness"] = {

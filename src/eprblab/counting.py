@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InternalInvariantError, MalformedTupleError, SettingCollisionError, TooLargeError
-from .model import BellTriple, DetectionEvent, PairRecord, SETTING_LABELS, CorrelationClass
+from .model import BellTriple, DetectionEvent, PairRecord, SETTING_LABELS, CorrelationClass, check_window
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -250,14 +250,17 @@ def validate_time_topology(six_tuple, window_ns: int) -> list[TopologyViolation]
     and (iii) each claimed pair's times differ by at most the window.
     Setting-grouped regroupings of genuinely matched data necessarily
     reuse events and are flagged.  Malformed input (wrong arity, bad
-    fields, islands not split 3/3, a claimed pair not spanning both
-    islands) raises MalformedTupleError instead.
+    fields, a window that is not a nonnegative integer, islands not split
+    3/3, a claimed pair not spanning both islands) raises
+    MalformedTupleError instead.
     """
     entries = [_check_entry(i, e) for i, e in enumerate(six_tuple)]
     if len(entries) != 6:
         raise MalformedTupleError(f"expected exactly 6 entries, got {len(entries)}")
-    if window_ns < 0:
-        raise MalformedTupleError("window_ns must be nonnegative")
+    try:
+        check_window(window_ns)
+    except ValueError as exc:
+        raise MalformedTupleError(str(exc)) from None
     per_island = {"T": [i for i, e in enumerate(entries) if e[3] == "T"]}
     per_island["L"] = [i for i, e in enumerate(entries) if e[3] == "L"]
     if len(per_island["T"]) != 3 or len(per_island["L"]) != 3:

@@ -1,14 +1,20 @@
 """Exact decision of whether pairwise outcome tables admit a joint
 probability distribution over outcome domains.
 
-Everything here is rational arithmetic (`fractions.Fraction`); no floats,
-no tolerances.  The question posed by ``joint_feasibility`` is: given 2x2
-probability tables for a set of measured setting pairs, does there exist a
-probability weight on the full domain space (one hidden outcome per setting
-per side) whose marginals reproduce every table exactly?  Feasibility comes
-with a witness distribution that is re-marginalized and compared exactly;
-infeasibility comes with a separating functional y such that y . b > 0 while
-y . A_d <= 0 for every domain column d, verified before it is returned.
+The question posed by ``joint_feasibility`` is: given 2x2 probability tables
+for a set of measured setting pairs, does there exist a probability weight
+on the full domain space (one hidden outcome per setting per side) whose
+marginals reproduce every table exactly?  Feasibility comes with a witness
+distribution that is re-marginalized and compared exactly; infeasibility
+comes with a separating functional y such that y . b > 0 while y . A_d <= 0
+for every domain column d, verified before it is returned.
+
+Floats only choose the basis.  A ``float64`` phase-1 simplex (Dantzig's
+rule) picks a basis; the basic solution, and for an infeasible answer the
+dual y, are then solved from that basis in rational arithmetic
+(`fractions.Fraction`) and must pass the exact checks above.  If any step
+fails, the exact Bland's-rule simplex decides from scratch.  Every answer
+is exact and certified; no tolerance ever decides one.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
@@ -21,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptyCellError, InternalInvariantError, SupportViolationError
 from .model import (
@@ -157,6 +165,11 @@ def marginalize(
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """The answer with its witness or certificate, and the LP's path:
+    its size, the float phase's pivot count, and ``path`` ("float-basis"
+    when the float basis was certified, "exact-fallback" when the exact
+    simplex decided)."""
+
     feasible: bool
     identify_equal_settings: bool
     convention: str
@@ -164,6 +177,10 @@ class FeasibilityResult:
     witness: WignerDomainDistribution | None
     certificate: dict[str, Fraction] | None
     row_labels: tuple[str, ...]
+    lp_rows: int
+    lp_cols: int
+    float_pivots: int
+    path: str
 
     @property
     def status(self) -> str:
@@ -233,6 +250,106 @@ def _simplex_phase1(
     return None, y
 
 
+# The float phase only proposes a basis; the exact solve and the gates decide,
+# so a tolerance or cap that misjudges some table costs the exact fallback,
+# never a wrong answer.  4-setting menus take 11 to about 100 pivots.
+_FLOAT_TOL = 1e-9
+_FLOAT_PIVOT_CAP = 1000
+
+
+def _float_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[int] | None, int]:
+    """Phase-1 simplex for {A x = b, x >= 0} in float64, Dantzig's rule.
+
+    Starts from the all-artificial basis (artificial i is column n + i) and
+    stops once the artificial sum is zero or no reduced cost is negative.
+    Returns (basis, pivots), where basis lists the m basic columns, or
+    (None, pivots) when the pivot cap is hit or no row can leave.
+    """
+    m, n = a.shape
+    tab = np.hstack([a, np.eye(m), b[:, None]])
+    rc = np.concatenate([np.zeros(n), np.ones(m), [0.0]]) - tab.sum(axis=0)
+    basis = list(range(n, n + m))
+    pivots = 0
+    while -rc[-1] > _FLOAT_TOL:
+        enter = int(np.argmin(rc[:-1]))
+        if rc[enter] >= -_FLOAT_TOL:
+            break
+        col = tab[:, enter]
+        rows = np.flatnonzero(col > _FLOAT_TOL)
+        if pivots == _FLOAT_PIVOT_CAP or rows.size == 0:
+            return None, pivots
+        ratio = np.maximum(tab[rows, -1], 0.0) / col[rows]
+        tied = rows[ratio <= ratio.min() + _FLOAT_TOL]
+        leave = int(tied[np.argmax(col[tied])])
+        tab[leave] /= tab[leave, enter]
+        factors = tab[:, enter].copy()
+        factors[leave] = 0.0
+        tab -= np.outer(factors, tab[leave])
+        rc -= rc[enter] * tab[leave]
+        basis[leave] = enter
+        pivots += 1
+    return basis, pivots
+
+
+def _solve_exact(matrix: list[list[int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
+    """Solve the square system exactly by Gauss-Jordan elimination in
+    Fractions; None if it is singular."""
+    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    k = len(aug)
+    for c in range(k):
+        p = next((i for i in range(c, k) if aug[i][c] != 0), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        aug[c] = [v / piv for v in aug[c]]
+        for i in range(k):
+            f = aug[i][c]
+            if i != c and f != 0:
+                aug[i] = [vi - f * vc for vi, vc in zip(aug[i], aug[c])]
+    return [row[-1] for row in aug]
+
+
+def _basis_answer(
+    a: np.ndarray, rhs: list[Fraction], basis: list[int]
+) -> tuple[list[Fraction] | None, list[Fraction] | None] | None:
+    """The basic solution of ``basis`` in exact arithmetic, in the form
+    ``_simplex_phase1`` returns: (x, None) when no artificial carries weight,
+    (None, y) with y solving B^T y = c_B otherwise.  None when B is singular
+    or the basic solution is negative.
+
+    An artificial column is a unit column, so each basic artificial fixes
+    its own row: only the rows it leaves free and the basic domain columns
+    form the square system that is solved (at most rank(A) in size).
+    """
+    m, n = a.shape
+    cols = [j for j in basis if j < n]
+    fixed = sorted(j - n for j in basis if j >= n)
+    free = sorted(set(range(m)) - set(fixed))
+    block = a[np.ix_(free, cols)]
+    x_cols = _solve_exact(block.tolist(), [rhs[i] for i in free])
+    if x_cols is None:
+        return None
+    rest = a[np.ix_(fixed, cols)]
+    artificial = [rhs[i] - sum(e * v for e, v in zip(row, x_cols) if e) for i, row in zip(fixed, rest.tolist())]
+    if any(v < 0 for v in x_cols + artificial):
+        return None
+    if not any(artificial):
+        x = [Fraction(0)] * n
+        for j, v in zip(cols, x_cols):
+            x[j] = v
+        return x, None
+    # c_B is 1 on the artificials and 0 on domain columns, so y is 1 on the
+    # fixed rows and A_j^T y = 0 on each basic domain column j
+    y_free = _solve_exact(block.T.tolist(), (-rest.sum(axis=0)).tolist())
+    if y_free is None:
+        return None
+    y = [Fraction(1)] * m
+    for i, v in zip(free, y_free):
+        y[i] = v
+    return None, y
+
+
 def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> list[DomainKey]:
     n = len(setting_labels)
     keys = all_domain_keys(n)
@@ -259,8 +376,10 @@ def joint_feasibility(
     Feasible outcomes carry a witness distribution (verified here by exact
     re-marginalization); infeasible ones carry a separating functional
     keyed by constraint row, verified against every domain column before
-    being returned.  Verification failure of either artifact raises
-    InternalInvariantError, since it would mean the solver lied.
+    being returned.  The answer is first read off the float phase's basis;
+    if that basis is singular, negative or fails verification, the exact
+    simplex decides from scratch.  Verification failure of its answer
+    raises InternalInvariantError, since it would mean the solver lied.
     """
     if isinstance(tables, TallyTable):
         tables = PairwiseTables.from_tally(tables)
@@ -270,43 +389,46 @@ def joint_feasibility(
     columns = _domain_columns(labels, identify_equal_settings)
     hits = _cell_hits(columns, labels, pairs, flip)
 
-    zero, one = Fraction(0), Fraction(1)
-    row_labels: list[str] = []
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for p, key in enumerate(pairs):
-        for c, cell in enumerate(CELLS):
-            row_labels.append(_row_label(key, cell))
-            rows.append([one if h[p] == c else zero for h in hits])
-            rhs.append(tables.tables[key][cell])
-    row_labels.append("normalization")
-    rows.append([one] * len(columns))
-    rhs.append(one)
+    # row 4p + c holds cell CELLS[c] of pair p; the last row is normalization
+    row_labels = [_row_label(key, cell) for key in pairs for cell in CELLS] + ["normalization"]
+    rhs = [tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)]
+    a = np.zeros((len(rhs), len(columns)), dtype=np.int64)
+    a[4 * np.arange(len(pairs)) + np.array(hits), np.arange(len(columns))[:, None]] = 1
+    a[-1] = 1
 
-    x, y = _simplex_phase1(rows, rhs)
-    if x is not None:
-        witness = WignerDomainDistribution.from_partial(
-            {col: w for col, w in zip(columns, x) if w != 0}, settings=labels
-        )
-        check = marginalize(witness, pairs, identify_equal_settings, convention)
-        if check.tables != tables.tables:
-            raise InternalInvariantError("witness distribution does not reproduce the tables")
-        return FeasibilityResult(
-            True, identify_equal_settings, convention, labels, witness, None, tuple(row_labels)
-        )
+    basis, pivots = _float_basis(a.astype(np.float64), np.array([float(v) for v in rhs]))
 
-    assert y is not None
-    gain = sum(yi * bi for yi, bi in zip(y, rhs))
-    if gain <= 0:
-        raise InternalInvariantError("separating functional does not separate the right-hand side")
-    for col, h in zip(columns, hits):
-        # column col has a 1 in row 4p + h[p] of each pair p and in the normalization row
-        against = sum(y[4 * p + c] for p, c in enumerate(h)) + y[-1]
-        if against > 0:
-            raise InternalInvariantError(f"separating functional fails on domain column {col!r}")
-    certificate = dict(zip(row_labels, y))
+    def check(x, y) -> tuple[WignerDomainDistribution | None, dict[str, Fraction] | None] | str:
+        """The answer's witness or certificate once it checks out exactly;
+        otherwise the reason it does not."""
+        if x is not None:
+            witness = WignerDomainDistribution.from_partial(
+                {col: w for col, w in zip(columns, x) if w != 0}, settings=labels
+            )
+            if marginalize(witness, pairs, identify_equal_settings, convention).tables != tables.tables:
+                return "witness distribution does not reproduce the tables"
+            return witness, None
+        if sum(yi * bi for yi, bi in zip(y, rhs)) <= 0:
+            return "separating functional does not separate the right-hand side"
+        for col, h in zip(columns, hits):
+            # column col has a 1 in row 4p + h[p] of each pair p and in the normalization row
+            if sum(y[4 * p + c] for p, c in enumerate(h)) + y[-1] > 0:
+                return f"separating functional fails on domain column {col!r}"
+        return None, dict(zip(row_labels, y))
+
+    path = "float-basis"
+    answer = _basis_answer(a, rhs, basis) if basis is not None else None
+    checked = check(*answer) if answer is not None else "no float basis"
+    if isinstance(checked, str):
+        path = "exact-fallback"
+        zero, one = Fraction(0), Fraction(1)
+        checked = check(*_simplex_phase1([[one if v else zero for v in row] for row in a.tolist()], rhs))
+        if isinstance(checked, str):
+            raise InternalInvariantError(checked)
+    witness, certificate = checked
     return FeasibilityResult(
-        False, identify_equal_settings, convention, labels, None, certificate, tuple(row_labels)
+        witness is not None, identify_equal_settings, convention, labels, witness, certificate,
+        tuple(row_labels), len(rhs), len(columns), pivots, path,
     )
 
 

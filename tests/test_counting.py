@@ -226,8 +226,10 @@ def test_topology_rejects_malformed_input():
     good = triple().entries()
     with pytest.raises(MalformedTupleError):
         validate_time_topology(good[:5], window_ns=10)
-    with pytest.raises(MalformedTupleError):
-        validate_time_topology(good, window_ns=-1)
+    # the window gets PairRecord's check: a bool, a float or a string is no window
+    for window in (-1, True, 2.5, "5"):
+        with pytest.raises(MalformedTupleError, match="window_ns must be"):
+            validate_time_topology(good, window_ns=window)
     bad = list(good)
     bad[0] = (2, "a", 100, "T")
     with pytest.raises(MalformedTupleError):

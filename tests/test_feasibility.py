@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprblab import feasibility
 from eprblab.errors import EmptyCellError, SupportViolationError
 from eprblab.feasibility import (
     FeasibilityResult,
@@ -304,6 +306,108 @@ def test_chsh_within_bound_feasible():
         res = joint_feasibility(tables, identify_equal_settings=identified)
         assert res.feasible
         verify_witness(tables, res)
+
+
+# ---------------------------------------------------------------------------
+# the float basis and the exact finisher
+
+
+def _wrong_basis(a, b):
+    """The all-artificial starting basis, returned as if it were optimal:
+    nonsingular and nonnegative, but its dual fails the column gate."""
+    m, n = a.shape
+    return list(range(n, n + m)), 0
+
+
+def _singular_basis(a, b):
+    """The first m columns of [A | I].  On three pairs the rows its
+    artificials leave free hold the four cell rows of two pairs, and each
+    four sum to the same all-ones row, so B is singular."""
+    m, _n = a.shape
+    return list(range(m)), 0
+
+
+def _cap_hit(a, b):
+    return None, feasibility._FLOAT_PIVOT_CAP
+
+
+@pytest.mark.parametrize("float_basis", [_wrong_basis, _singular_basis, _cap_hit], ids=["wrong", "singular", "cap"])
+@pytest.mark.parametrize("identified, status", [(True, "infeasible"), (False, "feasible")])
+def test_failed_float_basis_falls_back_to_the_exact_simplex(float_basis, identified, status):
+    """Whatever the float phase hands over, the answer is the exact
+    simplex's, with a checked witness or certificate, and says so."""
+    tables = singlet_tables("anti")
+    plain = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
+    assert (plain.status, plain.path) == (status, "float-basis")
+    with mock.patch.object(feasibility, "_float_basis", float_basis):
+        res = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
+    assert (res.status, res.path) == (status, "exact-fallback")
+    assert (res.lp_rows, res.lp_cols) == (plain.lp_rows, plain.lp_cols) == (13, 8 if identified else 64)
+    if res.feasible:
+        verify_witness(tables, res)
+    else:
+        verify_certificate(tables, res)
+
+
+CH_PAIRS = [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]
+
+
+@st.composite
+def ch_menu_tables(draw):
+    """Tables on the {a,c} x {b,d} menu with a denominator of at most 6:
+    either with station marginals that agree (four marginals, then each
+    pair's P(++) between its Frechet bounds) or with free cells."""
+    d = draw(st.integers(1, 6))
+    out = {}
+    if draw(st.booleans()):
+        plus = {s: draw(st.integers(0, d)) for s in "abcd"}
+        for x, y in CH_PAIRS:
+            pp = draw(st.integers(max(0, plus[x] + plus[y] - d), min(plus[x], plus[y])))
+            out[(x, y)] = cells(F(pp, d), F(plus[x] - pp, d), F(plus[y] - pp, d), F(d - plus[x] - plus[y] + pp, d))
+    else:
+        for key in CH_PAIRS:
+            cuts = sorted(draw(st.integers(0, d)) for _ in range(3))
+            out[key] = cells(*(F(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])))
+    return PairwiseTables(out)
+
+
+def fine_feasible(tables: PairwiseTables) -> bool:
+    """Fine (1982): the {a,c} x {b,d} tables have a joint distribution iff
+    the station marginals agree and the eight CH inequalities
+    -1 <= P(x y) + P(x y') + P(x' y) - P(x' y') - P(x) - P(y) <= 0
+    hold, P being the probability that both (or the one) report +1."""
+    t = tables.tables
+    t_plus = {k: t[k][(1, 1)] + t[k][(1, -1)] for k in CH_PAIRS}
+    l_plus = {k: t[k][(1, 1)] + t[k][(-1, 1)] for k in CH_PAIRS}
+    if t_plus[("a", "b")] != t_plus[("a", "d")] or t_plus[("c", "b")] != t_plus[("c", "d")]:
+        return False
+    if l_plus[("a", "b")] != l_plus[("c", "b")] or l_plus[("a", "d")] != l_plus[("c", "d")]:
+        return False
+    p_t = {"a": t_plus[("a", "b")], "c": t_plus[("c", "b")]}
+    p_l = {"b": l_plus[("a", "b")], "d": l_plus[("a", "d")]}
+    other = {"a": "c", "c": "a", "b": "d", "d": "b"}
+    for x2, y2 in CH_PAIRS:  # the pair that enters with a minus sign
+        ch = sum(t[k][(1, 1)] * (-1 if k == (x2, y2) else 1) for k in CH_PAIRS)
+        ch -= p_t[other[x2]] + p_l[other[y2]]
+        if not -1 <= ch <= 0:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=ch_menu_tables(), identified=st.booleans())
+def test_lp_status_matches_fines_theorem(tables, identified):
+    """An oracle independent of the LP: on the CHSH menu, each setting is
+    measured on one station only, so identification changes nothing, and
+    the L sign of either convention is a relabelling of L's outcomes."""
+    want = "feasible" if fine_feasible(tables) else "infeasible"
+    for convention in ("equal", "anti"):
+        res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
+        assert res.status == want
+        if res.feasible:
+            verify_witness(tables, res)
+        else:
+            verify_certificate(tables, res)
 
 
 # ---------------------------------------------------------------------------

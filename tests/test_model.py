@@ -390,6 +390,22 @@ def test_convention_is_compared_only_in_l_sign():
     assert in_l_sign == 2  # the check itself sees the two comparisons it allows
 
 
+def test_runtime_does_not_import_scipy():
+    """numpy is the only numeric dependency: scipy may be installed, but no
+    module of the package imports it, not even inside a function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def _bell_tables() -> PairwiseTables:
     quarter = {c: Fraction(1, 4) for c in CELLS}
     return PairwiseTables({("a", "b"): quarter, ("a", "c"): quarter, ("c", "b"): quarter})
