@@ -44,7 +44,7 @@ from .ioformats import (
     write_sweep_csv,
     write_tally,
 )
-from .model import CONVENTIONS, domain_key_to_string
+from .model import CONVENTIONS, SETTING_LABELS, domain_key_to_string
 from .pairing import PairingConfig, match_pairs_indexed
 from .sources import generate
 from .stats import bell_wigner, chsh, sweep_window, tally
@@ -92,6 +92,9 @@ def _parse_ordering(text: str, kind: str) -> tuple[str, ...]:
     want = 3 if kind == "bell-wigner" else 4
     if len(ordering) != want or len(set(ordering)) != want:
         raise ValueError(f"--ordering for {kind} needs {want} distinct labels, got {text!r}")
+    unknown = [label for label in ordering if label not in SETTING_LABELS]
+    if unknown:
+        raise ValueError(f"--ordering labels must be from {list(SETTING_LABELS)}, got {unknown}")
     return ordering
 
 
@@ -168,9 +171,10 @@ def _cmd_sweep(args) -> int:
     left = read_events(args.left)
     right = read_events(args.right)
     _require_islands(left, right)
-    rows = sweep_window(left, right, windows, args.kind)
+    rows = sweep_window(left, right, windows, args.kind, convention=args.convention)
     outputs = {args.out: write_sweep_csv(args.out, rows)}
-    _manifest(t0, "sweep", args.out, [args.left, args.right], outputs, {"kind": args.kind, "windows": windows})
+    parameters = {"kind": args.kind, "windows": windows, "convention": args.convention}
+    _manifest(t0, "sweep", args.out, [args.left, args.right], outputs, parameters)
     _emit({"rows": len(rows), "out": args.out})
     return 0
 
@@ -265,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True, help="L-island event file")
     p.add_argument("--windows", required=True, help="comma-separated windows in ns, ascending")
     p.add_argument("--kind", required=True, choices=["bell-wigner", "chsh"])
+    p.add_argument("--convention", default="anti", choices=CONVENTIONS, help="bell-wigner reporting convention")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_sweep)
 

@@ -17,25 +17,31 @@ ending in a newline:
     {"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"c","outcome_left":1,"outcome_right":-1,"window_ns":3}
 
 These are the bytes ``json.dumps(row, separators=(",", ":"))`` gives.
-``read_events`` and ``read_raw_station`` first try a strict whole-file
-reader: one compiled pattern checks that every line of the file is in
-that exact form (for raw logs, ``t_ns setting outcome`` with single
-spaces, t_ns without leading zeros and outcome 1, +1 or -1), and numpy
-builds the columns from the byte positions of each line.  It also checks,
-in vectorized form, what the per-line reader checks: one island, t_ns
-strictly increasing and below 2^63.  Any other file (other key order or
+Event files, pair files and raw station logs (``t_ns setting outcome``
+with single spaces and outcome 1, +1 or -1) are first read whole by one
+strict reader.  Each of the three line formats is stated once, as a
+field spec: a separator, and per field a literal prefix, a kind
+(decimal, island letter, setting letter, sign) and a literal suffix.
+The spec gives the compiled pattern that checks every line of the file
+and the position of every field, from each line's separators; numpy
+builds the columns one run of whole lines (about 1 MB) at a time.
+Decimals have no leading zeros.  The strict reader also checks, in
+vectorized form, what the per-line reader checks: for event files and
+raw logs one island and t_ns strictly increasing and below 2^63; for
+pair files t_ns below 2^63 on both sides, a window that holds |t - t'|
+and no T or L time on two rows.  Any other file (other key order or
 whitespace, CRLF line ends, blank or comment lines, escapes, a missing
-final newline, leading zeros, or a bad line) goes to the per-line reader,
-which parses each line of the bytes already read on its own and either
-accepts the file or raises the line-numbered FormatError.  Both readers
-give the same stream for every file the strict one accepts, and both build
-it with one stream builder, ``_station``.
+final newline, leading zeros, or a bad line) goes to the per-line
+reader, which parses each line of the bytes already read on its own and
+either accepts the file or raises the line-numbered FormatError.  Both
+readers give the same result for every file the strict one accepts.
+Every station stream is built by one stream builder, ``_station``.
 
-``read_pairs`` reads a pair file line by line into the matcher's form
-(left, right, left_idx, right_idx), the one form ``write_pairs_indexed``
-and ``stats.tally`` take: each side of a row gets the event files' row
-check, and since a detection is paired at most once, a T or L time that
-appears on two rows is a FormatError naming both lines.
+``read_pairs`` gives the matcher's form (left, right, left_idx,
+right_idx), the one form ``write_pairs_indexed`` and ``stats.tally``
+take.  Since a detection is paired at most once, the per-line reader
+reports a T or L time that appears on two rows as a FormatError naming
+both lines.
 
 Tally files and the count layout of feasibility table files share one
 key and cell parse; probability tables go through it with exact fractions
@@ -49,15 +55,16 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import __version__ as _version
-from .errors import ConfigParseError, FormatError, InvalidStreamError
+from .errors import ConfigParseError, FormatError
 from .feasibility import PairwiseTables, _as_fraction
 from .model import (
     CELL_FROM_NAME,
@@ -170,7 +177,7 @@ def _station(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray
     """The stream of one station's columns: the times, the byte code of each
     event's setting letter and whether each outcome is -1.  Its label menu
     is the labels present, or the first label when there is no event."""
-    menu = np.unique(codes)
+    menu = np.flatnonzero(np.bincount(codes, minlength=256))  # np.unique would import numpy.ma
     return EventStream(
         island=island,
         labels=tuple(chr(c) for c in menu.tolist()) or SETTING_LABELS[:1],
@@ -253,7 +260,7 @@ def read_events(path: str) -> EventStream:
     2^63, strictly increasing down the file.
     """
     data = Path(path).read_bytes()
-    stream = _read_strict(data, _EVENT_FILE, _event_layout)
+    stream = _read_strict(data, _EVENT_LINE)
     if stream is None:
         stream = _stream_from_rows(path, _event_rows(path, io.BytesIO(data)), "event file")
     return stream
@@ -262,55 +269,62 @@ def read_events(path: str) -> EventStream:
 # ---------------------------------------------------------------------------
 # strict whole-file reading of the writers' exact line formats
 
-_T_NS = rb"(?:0|[1-9][0-9]{0,18})"  # no leading zeros; at most 19 digits fit uint64
-_LABEL = b"[" + "".join(SETTING_LABELS).encode() + b"]"  # the labels are single letters
-_EVENT_FILE = re.compile(
-    rb'(?:\{"island":"[TL]","t_ns":' + _T_NS + rb',"setting":"' + _LABEL + rb'","outcome":-?1\}\n)*'
-)
-_RAW_FILE = re.compile(rb"(?:" + _T_NS + rb" " + _LABEL + rb" [+-]?1\n)*")
-# Whole lines per fullmatch call.  A single call over the file would grow
-# the pattern engine's backtracking stack by a few hundred bytes per line.
+# The value pattern of each field kind.  A letter is one byte; a decimal has
+# no leading zeros and at most 19 digits, so it fits uint64.  A sign is its
+# outcome's "1" or "-1"; "sign+" also takes the "+1" of raw logs.
+_KINDS = {
+    "decimal": rb"(?:0|[1-9][0-9]{0,18})",
+    "island": b"[" + "".join(ISLANDS).encode() + b"]",
+    "setting": b"[" + "".join(SETTING_LABELS).encode() + b"]",
+    "sign": rb"-?1",
+    "sign+": rb"[+-]?1",
+}
+
+
+# Any number of whole lines.  A possessive repeat (Python 3.11 on) keeps no
+# backtracking state per line, which makes the pattern check about a quarter
+# faster; no line could be matched another way anyway.
+_REPEAT = b"*+" if sys.version_info >= (3, 11) else b"*"
+
+
+class _LineFormat(NamedTuple):
+    """A line format: fields joined by a one-byte separator, then a newline.
+    Each field is a literal prefix, a value of a kind in _KINDS and a literal
+    suffix; no literal or value holds the separator, so a line's separators
+    split it into its fields."""
+
+    sep: int
+    fields: tuple[tuple[bytes, str, bytes], ...]
+    lines: re.Pattern  # any run of whole lines in this format
+
+
+def _line_format(sep: bytes, *fields: tuple[bytes, str, bytes]) -> _LineFormat:
+    assert not any(sep in prefix + suffix for prefix, _, suffix in fields)
+    line = sep.join(re.escape(prefix) + _KINDS[kind] + re.escape(suffix) for prefix, kind, suffix in fields)
+    return _LineFormat(sep[0], fields, re.compile(b"(?:" + line + rb"\n)" + _REPEAT))
+
+
+def _json_format(keys: tuple[str, ...], kinds: tuple[str, ...]) -> _LineFormat:
+    """The lines json.dumps(row, separators=(",", ":")) gives rows with these
+    keys in this order; island and setting values are strings."""
+    fields = []
+    for key, kind in zip(keys, kinds):
+        quote = b'"' if kind in ("island", "setting") else b""
+        fields.append([f'"{key}":'.encode() + quote, kind, quote])
+    fields[0][0] = b"{" + fields[0][0]
+    fields[-1][2] += b"}"
+    return _line_format(b",", *map(tuple, fields))
+
+
+_EVENT_LINE = _json_format(EVENT_KEYS, ("island", "decimal", "setting", "sign"))
+_PAIR_LINE = _json_format(PAIR_KEYS, ("decimal", "decimal", "setting", "setting", "sign", "sign", "decimal"))
+_RAW_LINE = _line_format(b" ", (b"", "decimal", b""), (b"", "setting", b""), (b"", "sign+", b""))
+# Whole lines per fullmatch call and per column build.  With the plain
+# repeat, a single call over the file would grow the pattern engine's
+# backtracking stack by a few hundred bytes per line; field offsets take
+# eight bytes per field.
 _STRICT_RUN_BYTES = 1 << 20
-_MINUS, _SPACE, _ZERO = ord("-"), ord(" "), ord("0")
-
-
-def _line_ends(data: bytes, whole: re.Pattern):
-    """The offsets of the newlines of data if it is nonempty and every line
-    of it, newline included, matches whole's line pattern; else None."""
-    ends = []
-    start = 0
-    while start < len(data):
-        stop = data.find(b"\n", start + _STRICT_RUN_BYTES) + 1 or len(data)
-        if whole.fullmatch(data, start, stop) is None:
-            return None
-        run = np.frombuffer(data, np.uint8, stop - start, start)
-        ends.append(np.flatnonzero(run == ord("\n")) + start)
-        start = stop
-    return np.concatenate(ends) if ends else None
-
-
-def _event_layout(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Field positions in lines '{"island":"T","t_ns":5,"setting":"a","outcome":-1}'.
-    A field that ends k bytes before a newline starts at the newline's offset
-    minus k."""
-    islands = buf[starts + len('{"island":"')]
-    negative = buf[ends - len("-1}")] == _MINUS
-    setting_at = ends - len('a","outcome":1}') - negative
-    t_from = starts + len('{"island":"T","t_ns":')
-    t_to = setting_at - len(',"setting":"')
-    island = chr(islands[0]) if (islands == islands[0]).all() else None
-    return island, t_from, t_to, setting_at, negative
-
-
-def _raw_layout(island: str):
-    """Field positions in lines '5 a 1', '5 a +1' and '5 a -1'."""
-
-    def layout(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-        sign = buf[ends - len("+1")]
-        setting_at = ends - len("a +1") + (sign == _SPACE)
-        return island, starts, setting_at - len(" "), setting_at, sign == _MINUS
-
-    return layout
+_MINUS, _NEWLINE, _ZERO = ord("-"), ord("\n"), ord("0")
 
 
 def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -325,22 +339,60 @@ def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     return value
 
 
-def _read_strict(data: bytes, whole: re.Pattern, layout) -> EventStream | None:
-    """The stream of a file's bytes in the exact line format whole matches,
-    or None when any line is not, or when a check the per-line reader makes
-    fails.  layout maps (bytes, line starts, line ends) to the island (None
-    when lines disagree), the start and stop of each t_ns, the offset of
-    each setting letter and whether each outcome is negative."""
-    ends = _line_ends(data, whole)
-    if ends is None:
-        return None
-    buf = np.frombuffer(data, np.uint8)
+def _run_columns(buf: np.ndarray, fmt: _LineFormat) -> list[np.ndarray]:
+    """Each field's column over buf, whole lines in fmt.  A field ends at its
+    separator or, for the last field, at the newline, and the next field
+    starts one byte later."""
+    ends = np.flatnonzero((buf == fmt.sep) | (buf == _NEWLINE))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    island, t_from, t_to, setting_at, negative = layout(buf, starts, ends)
-    t = _decimals(buf, t_from, t_to)
-    if island is None or t.max() > MAX_T_NS or not (t[1:] > t[:-1]).all():
+    starts, ends = (offsets.reshape(-1, len(fmt.fields)).T for offsets in (starts, ends))
+    columns = []
+    for (prefix, kind, suffix), start, stop in zip(fmt.fields, starts, ends):
+        start = start + len(prefix)
+        if kind == "decimal":
+            columns.append(_decimals(buf, start, stop - len(suffix)))
+        elif kind.startswith("sign"):
+            columns.append(buf[start] == _MINUS)
+        else:
+            columns.append(buf[start])
+    return columns
+
+
+def _strict_columns(data: bytes, fmt: _LineFormat) -> list[np.ndarray] | None:
+    """Each field's column over the lines of data if data is nonempty and
+    every line of it, newline included, is in fmt; else None.  A decimal
+    column is uint64, a letter column holds each letter's byte code and a
+    sign column whether each sign is minus.  Columns are built one run of
+    whole lines at a time, so no field offset outlives its run."""
+    runs = []
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _STRICT_RUN_BYTES) + 1 or len(data)
+        if fmt.lines.fullmatch(data, start, stop) is None:
+            return None
+        runs.append(_run_columns(np.frombuffer(data, np.uint8, stop - start, start), fmt))
+        start = stop
+    return [np.concatenate(column) for column in zip(*runs)] if runs else None
+
+
+def _read_strict(data: bytes, fmt: _LineFormat, island: str | None = None) -> EventStream | None:
+    """The stream of a file's bytes whose lines are all in fmt: the event
+    format, or a raw format of (t_ns, setting, outcome) with the island
+    given.  None when any line is not in fmt, or when a check the per-line
+    reader makes fails: one island, t_ns strictly increasing and below
+    2^63."""
+    columns = _strict_columns(data, fmt)
+    if columns is None:
         return None
-    return _station(island, t, buf[setting_at], negative)
+    if island is None:
+        islands, *columns = columns
+        if not (islands == islands[0]).all():
+            return None
+        island = chr(islands[0])
+    t, codes, negative = columns
+    if t.max() > MAX_T_NS or not (t[1:] > t[:-1]).all():
+        return None
+    return _station(island, t, codes, negative)
 
 
 # ---------------------------------------------------------------------------
@@ -377,39 +429,68 @@ def read_pairs(path: str) -> tuple[EventStream, EventStream, np.ndarray, np.ndar
     right_idx): the file's T and L events as streams sorted by time, and
     row k pairing left event left_idx[k] with right event right_idx[k].
     """
+    data = Path(path).read_bytes()
+    (left, left_idx), (right, right_idx) = _strict_pair_sides(data) or _pair_sides(path, data)
+    return left, right, left_idx, right_idx
+
+
+def _pair_side(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray):
+    """One side of a pair file's rows as (stream, at): the side's events
+    sorted by time, and at[k] the index in it of row k's event.  None when a
+    time repeats."""
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    if (t[1:] == t[:-1]).any():
+        return None
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    return _station(island, t, codes[order], negative[order]), at
+
+
+def _strict_pair_sides(data: bytes):
+    """The two sides of a pair file's bytes whose lines are all in the
+    writer's format, or None when any line is not, or when a check the
+    per-line reader makes fails: t_ns below 2^63, the window holding
+    |t - t'|, no detection paired twice."""
+    columns = _strict_columns(data, _PAIR_LINE)
+    if columns is None:
+        return None
+    t_left, t_right, s_left, s_right, n_left, n_right, window = columns
+    if max(t_left.max(), t_right.max()) > MAX_T_NS:
+        return None
+    if not (np.maximum(t_left, t_right) - np.minimum(t_left, t_right) <= window).all():
+        return None
+    sides = [_pair_side("T", t_left, s_left, n_left), _pair_side("L", t_right, s_right, n_right)]
+    return None if None in sides else sides
+
+
+def _pair_sides(path: str, data: bytes):
+    """The two sides of a pair file's bytes, read line by line.  Raises
+    FormatError naming the first bad line, or, when every line is good, the
+    first line that pairs a detection an earlier line paired."""
     lines: list[int] = []
-    sides: tuple[list[tuple], list[tuple]] = ([], [])
-    with open(path, "rb") as handle:
-        for lineno, obj in _json_rows(path, handle, PAIR_KEYS, "pair"):
-            left = (obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
-            right = (obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
-            _check_row(path, lineno, *left)
-            _check_row(path, lineno, *right)
-            try:
-                check_window(obj["window_ns"], abs(left[0] - right[0]))
-            except ValueError as exc:
-                raise _format_error(path, lineno, str(exc))
-            lines.append(lineno)
-            sides[0].append(left)
-            sides[1].append(right)
-    found = []
-    try:
-        for island, rows in zip(ISLANDS, sides):
-            t, codes, negative = _columns(rows)
-            order = np.argsort(t, kind="stable")
-            at = np.empty_like(order)  # at[k]: the index of row k's event in the sorted stream
-            at[order] = np.arange(len(order))
-            found.append((_station(island, t[order], codes[order], negative[order]), at))
-    except InvalidStreamError:  # every row passed its checks, so a time repeats
+    rows: tuple[list[tuple], list[tuple]] = ([], [])
+    for lineno, obj in _json_rows(path, io.BytesIO(data), PAIR_KEYS, "pair"):
+        left = (obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
+        right = (obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
+        _check_row(path, lineno, *left)
+        _check_row(path, lineno, *right)
+        try:
+            check_window(obj["window_ns"], abs(left[0] - right[0]))
+        except ValueError as exc:
+            raise _format_error(path, lineno, str(exc))
+        lines.append(lineno)
+        rows[0].append(left)
+        rows[1].append(right)
+    sides = [_pair_side(island, *_columns(side)) for island, side in zip(ISLANDS, rows)]
+    if None in sides:
         first: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for lineno, *row in zip(lines, *sides):
+        for lineno, *row in zip(lines, *rows):
             for island, (t_ns, _, _), seen in zip(ISLANDS, row, first):
                 earlier = seen.setdefault(t_ns, lineno)
                 if earlier != lineno:
                     raise _format_error(path, lineno, f"{island} detection at t_ns {t_ns} is already paired on line {earlier}")
-        raise
-    (left, left_idx), (right, right_idx) = found
-    return left, right, left_idx, right_idx
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +783,7 @@ def read_raw_station(path: str, island: str) -> EventStream:
     if island not in ISLANDS:
         raise ValueError(f"island must be 'T' or 'L', got {island!r}")
     data = Path(path).read_bytes()
-    stream = _read_strict(data, _RAW_FILE, _raw_layout(island))
+    stream = _read_strict(data, _RAW_LINE, island)
     if stream is None:
         stream = _stream_from_rows(path, _raw_rows(path, io.BytesIO(data), island), "raw station log")
     return stream

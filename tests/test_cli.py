@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprblab import stats
 from eprblab.cli import main
 from eprblab.ioformats import (
     read_events,
@@ -84,6 +88,11 @@ def test_pipeline_end_to_end(tmp_path, capsys, config_path):
     assert verdict["violated"] is True
     assert verdict["lhs"] > verdict["rhs"]
     assert verdict["pair_counts"] == {"a;b": 300, "a;c": 300, "c;b": 300}
+
+    for ordering in ("a,b,x", "A,B,C"):  # not setting labels: a usage error, not an empty cell
+        code = main(["inequalities", "--tally", tally_path, "--kind", "bell-wigner", "--ordering", ordering, "--convention", "anti"])
+        assert code == 2
+        assert "--ordering labels must be from" in capsys.readouterr().err
 
 
 def test_simulate_matches_pinned_digests(tmp_path, capsys):
@@ -253,6 +262,55 @@ def test_sweep_last_window_int64_max_leaves_smaller_rows_alone(tmp_path, capsys,
     rows = read_sweep_csv(wide)
     assert rows[:2] == read_sweep_csv(narrow)
     assert rows[1].pairs < rows[2].pairs == 2700
+
+
+def test_sweep_reads_an_equal_convention_run_with_its_convention(tmp_path, capsys):
+    """A local wigner-domain run reported in the equal convention sweeps as
+    the library sweeps it under that convention; the default (anti) reading
+    of the same files shows a violation that is not there."""
+    doc = json.loads((ROOT / "configs/wigner_uniform.json").read_text())
+    doc.update(total_pairs=600, domain_weights={"++-;++-": "1/2", "+-+;+-+": "1/4", "-++;-++": "1/4"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(config), "--out", out]) == 0
+    left, right = read_events(f"{out}.T.jsonl"), read_events(f"{out}.L.jsonl")
+    args = ["sweep", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--windows", "0,1000", "--kind", "bell-wigner"]
+    csv_path = str(tmp_path / "sweep.csv")
+    for extra, convention in [([], "anti"), (["--convention", "equal"], "equal")]:
+        assert main([*args, *extra, "--out", csv_path]) == 0
+        rows = read_sweep_csv(csv_path)
+        assert rows == stats.sweep_window(left, right, [0, 1000], "bell-wigner", convention=convention)
+        assert [row.violated for row in rows] == [convention == "anti"] * 2
+        assert read_manifest(csv_path + ".manifest.json")["parameters"]["convention"] == convention
+    capsys.readouterr()
+    assert main([*args, "--convention", "same", "--out", csv_path]) == 2
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path, capsys, config_path):
+    """ingest, pair, tally and sweep run in a fresh interpreter without
+    importing numpy.ma, which costs about 20 ms of start-up."""
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", config_path, "--out", out]) == 0
+    stream = read_events(f"{out}.T.jsonl")
+    labels = [stream.labels[s] for s in stream.setting_idx.tolist()]
+    raw = "".join(f"{t} {s} {o}\n" for t, s, o in zip(stream.t_ns.tolist(), labels, stream.outcome.tolist()))
+    (tmp_path / "raw.log").write_text(raw)
+    script = f"""
+import json, sys
+from eprblab.cli import main
+streams = ["--left", {out + ".T.jsonl"!r}, "--right", {out + ".L.jsonl"!r}]
+codes = [
+    main(["ingest", "--raw", "raw.log", "--island", "T", "--out", "ingest.jsonl"]),
+    main(["pair", *streams, "--window-ns", "100", "--out", "pairs.jsonl"]),
+    main(["tally", "--pairs", "pairs.jsonl", "--out", "tally.json"]),
+    main(["sweep", *streams, "--windows", "0,100", "--kind", "chsh", "--out", "sweep.csv"]),
+]
+print(json.dumps({{"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "numpy.ma": False}
 
 
 def _assert_clean_exit(capsys, argv, want):

@@ -197,11 +197,11 @@ def _per_line_raw(path: str, island: str) -> EventStream:
 
 
 def _strict_events(path: str):
-    return ioformats._read_strict(Path(path).read_bytes(), ioformats._EVENT_FILE, ioformats._event_layout)
+    return ioformats._read_strict(Path(path).read_bytes(), ioformats._EVENT_LINE)
 
 
 def _strict_raw(path: str, island: str):
-    return ioformats._read_strict(Path(path).read_bytes(), ioformats._RAW_FILE, ioformats._raw_layout(island))
+    return ioformats._read_strict(Path(path).read_bytes(), ioformats._RAW_LINE, island)
 
 
 def _event_objects(s: EventStream) -> list[dict]:
@@ -423,8 +423,82 @@ def test_matched_pairs_round_trip_through_a_pair_file(tmp_path_factory, left, ri
     assert tally(*back) == tally(left, right, mi, mj)
 
 
+def _same_pairs(a, b) -> bool:
+    """Whether two (left, right, left_idx, right_idx) are the same pairs in
+    the same streams."""
+    return (
+        _same_stream(a[0], b[0])
+        and _same_stream(a[1], b[1])
+        and a[2].tolist() == b[2].tolist()
+        and a[3].tolist() == b[3].tolist()
+    )
+
+
+def _sides(sides):
+    (left, left_idx), (right, right_idx) = sides
+    return left, right, left_idx, right_idx
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    valid_streams(),
+    valid_streams(),
+    st.integers(0, 3000) | st.integers(0, 2**63 - 1),
+    st.randoms(use_true_random=False),
+    st.sampled_from([ioformats._STRICT_RUN_BYTES, 64]),
+)
+def test_written_pairs_read_the_same_through_both_readers(tmp_path_factory, left, right, window, rnd, run_bytes):
+    """Pair files as the writer gives them, rows in any order, read to the
+    same pairs through the strict reader, the per-line one and read_pairs."""
+    left, right = _station("T", left), _station("L", right)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(window))
+    rows = np.array(rnd.sample(range(len(mi)), len(mi)), dtype=np.int64)
+    path = str(tmp_path_factory.mktemp("pairs") / "pairs.jsonl")
+    write_pairs_indexed(path, left, right, mi[rows], mj[rows], window)
+    data = Path(path).read_bytes()
+    per_line = _sides(ioformats._pair_sides(path, data))
+    assert _pair_events(*per_line) == _pair_events(left, right, mi[rows], mj[rows])
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        strict = ioformats._strict_pair_sides(data)
+        assert (strict is None) == (len(mi) == 0)
+        if strict is not None:
+            assert _same_pairs(_sides(strict), per_line)
+        assert _same_pairs(read_pairs(path), per_line)
+
+
+@settings(deadline=None, max_examples=30)
+@given(valid_streams(), valid_streams(), st.integers(0, 40))
+def test_other_valid_pair_layouts_read_to_the_same_pairs(tmp_path_factory, left, right, blank_at):
+    left, right = _station("T", left), _station("L", right)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(2**63 - 1))
+    directory = tmp_path_factory.mktemp("pairs")
+    path = str(directory / "pairs.jsonl")
+    write_pairs_indexed(path, left, right, mi, mj, 2**63 - 1)
+    expected = read_pairs(path)
+    objects = [json.loads(line) for line in open(path, encoding="utf-8")]
+    at = min(blank_at, len(objects))
+    plain = [json.dumps(obj, separators=(",", ":")) for obj in objects]
+    variants = {
+        "default separators": "".join(json.dumps(obj) + "\n" for obj in objects),
+        "shuffled keys": "".join(json.dumps(dict(reversed(obj.items())), separators=(",", ":")) + "\n" for obj in objects),
+        "crlf": "".join(line + "\r\n" for line in plain),
+        "blank line": "".join(line + "\n" for line in plain[:at] + [""] + plain[at:]),
+        "no final newline": "\n".join(plain),
+        "window past 2^63": "".join(line.replace(f":{2**63 - 1}}}", f":{10**19 - 1}}}") + "\n" for line in plain),
+    }
+    for name, text in variants.items():
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        data = Path(path).read_bytes()
+        assert (ioformats._strict_pair_sides(data) is None) == (name != "window past 2^63"), name
+        assert _same_pairs(read_pairs(path), expected), name
+
+
 # Each case is a bad pair line and the message read_pairs gives for it.
-# T_NS stands for a time past every earlier line.
+# T_NS stands for a time past every earlier line.  Six cases (a time of
+# 2^63 on either side, a window below |t - t'|, a repeated T or L time) are
+# in the writer's exact line format: the strict reader's pattern takes them,
+# and only its checks send them to the per-line reader.
 _BAD_PAIR_LINES = [
     (b'{"t_left_ns":T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
      b'"outcome_left":true,"outcome_right":1,"window_ns":3}', "outcome must be +1 or -1, got True"),
@@ -446,6 +520,19 @@ _BAD_PAIR_LINES = [
      b'"outcome_left":1,"outcome_right":1,"window_ns":2000000}', "T detection at t_ns 1 is already paired on line 1"),
     (b'{"t_left_ns":T_NS,"t_right_ns":1,"setting_left":"a","setting_right":"b",'
      b'"outcome_left":1,"outcome_right":1,"window_ns":2000000}', "L detection at t_ns 1 is already paired on line 1"),
+    (b'{"t_left_ns":9223372036854775808,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":9223372036854775807}',
+     "t_ns must be a nonnegative integer below 2^63, got 9223372036854775808"),
+    (b'{"t_left_ns":T_NS,"t_right_ns":9223372036854775808,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":9223372036854775807}',
+     "t_ns must be a nonnegative integer below 2^63, got 9223372036854775808"),
+    (b'{"t_left_ns":9223372036854775807,"t_right_ns":0,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":9223372036854775806}',
+     "|t - t'| = 9223372036854775807 exceeds window 9223372036854775806"),
+    (b'{"t_left_ns":2000000,"t_right_ns":2000900,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":10}\r', "|t - t'| = 900 exceeds window 10"),
+    (b'{"t_left_ns":0T_NS,"t_right_ns":T_NS,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":3}', "invalid JSON: Expecting ',' delimiter"),
     (b'{"t_left_ns":T_NS,"setting_left":"a"}', "pair must have exactly the keys " + str(list(ioformats.PAIR_KEYS))),
     (b'\xff', "line is not valid UTF-8"),
 ]
@@ -464,6 +551,11 @@ def test_bad_pair_line_message_and_number_after_good_lines(tmp_path, good_lines,
     with pytest.raises(FormatError) as info:
         read_pairs(str(path))
     assert str(info.value) == f"{path}:{good_lines + 1}: {message}"
+
+
+def test_six_bad_pair_lines_pass_the_strict_pattern():
+    lines = [line.replace(b"T_NS", str(10**6).encode()) + b"\n" for line, _ in _BAD_PAIR_LINES]
+    assert sum(ioformats._PAIR_LINE.lines.fullmatch(line) is not None for line in lines) == 6
 
 
 def test_read_pairs_wraps_record_errors(tmp_path):
