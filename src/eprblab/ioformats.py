@@ -17,31 +17,33 @@ ending in a newline:
     {"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"c","outcome_left":1,"outcome_right":-1,"window_ns":3}
 
 These are the bytes ``json.dumps(row, separators=(",", ":"))`` gives.
-Event files, pair files and raw station logs (``t_ns setting outcome``
-with single spaces and outcome 1, +1 or -1) are first read whole by one
-strict reader.  Each of the three line formats is stated once, as a
-field spec: a separator, and per field a literal prefix, a kind
-(decimal, island letter, setting letter, sign) and a literal suffix.
-The spec gives the compiled pattern that checks every line of the file
-and the position of every field, from each line's separators; numpy
-builds the columns one run of whole lines (about 1 MB) at a time.
-Decimals have no leading zeros.  The strict reader also checks, in
-vectorized form, what the per-line reader checks: for event files and
-raw logs one island and t_ns strictly increasing and below 2^63; for
-pair files t_ns below 2^63 on both sides, a window that holds |t - t'|
-and no T or L time on two rows.  Any other file (other key order or
-whitespace, CRLF line ends, blank or comment lines, escapes, a missing
-final newline, leading zeros, or a bad line) goes to the per-line
-reader, which parses each line of the bytes already read on its own and
-either accepts the file or raises the line-numbered FormatError.  Both
-readers give the same result for every file the strict one accepts.
-Every station stream is built by one stream builder, ``_station``.
+Event files, pair files and raw station logs (``t_ns setting outcome``)
+have one reader each: ``_rows`` parses the bytes into columns, then one
+pass over the columns makes the checks.  The writers' line format (for
+raw logs: single spaces, outcome 1, +1 or -1) is stated once per file
+format as a field spec: a separator, and per field a literal
+prefix, a kind (decimal, island letter, setting letter, sign) and a
+literal suffix.  The spec gives the compiled pattern that checks a run of
+whole lines (about 1 MB) and the position of every field, from each
+line's separators; numpy builds the columns of a run the pattern takes.
+Any other run (other key order or whitespace, CRLF line ends, blank or
+comment lines, escapes, a missing final newline, leading zeros, or a bad
+line) is parsed line by line into the same columns, so one odd line
+costs only its own run.  A JSON line may not repeat a key.  Line numbers
+count newlines only.
+
+The checks that span rows run once over the columns: for event files and
+raw logs one island and t_ns strictly increasing and below 2^63; for pair
+files t_ns below 2^63 on both sides, a window that holds |t - t'| and no
+T or L time on two rows (a detection is paired at most once; the error
+names the line that paired it first).  The error reported is the one on
+the first bad line of the file; within a line, a value that does not
+parse comes first, then the checks in the order above.  Every station
+stream is built by one stream builder, ``_station``.
 
 ``read_pairs`` gives the matcher's form (left, right, left_idx,
 right_idx), the one form ``write_pairs_indexed`` and ``stats.tally``
-take.  Since a detection is paired at most once, the per-line reader
-reports a T or L time that appears on two rows as a FormatError naming
-both lines.
+take.
 
 Tally files and the count layout of feasibility table files share one
 key and cell parse; probability tables go through it with exact fractions
@@ -51,7 +53,6 @@ for cells.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import re
@@ -80,7 +81,6 @@ from .model import (
     WignerDomainDistribution,
     check_window,
     domain_key_from_string,
-    domain_key_to_string,
     l_sign,
 )
 from .sources import SourceConfig
@@ -143,10 +143,6 @@ def write_events(path: str, stream: EventStream) -> str:
     return atomic_write_text(path, "".join(lines))
 
 
-def _format_error(path: str, line: int, message: str) -> FormatError:
-    return FormatError(message, line=line, path=path)
-
-
 def _read_json(path: str):
     """Parse a whole-file JSON document.  Any ValueError from the parser,
     including an integer too long to convert, becomes a FormatError."""
@@ -159,99 +155,6 @@ def _read_json(path: str):
             raise FormatError(f"invalid JSON: {exc}", path=path)
 
 
-def _check_row(path: str, lineno: int, t_ns, setting, outcome, after: int = -1) -> None:
-    """Check one event's fields: t_ns an integer that fits the stream's int64
-    column and lies past ``after``, a known setting, outcome +1 or -1.
-    Raises FormatError naming the line."""
-    if type(t_ns) is not int or not 0 <= t_ns <= MAX_T_NS:
-        raise _format_error(path, lineno, f"t_ns must be a nonnegative integer below 2^63, got {t_ns!r}")
-    if t_ns <= after:
-        raise _format_error(path, lineno, f"timestamps must be strictly increasing, got {t_ns} after {after}")
-    if setting not in SETTING_LABELS:
-        raise _format_error(path, lineno, f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
-    if type(outcome) is not int or outcome not in OUTCOMES:
-        raise _format_error(path, lineno, f"outcome must be +1 or -1, got {outcome!r}")
-
-
-def _station(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray) -> EventStream:
-    """The stream of one station's columns: the times, the byte code of each
-    event's setting letter and whether each outcome is -1.  Its label menu
-    is the labels present, or the first label when there is no event."""
-    menu = np.flatnonzero(np.bincount(codes, minlength=256))  # np.unique would import numpy.ma
-    return EventStream(
-        island=island,
-        labels=tuple(chr(c) for c in menu.tolist()) or SETTING_LABELS[:1],
-        t_ns=t.astype(np.int64, copy=False),
-        setting_idx=np.searchsorted(menu, codes).astype(np.int16),
-        outcome=np.where(negative, -1, 1).astype(np.int8),
-    )
-
-
-def _columns(rows: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``_station`` columns of checked (t_ns, setting, outcome) rows."""
-    t, settings, outcomes = zip(*rows) if rows else ((), (), ())
-    codes = np.frombuffer("".join(settings).encode(), np.uint8)
-    return np.array(t, dtype=np.int64), codes, np.array(outcomes, dtype=np.int8) < 0
-
-
-def _stream_from_rows(path: str, rows: Iterable[tuple], what: str) -> EventStream:
-    """Check one station's (lineno, island, t_ns, setting, outcome) rows in
-    file order and build its stream.
-
-    Raises FormatError naming the line of the first bad row, or naming the
-    file (``what``) when it holds no row.
-    """
-    island = None
-    events: list[tuple] = []
-    prev = -1
-    for lineno, isl, t_ns, setting, outcome in rows:
-        if isl not in ISLANDS:
-            raise _format_error(path, lineno, f"island must be 'T' or 'L', got {isl!r}")
-        if island is None:
-            island = isl
-        elif isl != island:
-            raise _format_error(path, lineno, f"mixed islands: file started with {island!r}, line has {isl!r}")
-        _check_row(path, lineno, t_ns, setting, outcome, after=prev)
-        prev = t_ns
-        events.append((t_ns, setting, outcome))
-    if island is None:
-        raise FormatError(f"{what} is empty", path=path)
-    return _station(island, *_columns(events))
-
-
-def _lines(path: str, handle):
-    """Yield (lineno, stripped text) for each line of a binary file object
-    holding path's UTF-8 bytes; a line that does not decode is a FormatError
-    naming it."""
-    for lineno, raw in enumerate(handle, start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _format_error(path, lineno, "line is not valid UTF-8")
-        yield lineno, text.strip()
-
-
-def _json_rows(path: str, handle, keys: tuple[str, ...], what: str):
-    """Yield (lineno, object) for each nonblank line of a JSON-lines file,
-    each object having exactly the given keys."""
-    key_set = frozenset(keys)
-    for lineno, text in _lines(path, handle):
-        if not text:
-            continue
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise _format_error(path, lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}")
-        if not isinstance(obj, dict) or obj.keys() != key_set:
-            raise _format_error(path, lineno, f"{what} must have exactly the keys {list(keys)}")
-        yield lineno, obj
-
-
-def _event_rows(path: str, handle):
-    for lineno, obj in _json_rows(path, handle, EVENT_KEYS, "event"):
-        yield lineno, obj["island"], obj["t_ns"], obj["setting"], obj["outcome"]
-
-
 def read_events(path: str) -> EventStream:
     """Parse one station's event file.
 
@@ -259,25 +162,23 @@ def read_events(path: str) -> EventStream:
     setting, outcome; one island per file; t_ns a nonnegative integer below
     2^63, strictly increasing down the file.
     """
-    data = Path(path).read_bytes()
-    stream = _read_strict(data, _EVENT_LINE)
-    if stream is None:
-        stream = _stream_from_rows(path, _event_rows(path, io.BytesIO(data)), "event file")
-    return stream
+    return _read_station(path, _EVENT_LINE, _event_line, None, "event file")
 
 
 # ---------------------------------------------------------------------------
-# strict whole-file reading of the writers' exact line formats
+# line formats and the one reader
 
-# The value pattern of each field kind.  A letter is one byte; a decimal has
-# no leading zeros and at most 19 digits, so it fits uint64.  A sign is its
-# outcome's "1" or "-1"; "sign+" also takes the "+1" of raw logs.
+# The value pattern of each field kind and the column it is read into.  A
+# letter is one byte; a decimal has no leading zeros and at most 19 digits,
+# so it fits uint64.  A sign is its outcome's "1" or "-1"; "sign+" also takes
+# the "+1" of raw logs.  A letter column holds byte codes and a sign column
+# whether the sign is minus.
 _KINDS = {
-    "decimal": rb"(?:0|[1-9][0-9]{0,18})",
-    "island": b"[" + "".join(ISLANDS).encode() + b"]",
-    "setting": b"[" + "".join(SETTING_LABELS).encode() + b"]",
-    "sign": rb"-?1",
-    "sign+": rb"[+-]?1",
+    "decimal": (rb"(?:0|[1-9][0-9]{0,18})", np.uint64),
+    "island": (b"[" + "".join(ISLANDS).encode() + b"]", np.uint8),
+    "setting": (b"[" + "".join(SETTING_LABELS).encode() + b"]", np.uint8),
+    "sign": (rb"-?1", np.bool_),
+    "sign+": (rb"[+-]?1", np.bool_),
 }
 
 
@@ -300,7 +201,7 @@ class _LineFormat(NamedTuple):
 
 def _line_format(sep: bytes, *fields: tuple[bytes, str, bytes]) -> _LineFormat:
     assert not any(sep in prefix + suffix for prefix, _, suffix in fields)
-    line = sep.join(re.escape(prefix) + _KINDS[kind] + re.escape(suffix) for prefix, kind, suffix in fields)
+    line = sep.join(re.escape(prefix) + _KINDS[kind][0] + re.escape(suffix) for prefix, kind, suffix in fields)
     return _LineFormat(sep[0], fields, re.compile(b"(?:" + line + rb"\n)" + _REPEAT))
 
 
@@ -358,40 +259,146 @@ def _run_columns(buf: np.ndarray, fmt: _LineFormat) -> list[np.ndarray]:
     return columns
 
 
-def _strict_columns(data: bytes, fmt: _LineFormat) -> list[np.ndarray] | None:
-    """Each field's column over the lines of data if data is nonempty and
-    every line of it, newline included, is in fmt; else None.  A decimal
-    column is uint64, a letter column holds each letter's byte code and a
-    sign column whether each sign is minus.  Columns are built one run of
-    whole lines at a time, so no field offset outlives its run."""
-    runs = []
-    start = 0
-    while start < len(data):
+def _rows(data: bytes, fmt: _LineFormat, parse_line):
+    """The rows of a file's bytes as (columns, lines, fault).
+
+    The bytes are taken in runs of whole lines of about _STRICT_RUN_BYTES.
+    numpy builds the columns of a run that is all in fmt; any other run is
+    parsed line by line: parse_line takes a line's stripped text and gives
+    its row in fmt's column form, None for a line with no row, or raises
+    ValueError with the message for the line.  lines holds each run's line
+    numbers, one per row; a line ends at each newline and nowhere else.
+    fault is the (line, message) of the line that stopped parsing, or None;
+    the rows end before it.
+    """
+    runs = [[np.empty(0, _KINDS[kind][1]) for _, kind, _ in fmt.fields]]
+    lines: list = []
+    fault = None
+    line, start = 1, 0
+    while start < len(data) and fault is None:
         stop = data.find(b"\n", start + _STRICT_RUN_BYTES) + 1 or len(data)
-        if fmt.lines.fullmatch(data, start, stop) is None:
-            return None
-        runs.append(_run_columns(np.frombuffer(data, np.uint8, stop - start, start), fmt))
+        if fmt.lines.fullmatch(data, start, stop):
+            runs.append(_run_columns(np.frombuffer(data, np.uint8, stop - start, start), fmt))
+            lines.append(range(line, line + len(runs[-1][0])))
+            line = lines[-1].stop
+        else:
+            rows, numbers = [], []
+            # The last piece follows the run's last newline, so the loop
+            # leaves line at the next run's first line.
+            for line, raw in enumerate(data[start:stop].split(b"\n"), line):
+                try:
+                    row = parse_line(raw.decode("utf-8").strip())
+                except UnicodeDecodeError:
+                    fault = line, "line is not valid UTF-8"
+                except ValueError as exc:
+                    fault = line, str(exc)
+                if fault is not None:
+                    break
+                if row is not None:
+                    rows.append(row)
+                    numbers.append(line)
+            if rows:
+                runs.append([np.array(column, _KINDS[kind][1]) for column, (_, kind, _) in zip(zip(*rows), fmt.fields)])
+            lines.append(numbers)
         start = stop
-    return [np.concatenate(column) for column in zip(*runs)] if runs else None
+    return [np.concatenate(column) for column in zip(*runs)], lines, fault
 
 
-def _read_strict(data: bytes, fmt: _LineFormat, island: str | None = None) -> EventStream | None:
-    """The stream of a file's bytes whose lines are all in fmt: the event
-    format, or a raw format of (t_ns, setting, outcome) with the island
-    given.  None when any line is not in fmt, or when a check the per-line
-    reader makes fails: one island, t_ns strictly increasing and below
-    2^63."""
-    columns = _strict_columns(data, fmt)
-    if columns is None:
+def _raise_first_fault(path: str, lines: list, fault, checks) -> None:
+    """Raise the FormatError of the file's first bad line, if it has one.
+    checks are (bad, message) in the order they rank within one line: bad
+    flags the rows that fail the check, and message(k, line) words row k's
+    fault, given the line number of every row.  fault is the line that
+    stopped parsing (see _rows); it comes after every row."""
+    found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks) if bad.any()]
+    if found:
+        k, rank = min(found)
+        line = [number for run in lines for number in run]
+        raise FormatError(checks[rank][1](k, line), line=line[k], path=path)
+    if fault is not None:
+        raise FormatError(fault[1], line=fault[0], path=path)
+
+
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key may not repeat."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _json_line(text: str, keys: tuple[str, ...], what: str) -> dict:
+    """The JSON object on one line, having each of the given keys once."""
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        raise ValueError(f"{what} must have exactly the keys {list(keys)}")
+    return obj
+
+
+def _time_fault(t_ns) -> str:
+    return f"t_ns must be a nonnegative integer below 2^63, got {t_ns!r}"
+
+
+def _values(t_ns, setting, outcome) -> tuple[int, int, bool]:
+    """One event's fields in column form: t_ns an integer that fits uint64
+    (the column checks bound it by 2^63), the byte code of a known setting,
+    and whether the outcome, +1 or -1, is -1."""
+    if type(t_ns) is not int or not 0 <= t_ns < 1 << 64:
+        raise ValueError(_time_fault(t_ns))
+    if setting not in SETTING_LABELS:
+        raise ValueError(f"setting must be one of {list(SETTING_LABELS)}, got {setting!r}")
+    if type(outcome) is not int or outcome not in OUTCOMES:
+        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+    return t_ns, ord(setting), outcome < 0
+
+
+def _event_line(text: str):
+    if not text:
         return None
-    if island is None:
-        islands, *columns = columns
-        if not (islands == islands[0]).all():
-            return None
+    obj = _json_line(text, EVENT_KEYS, "event")
+    if obj["island"] not in ISLANDS:
+        raise ValueError(f"island must be 'T' or 'L', got {obj['island']!r}")
+    return ord(obj["island"]), *_values(obj["t_ns"], obj["setting"], obj["outcome"])
+
+
+def _station(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray) -> EventStream:
+    """The stream of one station's columns: the times, the byte code of each
+    event's setting letter and whether each outcome is -1.  Its label menu
+    is the labels present, or the first label when there is no event."""
+    menu = np.flatnonzero(np.bincount(codes, minlength=256))  # np.unique would import numpy.ma
+    return EventStream(
+        island=island,
+        labels=tuple(chr(c) for c in menu.tolist()) or SETTING_LABELS[:1],
+        t_ns=t.astype(np.int64, copy=False),
+        setting_idx=np.searchsorted(menu, codes).astype(np.int16),
+        outcome=np.where(negative, -1, 1).astype(np.int8),
+    )
+
+
+def _read_station(path: str, fmt: _LineFormat, parse_line, island: str | None, what: str) -> EventStream:
+    """One station's stream from an event file (island None: each row names
+    it) or a raw log of the given island.  Raises FormatError naming the
+    first bad line, or naming the file (``what``) when it holds no row."""
+    columns, lines, fault = _rows(Path(path).read_bytes(), fmt, parse_line)
+    t, codes, negative = columns[-3:]
+    checks = []
+    if island is None and len(t):
+        islands = columns[0]
         island = chr(islands[0])
-    t, codes, negative = columns
-    if t.max() > MAX_T_NS or not (t[1:] > t[:-1]).all():
-        return None
+        checks.append((islands != islands[0], lambda k, line: f"mixed islands: file started with {island!r}, line has {chr(islands[k])!r}"))
+    checks += [
+        (t > MAX_T_NS, lambda k, line: _time_fault(int(t[k]))),
+        (np.concatenate(([False], t[1:] <= t[:-1])),
+         lambda k, line: f"timestamps must be strictly increasing, got {t[k]} after {t[k - 1]}"),
+    ]
+    _raise_first_fault(path, lines, fault, checks)
+    if not len(t):
+        raise FormatError(f"{what} is empty", path=path)
     return _station(island, t, codes, negative)
 
 
@@ -424,73 +431,61 @@ def write_pairs_indexed(
     return atomic_write_text(path, "".join(lines))
 
 
+def _pair_line(text: str):
+    """A pair line's row.  A window past 2^63 - 1, which only a line not in
+    the writer's layout can hold, is stored as 2^63 - 1: no |t - t'| exceeds
+    either."""
+    if not text:
+        return None
+    obj = _json_line(text, PAIR_KEYS, "pair")
+    t_left, s_left, n_left = _values(obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
+    t_right, s_right, n_right = _values(obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
+    check_window(obj["window_ns"])
+    return t_left, t_right, s_left, s_right, n_left, n_right, min(obj["window_ns"], MAX_T_NS)
+
+
+def _pair_side(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray):
+    """One side of a pair file's rows as (columns, at, reuse): the side's
+    ``_station`` arguments sorted stably by time, at[k] the place of row k
+    in that order, and reuse the check that no time is on two rows, which
+    names the first row that has it."""
+    order = np.argsort(t, kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    t = t[order]
+    reused = np.zeros(len(t), dtype=bool)
+    reused[order[1:]] = t[1:] == t[:-1]
+
+    def message(k: int, line: list[int]) -> str:
+        return f"{island} detection at t_ns {t[at[k]]} is already paired on line {line[order[at[k] - 1]]}"
+
+    return (island, t, codes[order], negative[order]), at, (reused, message)
+
+
 def read_pairs(path: str) -> tuple[EventStream, EventStream, np.ndarray, np.ndarray]:
     """Parse a pair file into the matcher's form (left, right, left_idx,
     right_idx): the file's T and L events as streams sorted by time, and
     row k pairing left event left_idx[k] with right event right_idx[k].
+    Raises FormatError naming the first bad line: besides a bad side, a
+    time of 2^63 or more on either side, a window below |t - t'|, or a T or
+    L time that an earlier line already paired.
     """
-    data = Path(path).read_bytes()
-    (left, left_idx), (right, right_idx) = _strict_pair_sides(data) or _pair_sides(path, data)
-    return left, right, left_idx, right_idx
-
-
-def _pair_side(island: str, t: np.ndarray, codes: np.ndarray, negative: np.ndarray):
-    """One side of a pair file's rows as (stream, at): the side's events
-    sorted by time, and at[k] the index in it of row k's event.  None when a
-    time repeats."""
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    if (t[1:] == t[:-1]).any():
-        return None
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
-    return _station(island, t, codes[order], negative[order]), at
-
-
-def _strict_pair_sides(data: bytes):
-    """The two sides of a pair file's bytes whose lines are all in the
-    writer's format, or None when any line is not, or when a check the
-    per-line reader makes fails: t_ns below 2^63, the window holding
-    |t - t'|, no detection paired twice."""
-    columns = _strict_columns(data, _PAIR_LINE)
-    if columns is None:
-        return None
+    columns, lines, fault = _rows(Path(path).read_bytes(), _PAIR_LINE, _pair_line)
     t_left, t_right, s_left, s_right, n_left, n_right, window = columns
-    if max(t_left.max(), t_right.max()) > MAX_T_NS:
-        return None
-    if not (np.maximum(t_left, t_right) - np.minimum(t_left, t_right) <= window).all():
-        return None
-    sides = [_pair_side("T", t_left, s_left, n_left), _pair_side("L", t_right, s_right, n_right)]
-    return None if None in sides else sides
-
-
-def _pair_sides(path: str, data: bytes):
-    """The two sides of a pair file's bytes, read line by line.  Raises
-    FormatError naming the first bad line, or, when every line is good, the
-    first line that pairs a detection an earlier line paired."""
-    lines: list[int] = []
-    rows: tuple[list[tuple], list[tuple]] = ([], [])
-    for lineno, obj in _json_rows(path, io.BytesIO(data), PAIR_KEYS, "pair"):
-        left = (obj["t_left_ns"], obj["setting_left"], obj["outcome_left"])
-        right = (obj["t_right_ns"], obj["setting_right"], obj["outcome_right"])
-        _check_row(path, lineno, *left)
-        _check_row(path, lineno, *right)
-        try:
-            check_window(obj["window_ns"], abs(left[0] - right[0]))
-        except ValueError as exc:
-            raise _format_error(path, lineno, str(exc))
-        lines.append(lineno)
-        rows[0].append(left)
-        rows[1].append(right)
-    sides = [_pair_side(island, *_columns(side)) for island, side in zip(ISLANDS, rows)]
-    if None in sides:
-        first: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for lineno, *row in zip(lines, *rows):
-            for island, (t_ns, _, _), seen in zip(ISLANDS, row, first):
-                earlier = seen.setdefault(t_ns, lineno)
-                if earlier != lineno:
-                    raise _format_error(path, lineno, f"{island} detection at t_ns {t_ns} is already paired on line {earlier}")
-    return sides
+    late = np.maximum(t_left, t_right)
+    dt = late - np.minimum(t_left, t_right)
+    (left, left_idx, left_reuse), (right, right_idx, right_reuse) = (
+        _pair_side("T", t_left, s_left, n_left),
+        _pair_side("L", t_right, s_right, n_right),
+    )
+    checks = [
+        (late > MAX_T_NS, lambda k, line: _time_fault(int(late[k] if t_left[k] <= MAX_T_NS else t_left[k]))),
+        (dt > window, lambda k, line: f"|t - t'| = {dt[k]} exceeds window {window[k]}"),
+        left_reuse,
+        right_reuse,
+    ]
+    _raise_first_fault(path, lines, fault, checks)
+    return _station(*left), _station(*right), left_idx, right_idx
 
 
 # ---------------------------------------------------------------------------
@@ -550,30 +545,6 @@ def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> str:
             flag = "true" if row.violated else "false"
             lines.append(f"{row.window_ns},{row.pairs},{row.statistic!r},{row.stderr!r},{flag}")
     return atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_sweep_csv(path: str) -> list[SweepRow]:
-    rows: list[SweepRow] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle]
-    if not lines or lines[0] != SWEEP_HEADER:
-        raise FormatError(f"sweep file must start with the header {SWEEP_HEADER!r}", line=1, path=path)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise _format_error(path, lineno, f"expected 5 comma-separated fields, got {len(parts)}")
-        try:
-            window = int(parts[0])
-            pairs = int(parts[1])
-            if parts[2] == EMPTY_CELL_MARKER:
-                rows.append(SweepRow(window, pairs, None, None, None))
-            else:
-                rows.append(SweepRow(window, pairs, float(parts[2]), float(parts[3]), parts[4] == "true"))
-        except ValueError as exc:
-            raise _format_error(path, lineno, str(exc))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -682,38 +653,6 @@ def load_config(path: str, seed_override: int | None = None) -> SourceConfig:
     return config_from_dict(doc, seed_override)
 
 
-def config_to_dict(config: SourceConfig) -> dict:
-    doc: dict = {
-        "kind": config.kind,
-        "settings": [{"label": s.label, "angle_deg": s.angle_deg} for s in config.settings],
-        "seed": int(config.seed),
-        "emission_period_ns": config.emission_period_ns,
-        "jitter_ns": config.jitter_ns,
-        "convention": config.convention,
-    }
-    if config.total_pairs is not None:
-        doc["total_pairs"] = config.total_pairs
-    if config.pairs_per_combination is not None:
-        doc["pairs_per_combination"] = config.pairs_per_combination
-    if config.max_delay_ns is not None:
-        doc["max_delay_ns"] = config.max_delay_ns
-    if config.delay_exponent is not None:
-        doc["delay_exponent"] = config.delay_exponent
-    if config.domain_weights is not None:
-        doc["domain_weights"] = {
-            domain_key_to_string(k): str(w) for k, w in config.domain_weights.weights.items() if w != 0
-        }
-    if config.station_t_labels is not None:
-        doc["station_t_labels"] = list(config.station_t_labels)
-    if config.station_l_labels is not None:
-        doc["station_l_labels"] = list(config.station_l_labels)
-    return doc
-
-
-def save_config(path: str, config: SourceConfig) -> str:
-    return atomic_write_text(path, json.dumps(config_to_dict(config), indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # feasibility table files
 
@@ -762,19 +701,18 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
 _RAW_OUTCOMES = {"1": 1, "+1": 1, "-1": -1}
 
 
-def _raw_rows(path: str, handle, island: str):
-    for lineno, text in _lines(path, handle):
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise _format_error(path, lineno, f"expected 't_ns setting outcome', got {len(parts)} field(s)")
-        t_text, setting, o_text = parts
-        try:
-            t_ns = int(t_text)
-        except ValueError:
-            raise _format_error(path, lineno, f"t_ns must be an integer, got {t_text!r}")
-        yield lineno, island, t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text)
+def _raw_line(text: str):
+    if not text or text.startswith("#"):
+        return None
+    parts = text.split()
+    if len(parts) != 3:
+        raise ValueError(f"expected 't_ns setting outcome', got {len(parts)} field(s)")
+    t_text, setting, o_text = parts
+    try:
+        t_ns = int(t_text)
+    except ValueError:
+        raise ValueError(f"t_ns must be an integer, got {t_text!r}") from None
+    return _values(t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text))
 
 
 def read_raw_station(path: str, island: str) -> EventStream:
@@ -782,11 +720,7 @@ def read_raw_station(path: str, island: str) -> EventStream:
     (outcome +1, 1 or -1; '#' starts a comment line)."""
     if island not in ISLANDS:
         raise ValueError(f"island must be 'T' or 'L', got {island!r}")
-    data = Path(path).read_bytes()
-    stream = _read_strict(data, _RAW_LINE, island)
-    if stream is None:
-        stream = _stream_from_rows(path, _raw_rows(path, io.BytesIO(data), island), "raw station log")
-    return stream
+    return _read_station(path, _RAW_LINE, _raw_line, island, "raw station log")
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +755,3 @@ class RunManifest:
 
 def write_manifest(path: str, manifest: RunManifest) -> str:
     return atomic_write_text(path, json.dumps(manifest.to_dict(), indent=2) + "\n")
-
-
-def read_manifest(path: str) -> dict:
-    return _read_json(path)

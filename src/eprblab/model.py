@@ -286,14 +286,6 @@ class WignerDomainDistribution:
         w = Fraction(1, len(keys))
         return cls({k: w for k in keys}, settings)
 
-    @classmethod
-    def uniform_identified(cls, settings: tuple[str, ...] = ("a", "b", "c")) -> "WignerDomainDistribution":
-        """Uniform over the domains with tau_i = sigma_i for all i."""
-        n = len(settings)
-        keys = [k for k in all_domain_keys(n) if k[:n] == k[n:]]
-        w = Fraction(1, len(keys))
-        return cls.from_partial({k: w for k in keys}, settings)
-
     @property
     def n_settings(self) -> int:
         return len(self.settings)
@@ -307,9 +299,6 @@ class WignerDomainDistribution:
     def is_identified(self, key: DomainKey) -> bool:
         n = self.n_settings
         return key[:n] == key[n:]
-
-    def support(self) -> list[DomainKey]:
-        return [k for k, v in self.weights.items() if v > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +336,6 @@ class TallyTable:
                 full[cell] = int(count)
             norm[(x, y)] = full
         object.__setattr__(self, "counts", norm)
-
-    def setting_pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.counts)
 
     def count(self, x: str, y: str, s: int, s2: int) -> int:
         return self.counts.get((x, y), {}).get((s, s2), 0)
@@ -442,9 +428,6 @@ class EventStream:
     def __iter__(self) -> Iterator[DetectionEvent]:
         for i in range(len(self)):
             yield self.event(i)
-
-    def to_events(self) -> list[DetectionEvent]:
-        return list(self)
 
 
 class ViolationKind(Enum):

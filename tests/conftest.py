@@ -1,10 +1,24 @@
 import itertools
+import json
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eprblab.model import CorrelationClass, DetectionEvent, EventStream, PairRecord
+from eprblab.ioformats import EMPTY_CELL_MARKER, SWEEP_HEADER
+from eprblab.model import (
+    CorrelationClass,
+    DetectionEvent,
+    EventStream,
+    PairRecord,
+    WignerDomainDistribution,
+    all_domain_keys,
+    domain_key_to_string,
+)
+from eprblab.sources import SourceConfig
+from eprblab.stats import SweepRow
 
 
 def pytest_runtest_logreport(report):
@@ -60,3 +74,51 @@ def pair(tl: int, tr: int, x: str, y: str, sl: int, sr: int, window: int | None 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+def uniform_identified() -> WignerDomainDistribution:
+    """Uniform over the domains of settings a, b, c with tau_i = sigma_i."""
+    keys = [k for k in all_domain_keys(3) if k[:3] == k[3:]]
+    return WignerDomainDistribution.from_partial({k: Fraction(1, len(keys)) for k in keys})
+
+
+def read_manifest(path: str) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_sweep_csv(path: str) -> list[SweepRow]:
+    """The rows of a sweep CSV as ``ioformats.write_sweep_csv`` writes it."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert header == SWEEP_HEADER
+    rows = []
+    for line in lines:
+        window, pairs, statistic, stderr, violated = line.split(",")
+        if statistic == EMPTY_CELL_MARKER:
+            rows.append(SweepRow(int(window), int(pairs), None, None, None))
+        else:
+            rows.append(SweepRow(int(window), int(pairs), float(statistic), float(stderr), violated == "true"))
+    return rows
+
+
+def config_to_dict(config: SourceConfig) -> dict:
+    """The config file document that ``ioformats.config_from_dict`` reads
+    back to config."""
+    doc = {
+        "kind": config.kind,
+        "settings": [{"label": s.label, "angle_deg": s.angle_deg} for s in config.settings],
+        "seed": int(config.seed),
+        "emission_period_ns": config.emission_period_ns,
+        "jitter_ns": config.jitter_ns,
+        "convention": config.convention,
+    }
+    for key in ("total_pairs", "pairs_per_combination", "max_delay_ns", "delay_exponent"):
+        if getattr(config, key) is not None:
+            doc[key] = getattr(config, key)
+    if config.domain_weights is not None:
+        doc["domain_weights"] = {
+            domain_key_to_string(k): str(w) for k, w in config.domain_weights.weights.items() if w != 0
+        }
+    for key in ("station_t_labels", "station_l_labels"):
+        if getattr(config, key) is not None:
+            doc[key] = list(getattr(config, key))
+    return doc

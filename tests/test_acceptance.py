@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import pair, pair_columns, scan_class_grid
+from conftest import pair, pair_columns, read_manifest, scan_class_grid
 from eprblab.cli import main
 from eprblab.counting import (
     _class_grid,
@@ -24,7 +24,7 @@ from eprblab.counting import (
 )
 from eprblab.counting import TopologyViolationKind as TVK
 from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, wigner_residual
-from eprblab.ioformats import load_config, read_manifest, sha256_file
+from eprblab.ioformats import load_config, sha256_file
 from eprblab.model import BellTriple, Setting, WignerDomainDistribution, all_domain_keys
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate

@@ -14,13 +14,8 @@ from hypothesis import strategies as st
 
 from eprblab import stats
 from eprblab.cli import main
-from eprblab.ioformats import (
-    read_events,
-    read_manifest,
-    read_pairs,
-    read_sweep_csv,
-    sha256_file,
-)
+from conftest import read_manifest, read_sweep_csv
+from eprblab.ioformats import read_events, read_pairs, sha256_file
 
 ROOT = Path(__file__).resolve().parents[1]
 

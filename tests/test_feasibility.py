@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import uniform_identified
 from eprblab import feasibility
 from eprblab.errors import EmptyCellError, SupportViolationError
 from eprblab.feasibility import (
@@ -190,7 +191,7 @@ def test_marginalize_guards():
         marginalize(dist, [("a", "d")])
     with pytest.raises(SupportViolationError):
         marginalize(dist, BELL_PAIRS, identify_equal_settings=True)
-    ok = WignerDomainDistribution.uniform_identified()
+    ok = uniform_identified()
     t = marginalize(ok, BELL_PAIRS, identify_equal_settings=True)
     assert sum(t.tables[("a", "b")].values()) == 1
 
@@ -417,7 +418,7 @@ def test_lp_status_matches_fines_theorem(tables, identified):
 def test_wigner_residual_exact_values():
     assert wigner_residual(singlet_tables("anti"), ("a", "b", "c"), "anti") == F(1, 8)
     assert wigner_residual(singlet_tables("equal"), ("a", "b", "c"), "equal") == F(1, 8)
-    flat = marginalize(WignerDomainDistribution.uniform_identified(), BELL_PAIRS, True)
+    flat = marginalize(uniform_identified(), BELL_PAIRS, True)
     assert wigner_residual(flat, ("a", "b", "c"), "equal") == F(-1, 4)
 
 

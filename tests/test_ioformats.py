@@ -2,6 +2,7 @@ import json
 import os
 import stat
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair, stream
+import per_line_reader as reference
+from conftest import config_to_dict, pair, read_manifest, read_sweep_csv, stream
 from eprblab import ioformats
 from eprblab.errors import ConfigParseError, FormatError
 from eprblab.ioformats import (
@@ -19,16 +21,12 @@ from eprblab.ioformats import (
     RunManifest,
     atomic_write_text,
     config_from_dict,
-    config_to_dict,
     load_config,
     read_events,
-    read_manifest,
     read_pairs,
     read_raw_station,
-    read_sweep_csv,
     read_tables,
     read_tally,
-    save_config,
     sha256_file,
     write_events,
     write_manifest,
@@ -158,7 +156,8 @@ def test_raw_station_log_round_trip_and_rejections(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# template writers against json.dumps, strict reader against per-line reader
+# template writers against json.dumps, the reader against the per-line
+# reference
 
 
 @st.composite
@@ -186,22 +185,10 @@ def _same_stream(a: EventStream, b: EventStream) -> bool:
     )
 
 
-def _per_line_events(path: str) -> EventStream:
-    with open(path, "rb") as handle:
-        return ioformats._stream_from_rows(path, ioformats._event_rows(path, handle), "event file")
-
-
-def _per_line_raw(path: str, island: str) -> EventStream:
-    with open(path, "rb") as handle:
-        return ioformats._stream_from_rows(path, ioformats._raw_rows(path, handle, island), "raw station log")
-
-
-def _strict_events(path: str):
-    return ioformats._read_strict(Path(path).read_bytes(), ioformats._EVENT_LINE)
-
-
-def _strict_raw(path: str, island: str):
-    return ioformats._read_strict(Path(path).read_bytes(), ioformats._RAW_LINE, island)
+def _canonical(path: str, fmt) -> bool:
+    """Whether every line of the file is in the writer's layout fmt, so that
+    the reader builds all its columns with numpy."""
+    return fmt.lines.fullmatch(Path(path).read_bytes()) is not None
 
 
 def _event_objects(s: EventStream) -> list[dict]:
@@ -215,12 +202,10 @@ def test_written_events_read_the_same_through_both_readers(tmp_path_factory, s, 
     write_events(path, s)
     lines = open(path, encoding="utf-8").read().splitlines()
     assert lines == [json.dumps(obj, separators=(",", ":")) for obj in _event_objects(s)]
+    assert _canonical(path, ioformats._EVENT_LINE)
     with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
-        strict = _strict_events(path)
-        assert strict is not None
-        assert _same_stream(strict, s)
         assert _same_stream(read_events(path), s)
-    assert _same_stream(_per_line_events(path), s)
+    assert _same_stream(reference.read_events(path), s)
 
 
 @settings(deadline=None, max_examples=40)
@@ -273,7 +258,7 @@ def test_other_valid_event_layouts_read_to_the_same_stream(tmp_path_factory, s, 
         path = str(directory / "ev.jsonl")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        assert _strict_events(path) is None, name
+        assert not _canonical(path, ioformats._EVENT_LINE), name
         assert _same_stream(read_events(path), s), name
 
 
@@ -287,12 +272,10 @@ def test_strict_raw_logs_read_the_same_through_both_readers(tmp_path_factory, s,
     path = str(tmp_path_factory.mktemp("raw") / "raw.log")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("".join(line + "\n" for line in _raw_lines(s, plus)))
+    assert _canonical(path, ioformats._RAW_LINE)
     with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
-        strict = _strict_raw(path, s.island)
-        assert strict is not None
-        assert _same_stream(strict, s)
         assert _same_stream(read_raw_station(path, s.island), s)
-    assert _same_stream(_per_line_raw(path, s.island), s)
+    assert _same_stream(reference.read_raw_station(path, s.island), s)
 
 
 @settings(deadline=None, max_examples=40)
@@ -314,7 +297,7 @@ def test_other_valid_raw_layouts_read_to_the_same_stream(tmp_path_factory, s, bl
         path = str(directory / "raw.log")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        assert _strict_raw(path, s.island) is None, name
+        assert not _canonical(path, ioformats._RAW_LINE), name
         assert _same_stream(read_raw_station(path, s.island), s), name
 
 
@@ -342,6 +325,7 @@ _BAD_EVENT_LINES = [
     ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":true}', "outcome must be +1 or -1, got True"),
     ('{"island":"T","t_ns":T_NS,"setting":"a","outcome":1.0}', "outcome must be +1 or -1, got 1.0"),
     ("not json", "invalid JSON: Expecting value"),
+    ('{"island":"T","t_ns":5,"t_ns":T_NS,"setting":"a","outcome":1}', "invalid JSON: duplicate key 't_ns'"),
 ]
 _BAD_RAW_LINES = [
     ("LAST a 1", "timestamps must be strictly increasing, got LAST after LAST"),
@@ -380,6 +364,92 @@ def test_bad_raw_line_message_and_number_after_good_lines(tmp_path, good_lines, 
     with pytest.raises(FormatError) as info:
         read_raw_station(str(path), "T")
     assert str(info.value) == f"{path}:{good_lines + 1}: {_fill(message, good_lines)}"
+
+
+# Line re-layouts that keep a line's row: for JSON lines, key order,
+# white space, a CRLF line end and a blank line before; for raw logs, runs
+# of tabs and spaces, a leading zero, CRLF, a blank line and a comment line.
+_JSON_LAYOUTS = {
+    "reversed keys": lambda line: json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")) + "\n",
+    "spaces": lambda line: json.dumps(json.loads(line)) + "\n",
+    "crlf": lambda line: line + "\r\n",
+    "blank line before": lambda line: "\n" + line + "\n",
+    "surrounding white space": lambda line: " " + line + "\t\n",
+}
+_RAW_LAYOUTS = {
+    "tabs and spaces": lambda line: line.replace(" ", "\t  ") + "\n",
+    "leading zero": lambda line: "0" + line + "\n",
+    "crlf": lambda line: line + "\r\n",
+    "blank line before": lambda line: "\n" + line + "\n",
+    "comment line before": lambda line: "# station log\n" + line + "\n",
+}
+_RUN_BYTES = st.sampled_from([64, ioformats._STRICT_RUN_BYTES])
+
+
+def _relay(path: str, layouts: dict, data) -> None:
+    """Rewrite a random subset of the file's lines in a random layout each,
+    so that lines in the writer's layout and others interleave."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    names = data.draw(st.lists(st.sampled_from([None, *layouts]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + "\n" if name is None else layouts[name](line) for line, name in zip(lines, names))
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_streams(), st.data(), _RUN_BYTES)
+def test_events_with_some_lines_relaid_read_to_the_same_stream(tmp_path_factory, s, data, run_bytes):
+    path = str(tmp_path_factory.mktemp("ev") / "ev.jsonl")
+    write_events(path, s)
+    _relay(path, _JSON_LAYOUTS, data)
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        assert _same_stream(read_events(path), s)
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_streams(), st.sampled_from(["1", "+1"]), st.data(), _RUN_BYTES)
+def test_raw_logs_with_some_lines_relaid_read_to_the_same_stream(tmp_path_factory, s, plus, data, run_bytes):
+    path = str(tmp_path_factory.mktemp("raw") / "raw.log")
+    Path(path).write_text("".join(line + "\n" for line in _raw_lines(s, plus)))
+    _relay(path, _RAW_LAYOUTS, data)
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        assert _same_stream(read_raw_station(path, s.island), s)
+
+
+def _plain(value):
+    """Streams and index arrays as lists, for comparing reader results."""
+    if isinstance(value, EventStream):
+        return value.island, value.labels, value.t_ns.tolist(), value.setting_idx.tolist(), value.outcome.tolist()
+    if isinstance(value, tuple):
+        return tuple(_plain(part) for part in value)
+    return value.tolist()
+
+
+def _outcome(read, *args):
+    """What a reader makes of a file: its FormatError text or its result."""
+    try:
+        return _plain(read(*args))
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sets(st.integers(1, 5000), min_size=1, max_size=30), st.data(), _RUN_BYTES)
+def test_one_bad_event_or_raw_line_anywhere_reads_as_the_reference_reads_it(tmp_path_factory, times, data, run_bytes):
+    times = sorted(times)
+    at = data.draw(st.integers(0, len(times)))
+    last = times[at - 1] if at else 0
+    directory = tmp_path_factory.mktemp("bad")
+    event_lines = [f'{{"island":"T","t_ns":{t},"setting":"a","outcome":1}}' for t in times]
+    raw_lines = [f"{t} b -1" for t in times]
+    for lines, bad_lines, read, ref in [
+        (event_lines, _BAD_EVENT_LINES, read_events, reference.read_events),
+        (raw_lines, _BAD_RAW_LINES, partial(read_raw_station, island="T"), partial(reference.read_raw_station, island="T")),
+    ]:
+        line, _ = data.draw(st.sampled_from(bad_lines))
+        path = str(directory / "station")
+        Path(path).write_text("".join(text + "\n" for text in lines[:at] + [_fill(line, last)] + lines[at:]))
+        with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+            assert _outcome(read, path) == _outcome(ref, path)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +504,6 @@ def _same_pairs(a, b) -> bool:
     )
 
 
-def _sides(sides):
-    (left, left_idx), (right, right_idx) = sides
-    return left, right, left_idx, right_idx
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     valid_streams(),
@@ -449,20 +514,16 @@ def _sides(sides):
 )
 def test_written_pairs_read_the_same_through_both_readers(tmp_path_factory, left, right, window, rnd, run_bytes):
     """Pair files as the writer gives them, rows in any order, read to the
-    same pairs through the strict reader, the per-line one and read_pairs."""
+    same pairs through read_pairs and the per-line reference."""
     left, right = _station("T", left), _station("L", right)
     mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(window))
     rows = np.array(rnd.sample(range(len(mi)), len(mi)), dtype=np.int64)
     path = str(tmp_path_factory.mktemp("pairs") / "pairs.jsonl")
     write_pairs_indexed(path, left, right, mi[rows], mj[rows], window)
-    data = Path(path).read_bytes()
-    per_line = _sides(ioformats._pair_sides(path, data))
+    per_line = reference.read_pairs(path)
     assert _pair_events(*per_line) == _pair_events(left, right, mi[rows], mj[rows])
+    assert _canonical(path, ioformats._PAIR_LINE)
     with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
-        strict = ioformats._strict_pair_sides(data)
-        assert (strict is None) == (len(mi) == 0)
-        if strict is not None:
-            assert _same_pairs(_sides(strict), per_line)
         assert _same_pairs(read_pairs(path), per_line)
 
 
@@ -485,12 +546,12 @@ def test_other_valid_pair_layouts_read_to_the_same_pairs(tmp_path_factory, left,
         "blank line": "".join(line + "\n" for line in plain[:at] + [""] + plain[at:]),
         "no final newline": "\n".join(plain),
         "window past 2^63": "".join(line.replace(f":{2**63 - 1}}}", f":{10**19 - 1}}}") + "\n" for line in plain),
+        "window past 2^64": "".join(line.replace(f":{2**63 - 1}}}", f":{10**20}}}") + "\n" for line in plain),
     }
     for name, text in variants.items():
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        data = Path(path).read_bytes()
-        assert (ioformats._strict_pair_sides(data) is None) == (name != "window past 2^63"), name
+        assert _canonical(path, ioformats._PAIR_LINE) == (name == "window past 2^63"), name
         assert _same_pairs(read_pairs(path), expected), name
 
 
@@ -535,6 +596,8 @@ _BAD_PAIR_LINES = [
      b'"outcome_left":1,"outcome_right":1,"window_ns":3}', "invalid JSON: Expecting ',' delimiter"),
     (b'{"t_left_ns":T_NS,"setting_left":"a"}', "pair must have exactly the keys " + str(list(ioformats.PAIR_KEYS))),
     (b'\xff', "line is not valid UTF-8"),
+    (b'{"t_left_ns":2000000,"t_right_ns":2000003,"setting_left":"a","setting_right":"b",'
+     b'"outcome_left":1,"outcome_right":1,"window_ns":0,"window_ns":3}', "invalid JSON: duplicate key 'window_ns'"),
 ]
 
 
@@ -551,6 +614,57 @@ def test_bad_pair_line_message_and_number_after_good_lines(tmp_path, good_lines,
     with pytest.raises(FormatError) as info:
         read_pairs(str(path))
     assert str(info.value) == f"{path}:{good_lines + 1}: {message}"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sets(st.integers(1, 5000), max_size=30), st.data(), _RUN_BYTES)
+def test_one_bad_pair_line_anywhere_reads_as_the_reference_reads_it(tmp_path_factory, times, data, run_bytes):
+    times = sorted(times)
+    lines = [_pair_text(t, t, 3) for t in times]
+    at = data.draw(st.integers(0, len(lines)))
+    line, _ = data.draw(st.sampled_from(_BAD_PAIR_LINES))
+    path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
+    path.write_bytes(b"".join(text + b"\n" for text in lines[:at] + [line.replace(b"T_NS", b"1000000")] + lines[at:]))
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        assert _outcome(read_pairs, str(path)) == _outcome(reference.read_pairs, str(path))
+
+
+def _pair_text(t_left: int, t_right: int, window: int) -> bytes:
+    return (
+        f'{{"t_left_ns":{t_left},"t_right_ns":{t_right},"setting_left":"a","setting_right":"b",'
+        f'"outcome_left":1,"outcome_right":-1,"window_ns":{window}}}'
+    ).encode()
+
+
+def test_the_first_bad_line_is_reported(tmp_path):
+    """A T time reused on line 3 is reported before the window fault on line
+    5, though the per-line reference reports a reuse only on a file whose
+    lines are otherwise good; a time out of order on line 2 is reported
+    before the line 3 that does not parse, and the rows end there."""
+    pairs = [_pair_text(1, 1, 3), _pair_text(2, 2, 3), _pair_text(2, 3, 3), _pair_text(4, 4, 3), _pair_text(5, 900, 3)]
+    events = [b'{"island":"T","t_ns":7,"setting":"a","outcome":1}', b'{"island":"T","t_ns":6,"setting":"a","outcome":1}',
+              b"not json", b'{"island":"T","t_ns":1,"setting":"a","outcome":1}']
+    pair_path, event_path = str(tmp_path / "pairs.jsonl"), str(tmp_path / "ev.jsonl")
+    Path(pair_path).write_bytes(b"".join(line + b"\n" for line in pairs))
+    Path(event_path).write_bytes(b"".join(line + b"\n" for line in events))
+    for run_bytes in (64, ioformats._STRICT_RUN_BYTES):
+        with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+            assert _outcome(read_pairs, pair_path) == f"{pair_path}:3: T detection at t_ns 2 is already paired on line 2"
+            assert _outcome(read_events, event_path) == f"{event_path}:2: timestamps must be strictly increasing, got 6 after 7"
+    assert _outcome(reference.read_pairs, pair_path) == f"{pair_path}:5: |t - t'| = 895 exceeds window 3"
+
+
+@settings(deadline=None, max_examples=40)
+@given(valid_streams(), valid_streams(), st.integers(0, 3000) | st.integers(0, 2**63 - 1), st.data(), _RUN_BYTES)
+def test_pair_files_with_some_lines_relaid_read_to_the_same_pairs(tmp_path_factory, left, right, window, data, run_bytes):
+    left, right = _station("T", left), _station("L", right)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(window))
+    path = str(tmp_path_factory.mktemp("pairs") / "pairs.jsonl")
+    write_pairs_indexed(path, left, right, mi, mj, window)
+    expected = read_pairs(path)
+    _relay(path, _JSON_LAYOUTS, data)
+    with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
+        assert _same_pairs(read_pairs(path), expected)
 
 
 def test_six_bad_pair_lines_pass_the_strict_pattern():
@@ -611,10 +725,7 @@ def test_sweep_csv_round_trip(tmp_path):
     write_sweep_csv(path, rows)
     text = open(path).read().splitlines()
     assert text[1] == f"0,0,{EMPTY_CELL_MARKER},{EMPTY_CELL_MARKER},{EMPTY_CELL_MARKER}"
-    back = read_sweep_csv(path)
-    assert back == rows  # repr round-trips floats exactly
-    with pytest.raises(FormatError, match="header"):
-        read_sweep_csv(__file__)
+    assert read_sweep_csv(path) == rows  # repr round-trips floats exactly
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +750,7 @@ BASE = {
 def test_config_round_trip(tmp_path):
     cfg = config_from_dict(BASE)
     path = str(tmp_path / "c.json")
-    save_config(path, cfg)
+    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     assert load_config(path) == cfg
     assert config_from_dict(config_to_dict(cfg)) == cfg
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import uniform_identified
 from eprblab.errors import ConfigParseError
 from eprblab.feasibility import marginalize
 from eprblab.ioformats import load_config, sha256_file, write_events
@@ -292,7 +293,7 @@ def test_wigner_identified_equal_settings_agree():
         jitter_ns=0,
         pairs_per_combination=300,
         convention="equal",
-        domain_weights=WignerDomainDistribution.uniform_identified(),
+        domain_weights=uniform_identified(),
     )
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair, pair_columns, stream
+from conftest import pair, pair_columns, stream, uniform_identified
 from eprblab.counting import augment_triple
 from eprblab.errors import EmptyCellError
-from eprblab.model import CELLS, DetectionEvent, Setting, TallyTable, WignerDomainDistribution
+from eprblab.model import CELLS, DetectionEvent, Setting, TallyTable
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
 from eprblab.stats import (
@@ -171,7 +171,7 @@ def test_bell_wigner_identified_source_not_violated():
         jitter_ns=0,
         total_pairs=60_000,
         convention="equal",
-        domain_weights=WignerDomainDistribution.uniform_identified(),
+        domain_weights=uniform_identified(),
     )
     left, right = generate(cfg)
     mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
@@ -272,7 +272,7 @@ def test_sweep_accepts_detection_event_sequences():
     left, right = _singlet_streams(n=200)
     want = sweep_window(left, right, [0, 20, 400], kind="bell-wigner")
     assert want[-1].pairs == 200
-    assert sweep_window(left.to_events(), list(right), [0, 20, 400], kind="bell-wigner") == want
+    assert sweep_window(list(left), list(right), [0, 20, 400], kind="bell-wigner") == want
 
 
 def per_window_sweep(left, right, windows, kind, ordering, convention):
