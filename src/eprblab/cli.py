@@ -210,6 +210,7 @@ def _cmd_feasibility(args) -> int:
             "rows": result.lp_rows,
             "cols": result.lp_cols,
             "float_pivots": result.float_pivots,
+            "exact_pivots": result.exact_pivots,
             "path": result.path,
         },
     }

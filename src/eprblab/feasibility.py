@@ -9,12 +9,13 @@ distribution that is re-marginalized and compared exactly; infeasibility
 comes with a separating functional y such that y . b > 0 while y . A_d <= 0
 for every domain column d, verified before it is returned.
 
-Floats only choose the basis.  A ``float64`` phase-1 simplex (Dantzig's
-rule) picks a basis; the basic solution, and for an infeasible answer the
-dual y, are then solved from that basis in rational arithmetic
-(`fractions.Fraction`) and must pass the exact checks above.  If any step
-fails, the exact Bland's-rule simplex decides from scratch.  Every answer
-is exact and certified; no tolerance ever decides one.
+Floats only choose where the exact solver starts.  A ``float64`` phase-1
+simplex (Dantzig's rule) picks a basis, and one exact revised simplex
+(Bland's rule, in integers) starts from it, or from the all-artificial basis
+if it is singular or negative, and pivots until it can decide.  Usually the
+float basis is already optimal and takes no exact pivot.  Every answer is
+exact and passes the checks above before it is returned; no tolerance ever
+decides one.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
@@ -24,6 +25,7 @@ space to tau = sigma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -165,10 +167,11 @@ def marginalize(
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """The answer with its witness or certificate, and the LP's path:
-    its size, the float phase's pivot count, and ``path`` ("float-basis"
-    when the float basis was certified, "exact-fallback" when the exact
-    simplex decided)."""
+    """The answer with its witness or certificate, and the LP's path: its
+    size, the float phase's pivot count, the basis the exact simplex started
+    from (``path``: "float-basis", or "artificial-basis" when the float basis
+    was singular or negative) and its pivot count (``exact_pivots``; 0 when
+    the float basis was certified as it was)."""
 
     feasible: bool
     identify_equal_settings: bool
@@ -180,6 +183,7 @@ class FeasibilityResult:
     lp_rows: int
     lp_cols: int
     float_pivots: int
+    exact_pivots: int
     path: str
 
     @property
@@ -191,93 +195,35 @@ def _row_label(key: tuple[str, str], cell: tuple[int, int]) -> str:
     return f"{key[0]};{key[1]}:{CELL_NAMES[cell]}"
 
 
-def _simplex_phase1(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Exact phase-1 simplex for {A x = b, x >= 0} with b >= 0.
-
-    Returns (x, None) on feasibility or (None, y) with y a separating
-    functional (y . b > 0, y . A_j <= 0 for every column j).  Bland's rule
-    on both the entering and leaving choices guarantees termination.
-    """
-    m, n = len(rows), len(rows[0])
-    zero, one = Fraction(0), Fraction(1)
-    if any(b < 0 for b in rhs):
-        raise InternalInvariantError("phase-1 requires a nonnegative right-hand side")
-    tab = [list(rows[i]) + [one if k == i else zero for k in range(m)] + [rhs[i]] for i in range(m)]
-    basis = list(range(n, n + m))
-    width = n + m + 1
-    rc = [zero] * width
-    for j in range(width):
-        col_sum = sum(tab[i][j] for i in range(m))
-        cost = one if n <= j < n + m else zero
-        rc[j] = cost - col_sum
-
-    while True:
-        enter = next((j for j in range(n + m) if rc[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width - 1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            raise InternalInvariantError("phase-1 objective is bounded below by 0 and cannot be unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                row = tab[leave]
-                tab[i] = [vi - f * vr for vi, vr in zip(tab[i], row)]
-        if rc[enter] != 0:
-            f = rc[enter]
-            row = tab[leave]
-            rc = [vi - f * vr for vi, vr in zip(rc, row)]
-        basis[leave] = enter
-
-    residual = -rc[width - 1]
-    if residual == 0:
-        x = [zero] * n
-        for i, bv in enumerate(basis):
-            if bv < n:
-                x[bv] = tab[i][width - 1]
-        return x, None
-    y = [one - rc[n + i] for i in range(m)]
-    return None, y
-
-
-# The float phase only proposes a basis; the exact solve and the gates decide,
-# so a tolerance or cap that misjudges some table costs the exact fallback,
-# never a wrong answer.  4-setting menus take 11 to about 100 pivots.
+# The float phase only proposes the starting basis; the exact simplex goes on
+# from it and the gates check the answer, so a tolerance or cap that misjudges
+# some table costs exact pivots, never a wrong answer.  4-setting menus take 11
+# to about 100 float pivots.
 _FLOAT_TOL = 1e-9
 _FLOAT_PIVOT_CAP = 1000
 
 
-def _float_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[int] | None, int]:
+def _float_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[int], int]:
     """Phase-1 simplex for {A x = b, x >= 0} in float64, Dantzig's rule.
 
     Starts from the all-artificial basis (artificial i is column n + i) and
-    stops once the artificial sum is zero or no reduced cost is negative.
-    Returns (basis, pivots), where basis lists the m basic columns, or
-    (None, pivots) when the pivot cap is hit or no row can leave.
+    stops once the artificial sum is zero, no reduced cost is negative, no
+    row can leave or the pivot cap is hit.  Returns (basis, pivots), where
+    basis lists the m basic columns of the last basis.
     """
     m, n = a.shape
     tab = np.hstack([a, np.eye(m), b[:, None]])
     rc = np.concatenate([np.zeros(n), np.ones(m), [0.0]]) - tab.sum(axis=0)
     basis = list(range(n, n + m))
     pivots = 0
-    while -rc[-1] > _FLOAT_TOL:
+    while -rc[-1] > _FLOAT_TOL and pivots < _FLOAT_PIVOT_CAP:
         enter = int(np.argmin(rc[:-1]))
         if rc[enter] >= -_FLOAT_TOL:
             break
         col = tab[:, enter]
         rows = np.flatnonzero(col > _FLOAT_TOL)
-        if pivots == _FLOAT_PIVOT_CAP or rows.size == 0:
-            return None, pivots
+        if rows.size == 0:
+            break
         ratio = np.maximum(tab[rows, -1], 0.0) / col[rows]
         tied = rows[ratio <= ratio.min() + _FLOAT_TOL]
         leave = int(tied[np.argmax(col[tied])])
@@ -291,63 +237,96 @@ def _float_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[int] | None, int]:
     return basis, pivots
 
 
-def _solve_exact(matrix: list[list[int]], rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """Solve the square system exactly by Gauss-Jordan elimination in
-    Fractions; None if it is singular."""
-    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
-    k = len(aug)
+def _inverse(matrix: list[list[int]]) -> tuple[int, np.ndarray] | None:
+    """(d, N) with d > 0 and N / d the inverse of the square integer matrix,
+    by fraction-free (Bareiss) Gauss-Jordan elimination, in which every
+    division is exact; None if the matrix is singular."""
+    k = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)]
+    prev = 1
     for c in range(k):
-        p = next((i for i in range(c, k) if aug[i][c] != 0), None)
+        p = next((i for i in range(c, k) if rows[i][c]), None)
         if p is None:
             return None
-        aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c][c]
-        aug[c] = [v / piv for v in aug[c]]
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        d = pivot[c]
         for i in range(k):
-            f = aug[i][c]
-            if i != c and f != 0:
-                aug[i] = [vi - f * vc for vi, vc in zip(aug[i], aug[c])]
-    return [row[-1] for row in aug]
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(d * v - f * u) // prev for v, u in zip(rows[i], pivot)]
+        prev = d
+    sign = 1 if prev > 0 else -1
+    return sign * prev, np.array([[sign * v for v in row[k:]] for row in rows], dtype=object).reshape(k, k)
 
 
-def _basis_answer(
-    a: np.ndarray, rhs: list[Fraction], basis: list[int]
-) -> tuple[list[Fraction] | None, list[Fraction] | None] | None:
-    """The basic solution of ``basis`` in exact arithmetic, in the form
-    ``_simplex_phase1`` returns: (x, None) when no artificial carries weight,
-    (None, y) with y solving B^T y = c_B otherwise.  None when B is singular
-    or the basic solution is negative.
+def _exact_simplex(
+    a: np.ndarray, support: np.ndarray, rhs: list[Fraction], basis: list[int]
+) -> tuple[list[Fraction] | None, list[Fraction] | None, str, int]:
+    """Exact phase-1 revised simplex for {A x = b, x >= 0} with b >= 0.
 
-    An artificial column is a unit column, so each basic artificial fixes
-    its own row: only the rows it leaves free and the basic domain columns
-    form the square system that is solved (at most rank(A) in size).
+    Column n + i of [A | I] is the artificial of row i.  The simplex starts
+    from ``basis`` ("float-basis") unless that is singular or has a negative
+    basic value; then it starts from the all-artificial basis
+    ("artificial-basis").  Bland's rule picks the entering column (the
+    lowest-numbered domain column of negative reduced cost; artificials never
+    re-enter) and the leaving one (the lowest-numbered of the ratio test's
+    ties), so it terminates from any primal-feasible start (Bland 1977).
+
+    Each pivot re-solves the basis.  An artificial column is a unit column,
+    so each basic artificial fixes its own row: only the free rows and the
+    basic domain columns form the square block that is inverted, in
+    integers.  Pricing sums the duals, scaled to integers, over each domain
+    column's ``support`` (the rows where it holds a 1).
+
+    Returns (x, None, path, pivots) once no artificial carries weight, or
+    (None, y, path, pivots) once no column can enter, with y a separating
+    functional: y . b > 0, and y . A_j <= 0 for every domain column j.
     """
     m, n = a.shape
-    cols = [j for j in basis if j < n]
-    fixed = sorted(j - n for j in basis if j >= n)
-    free = sorted(set(range(m)) - set(fixed))
-    block = a[np.ix_(free, cols)]
-    x_cols = _solve_exact(block.tolist(), [rhs[i] for i in free])
-    if x_cols is None:
-        return None
-    rest = a[np.ix_(fixed, cols)]
-    artificial = [rhs[i] - sum(e * v for e, v in zip(row, x_cols) if e) for i, row in zip(fixed, rest.tolist())]
-    if any(v < 0 for v in x_cols + artificial):
-        return None
-    if not any(artificial):
-        x = [Fraction(0)] * n
-        for j, v in zip(cols, x_cols):
-            x[j] = v
-        return x, None
-    # c_B is 1 on the artificials and 0 on domain columns, so y is 1 on the
-    # fixed rows and A_j^T y = 0 on each basic domain column j
-    y_free = _solve_exact(block.T.tolist(), (-rest.sum(axis=0)).tolist())
-    if y_free is None:
-        return None
-    y = [Fraction(1)] * m
-    for i, v in zip(free, y_free):
-        y[i] = v
-    return None, y
+    a = a.astype(object)  # Python ints, which cannot overflow
+    scale = math.lcm(*(v.denominator for v in rhs))
+    b = np.array([v.numerator * (scale // v.denominator) for v in rhs], dtype=object)
+    artificial = set(range(n, n + m))
+    basis = set(basis)
+    path = "artificial-basis" if basis == artificial else "float-basis"
+    pivots = 0
+    while True:
+        cols = sorted(j for j in basis if j < n)
+        fixed = [i for i in range(m) if n + i in basis]
+        free = [i for i in range(m) if n + i not in basis]
+        inverse = _inverse(a[np.ix_(free, cols)].tolist())
+        if inverse is not None:
+            det, adj = inverse
+            rest = a[np.ix_(fixed, cols)]
+
+            def solve(col: np.ndarray) -> dict[int, int]:
+                """det * B^-1 col, keyed by basic column."""
+                w = adj @ col[free]
+                return dict(zip(cols + [n + i for i in fixed], [*w, *(det * col[fixed] - rest @ w)]))
+
+            x = solve(b)  # the basic values times det * scale
+        if inverse is None or min(x.values()) < 0:
+            if pivots:
+                raise InternalInvariantError("the ratio test left a singular or negative basis")
+            basis, path = artificial, "artificial-basis"
+            continue
+        if not any(x[n + i] for i in fixed):
+            return [Fraction(x.get(j, 0), det * scale) for j in range(n)], None, path, pivots
+        # c_B is 1 on the artificials and 0 on domain columns, so y is 1 on the
+        # fixed rows and A_j^T y = 0 on each basic domain column j; times det
+        y = np.full(m, det, dtype=object)
+        y[free] = adj.T @ -rest.sum(axis=0)
+        entering = np.flatnonzero(y[support].sum(axis=1) > 0)
+        if entering.size == 0:
+            return None, [Fraction(v, det) for v in y], path, pivots
+        enter = int(entering[0])
+        w = solve(a[:, enter])
+        ratios = [(Fraction(x[v], w[v]), v) for v in w if w[v] > 0]
+        if not ratios:
+            raise InternalInvariantError("phase-1 objective is bounded below by 0 and cannot be unbounded")
+        basis = basis - {min(ratios)[1]} | {enter}
+        pivots += 1
 
 
 def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> list[DomainKey]:
@@ -376,9 +355,8 @@ def joint_feasibility(
     Feasible outcomes carry a witness distribution (verified here by exact
     re-marginalization); infeasible ones carry a separating functional
     keyed by constraint row, verified against every domain column before
-    being returned.  The answer is first read off the float phase's basis;
-    if that basis is singular, negative or fails verification, the exact
-    simplex decides from scratch.  Verification failure of its answer
+    being returned.  The exact simplex starts from the float phase's basis
+    and pivots on until it can decide.  Verification failure of its answer
     raises InternalInvariantError, since it would mean the solver lied.
     """
     if isinstance(tables, TallyTable):
@@ -392,43 +370,32 @@ def joint_feasibility(
     # row 4p + c holds cell CELLS[c] of pair p; the last row is normalization
     row_labels = [_row_label(key, cell) for key in pairs for cell in CELLS] + ["normalization"]
     rhs = [tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)]
+    # support[j] lists the rows where domain column j holds a 1
+    support = np.hstack([4 * np.arange(len(pairs)) + np.array(hits), np.full((len(columns), 1), len(rhs) - 1)])
     a = np.zeros((len(rhs), len(columns)), dtype=np.int64)
-    a[4 * np.arange(len(pairs)) + np.array(hits), np.arange(len(columns))[:, None]] = 1
-    a[-1] = 1
+    a[support, np.arange(len(columns))[:, None]] = 1
 
-    basis, pivots = _float_basis(a.astype(np.float64), np.array([float(v) for v in rhs]))
+    basis, float_pivots = _float_basis(a.astype(np.float64), np.array([float(v) for v in rhs]))
+    x, y, path, exact_pivots = _exact_simplex(a, support, rhs, basis)
 
-    def check(x, y) -> tuple[WignerDomainDistribution | None, dict[str, Fraction] | None] | str:
-        """The answer's witness or certificate once it checks out exactly;
-        otherwise the reason it does not."""
-        if x is not None:
-            witness = WignerDomainDistribution.from_partial(
-                {col: w for col, w in zip(columns, x) if w != 0}, settings=labels
-            )
-            if marginalize(witness, pairs, identify_equal_settings, convention).tables != tables.tables:
-                return "witness distribution does not reproduce the tables"
-            return witness, None
+    witness = certificate = None
+    if x is not None:
+        witness = WignerDomainDistribution.from_partial(
+            {col: w for col, w in zip(columns, x) if w != 0}, settings=labels
+        )
+        if marginalize(witness, pairs, identify_equal_settings, convention).tables != tables.tables:
+            raise InternalInvariantError("witness distribution does not reproduce the tables")
+    else:
         if sum(yi * bi for yi, bi in zip(y, rhs)) <= 0:
-            return "separating functional does not separate the right-hand side"
+            raise InternalInvariantError("separating functional does not separate the right-hand side")
         for col, h in zip(columns, hits):
             # column col has a 1 in row 4p + h[p] of each pair p and in the normalization row
             if sum(y[4 * p + c] for p, c in enumerate(h)) + y[-1] > 0:
-                return f"separating functional fails on domain column {col!r}"
-        return None, dict(zip(row_labels, y))
-
-    path = "float-basis"
-    answer = _basis_answer(a, rhs, basis) if basis is not None else None
-    checked = check(*answer) if answer is not None else "no float basis"
-    if isinstance(checked, str):
-        path = "exact-fallback"
-        zero, one = Fraction(0), Fraction(1)
-        checked = check(*_simplex_phase1([[one if v else zero for v in row] for row in a.tolist()], rhs))
-        if isinstance(checked, str):
-            raise InternalInvariantError(checked)
-    witness, certificate = checked
+                raise InternalInvariantError(f"separating functional fails on domain column {col!r}")
+        certificate = dict(zip(row_labels, y))
     return FeasibilityResult(
         witness is not None, identify_equal_settings, convention, labels, witness, certificate,
-        tuple(row_labels), len(rhs), len(columns), pivots, path,
+        tuple(row_labels), len(rhs), len(columns), float_pivots, exact_pivots, path,
     )
 
 

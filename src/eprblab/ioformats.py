@@ -143,9 +143,14 @@ def write_events(path: str, stream: EventStream) -> str:
     return atomic_write_text(path, "".join(lines))
 
 
+# the parser recurses once per nesting level
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
+
 def _read_json(path: str):
     """Parse a whole-file JSON document.  Any ValueError from the parser,
-    including an integer too long to convert, becomes a FormatError."""
+    including an integer too long to convert, and nesting deeper than the
+    recursion limit become a FormatError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -153,6 +158,8 @@ def _read_json(path: str):
             raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
         except ValueError as exc:
             raise FormatError(f"invalid JSON: {exc}", path=path)
+        except RecursionError:
+            raise FormatError(_TOO_DEEP, path=path) from None
 
 
 def read_events(path: str) -> EventStream:
@@ -335,6 +342,8 @@ def _json_line(text: str, keys: tuple[str, ...], what: str) -> dict:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         raise ValueError(f"{what} must have exactly the keys {list(keys)}")
     return obj
@@ -650,6 +659,8 @@ def load_config(path: str, seed_override: int | None = None) -> SourceConfig:
         raise ConfigParseError(f"config {path}: not valid UTF-8")
     except ValueError as exc:  # e.g. an integer too long for the parser to convert
         raise ConfigParseError(f"config {path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise ConfigParseError(f"config {path}: {_TOO_DEEP}") from None
     return config_from_dict(doc, seed_override)
 
 
@@ -699,6 +710,8 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
 
 
 _RAW_OUTCOMES = {"1": 1, "+1": 1, "-1": -1}
+# int() alone would also read '1_0' and non-ASCII digits
+_RAW_TIME = re.compile(r"[+-]?[0-9]+")
 
 
 def _raw_line(text: str):
@@ -708,11 +721,9 @@ def _raw_line(text: str):
     if len(parts) != 3:
         raise ValueError(f"expected 't_ns setting outcome', got {len(parts)} field(s)")
     t_text, setting, o_text = parts
-    try:
-        t_ns = int(t_text)
-    except ValueError:
-        raise ValueError(f"t_ns must be an integer, got {t_text!r}") from None
-    return _values(t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text))
+    if not _RAW_TIME.fullmatch(t_text):
+        raise ValueError(f"t_ns must be an integer, got {t_text!r}")
+    return _values(int(t_text), setting, _RAW_OUTCOMES.get(o_text, o_text))
 
 
 def read_raw_station(path: str, island: str) -> EventStream:

@@ -119,11 +119,10 @@ def _raw_rows(path: str, data: bytes, island: str):
         if len(parts) != 3:
             raise _fault(path, lineno, f"expected 't_ns setting outcome', got {len(parts)} field(s)")
         t_text, setting, o_text = parts
-        try:
-            t_ns = int(t_text)
-        except ValueError:
+        digits = t_text[1:] if t_text[:1] in ("+", "-") else t_text
+        if not (digits.isascii() and digits.isdigit()):
             raise _fault(path, lineno, f"t_ns must be an integer, got {t_text!r}")
-        yield lineno, island, t_ns, setting, _RAW_OUTCOMES.get(o_text, o_text)
+        yield lineno, island, int(t_text), setting, _RAW_OUTCOMES.get(o_text, o_text)
 
 
 def read_raw_station(path: str, island: str) -> EventStream:

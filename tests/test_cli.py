@@ -176,6 +176,9 @@ def test_feasibility_wrapped_probability_file(tmp_path, capsys):
     assert payload["status"] == "infeasible"
     assert payload["convention"] == "anti"
     assert "certificate" in payload and "witness" not in payload
+    lp = payload["lp"]
+    assert (lp["rows"], lp["cols"], lp["path"], lp["exact_pivots"]) == (13, 8, "float-basis", 0)
+    assert lp["float_pivots"] >= 1
     code, payload = run(capsys, "feasibility", "--tables", str(path))
     assert code == 0
     assert payload["status"] == "feasible"
@@ -734,6 +737,18 @@ FILE_COMMANDS = {
     "feasibility": lambda f, tmp: ["feasibility", "--tables", f],
     "ingest": lambda f, tmp: ["ingest", "--raw", f, "--island", "T", "--out", str(tmp / "e.jsonl")],
 }
+
+
+@pytest.mark.parametrize(
+    "command, code", [("tally", 3), ("feasibility", 3), ("simulate", 2), ("pair", 3), ("inequalities", 3)]
+)
+def test_json_nested_past_the_recursion_limit_exits_cleanly(tmp_path, capsys, command, code):
+    """The JSON parser recurses once per level, so a document nested past the
+    recursion limit is a format (or configuration) error, not a crash."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    err = _assert_clean_exit(capsys, FILE_COMMANDS[command](str(path), tmp_path), code)
+    assert "invalid JSON: nested too deeply" in err
 
 
 @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,11 +311,11 @@ def test_chsh_within_bound_feasible():
 
 
 # ---------------------------------------------------------------------------
-# the float basis and the exact finisher
+# the float start and the exact simplex
 
 
 def _wrong_basis(a, b):
-    """The all-artificial starting basis, returned as if it were optimal:
+    """The all-artificial starting basis, handed over as if it were optimal:
     nonsingular and nonnegative, but its dual fails the column gate."""
     m, n = a.shape
     return list(range(n, n + m)), 0
@@ -328,26 +329,81 @@ def _singular_basis(a, b):
     return list(range(m)), 0
 
 
-def _cap_hit(a, b):
-    return None, feasibility._FLOAT_PIVOT_CAP
+def _negative_basis(a, b):
+    """One domain column, basic on the row of the largest cell it meets, and
+    the artificials of every other row: B is nonsingular, but the artificial
+    of a row where that column meets a smaller cell goes negative."""
+    m, n = a.shape
+    j = next(j for j in range(n) if len(set(b[a[:, j] == 1])) > 1)
+    r = max(np.flatnonzero(a[:, j]), key=lambda i: b[i])
+    return [j if i == r else n + i for i in range(m)], 0
 
 
-@pytest.mark.parametrize("float_basis", [_wrong_basis, _singular_basis, _cap_hit], ids=["wrong", "singular", "cap"])
-@pytest.mark.parametrize("identified, status", [(True, "infeasible"), (False, "feasible")])
-def test_failed_float_basis_falls_back_to_the_exact_simplex(float_basis, identified, status):
-    """Whatever the float phase hands over, the answer is the exact
-    simplex's, with a checked witness or certificate, and says so."""
-    tables = singlet_tables("anti")
-    plain = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
-    assert (plain.status, plain.path) == (status, "float-basis")
-    with mock.patch.object(feasibility, "_float_basis", float_basis):
-        res = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
-    assert (res.status, res.path) == (status, "exact-fallback")
-    assert (res.lp_rows, res.lp_cols) == (plain.lp_rows, plain.lp_cols) == (13, 8 if identified else 64)
+# what each case patches in the float phase, and the start it leads to
+FLOAT_STARTS = {
+    "wrong": ("_float_basis", _wrong_basis, "artificial-basis"),
+    "singular": ("_float_basis", _singular_basis, "artificial-basis"),
+    "negative": ("_float_basis", _negative_basis, "artificial-basis"),
+    "cap": ("_FLOAT_PIVOT_CAP", 2, "float-basis"),
+}
+
+
+def verify_answer(tables: PairwiseTables, res: FeasibilityResult):
     if res.feasible:
         verify_witness(tables, res)
     else:
         verify_certificate(tables, res)
+
+
+@pytest.mark.parametrize("float_basis", sorted(FLOAT_STARTS))
+@pytest.mark.parametrize("identified, status", [(True, "infeasible"), (False, "feasible")])
+def test_failed_float_basis_falls_back_to_the_exact_simplex(float_basis, identified, status):
+    """Whatever the float phase hands over, the exact simplex pivots on to a
+    checked witness or certificate, and ``path`` names where it started: the
+    float basis, even when the cap stopped it short of optimal, or the
+    all-artificial basis in its place when it is singular or negative."""
+    tables = singlet_tables("anti")
+    plain = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
+    assert (plain.status, plain.path, plain.exact_pivots) == (status, "float-basis", 0)
+    name, value, path = FLOAT_STARTS[float_basis]
+    with mock.patch.object(feasibility, name, value):
+        res = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
+    assert (res.status, res.path) == (status, path)
+    assert res.exact_pivots >= 1
+    if float_basis == "cap":
+        assert res.float_pivots == 2
+    assert (res.lp_rows, res.lp_cols) == (plain.lp_rows, plain.lp_cols) == (13, 8 if identified else 64)
+    verify_answer(tables, res)
+
+
+def _point_mass_tables(sigma, tau, pairs) -> PairwiseTables:
+    """The deterministic tables of one domain: T reports sigma, L tau (equal
+    convention); every table has three zero cells."""
+    key = tuple(sigma) + tuple(tau)
+    labels = "abcd"[: len(sigma)]
+    return marginalize(WignerDomainDistribution.from_partial({key: 1}, settings=labels), pairs)
+
+
+ALL_PAIRS = [(x, y) for x in "abcd" for y in "abcd"]
+
+
+@pytest.mark.parametrize("identified", [False, True])
+def test_degenerate_menus_terminate_from_the_artificial_basis(identified):
+    """Deterministic tables make most basic values zero, the case in which a
+    simplex without an anti-cycling rule can loop.  From the all-artificial
+    basis Bland's rule still ends, with a checked answer: the tables of one
+    domain are feasible, and mixing two tables that disagree on a station's
+    outcome is not."""
+    sigma, tau = (1, -1, 1, 1), ((1, -1, 1, 1) if identified else (-1, 1, 1, -1))
+    feasible = _point_mass_tables(sigma, tau, ALL_PAIRS)
+    flipped = _point_mass_tables((-1, -1, 1, 1), tau, ALL_PAIRS)
+    clash = PairwiseTables({**feasible.tables, ("a", "b"): flipped.tables[("a", "b")]})
+    for tables, status in ((feasible, "feasible"), (clash, "infeasible")):
+        with mock.patch.object(feasibility, "_float_basis", _wrong_basis):
+            res = joint_feasibility(tables, identify_equal_settings=identified)
+        assert (res.status, res.path, res.float_pivots) == (status, "artificial-basis", 0)
+        assert res.exact_pivots >= 1
+        verify_answer(tables, res)
 
 
 CH_PAIRS = [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]
@@ -405,10 +461,37 @@ def test_lp_status_matches_fines_theorem(tables, identified):
     for convention in ("equal", "anti"):
         res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
         assert res.status == want
-        if res.feasible:
-            verify_witness(tables, res)
-        else:
-            verify_certificate(tables, res)
+        verify_answer(tables, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=ch_menu_tables(), identified=st.booleans())
+def test_exact_simplex_alone_matches_fines_theorem(tables, identified):
+    """The same oracle with the float phase capped at 0 pivots, so the exact
+    simplex decides from the all-artificial basis on its own."""
+    want = "feasible" if fine_feasible(tables) else "infeasible"
+    for convention in ("equal", "anti"):
+        with mock.patch.object(feasibility, "_FLOAT_PIVOT_CAP", 0):
+            res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
+        assert (res.status, res.path, res.float_pivots) == (want, "artificial-basis", 0)
+        verify_answer(tables, res)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_fraction_free_inverse(matrix):
+    """(d, N) has d = |det M| and N M = d I, so every division was exact;
+    None exactly when M is singular."""
+    k = len(matrix)
+    det = round(np.linalg.det(np.array(matrix, dtype=float).reshape(k, k)))
+    got = feasibility._inverse(matrix)
+    if det == 0:
+        assert got is None
+        return
+    d, adj = got
+    assert d == abs(det)
+    assert (adj @ np.array(matrix, dtype=object).reshape(k, k) == d * np.eye(k, dtype=int)).all()
 
 
 # ---------------------------------------------------------------------------

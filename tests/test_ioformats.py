@@ -338,6 +338,8 @@ _BAD_RAW_LINES = [
     ("T_NS a true", "outcome must be +1 or -1, got 'true'"),
     ("T_NS a", "expected 't_ns setting outcome', got 2 field(s)"),
     ("x a 1", "t_ns must be an integer, got 'x'"),
+    ("1_0 a 1", "t_ns must be an integer, got '1_0'"),
+    ("\u0661\u0662 b -1", "t_ns must be an integer, got '\u0661\u0662'"),
 ]
 
 
@@ -360,7 +362,8 @@ def test_bad_event_line_message_and_number_after_good_lines(tmp_path, good_lines
 @pytest.mark.parametrize("line,message", _BAD_RAW_LINES)
 def test_bad_raw_line_message_and_number_after_good_lines(tmp_path, good_lines, line, message):
     path = tmp_path / "raw.log"
-    path.write_text("".join(f"{t} a -1\n" for t in range(1, good_lines + 1)) + _fill(line, good_lines) + "\n")
+    lines = "".join(f"{t} a -1\n" for t in range(1, good_lines + 1)) + _fill(line, good_lines) + "\n"
+    path.write_text(lines, encoding="utf-8")
     with pytest.raises(FormatError) as info:
         read_raw_station(str(path), "T")
     assert str(info.value) == f"{path}:{good_lines + 1}: {_fill(message, good_lines)}"
@@ -447,7 +450,8 @@ def test_one_bad_event_or_raw_line_anywhere_reads_as_the_reference_reads_it(tmp_
     ]:
         line, _ = data.draw(st.sampled_from(bad_lines))
         path = str(directory / "station")
-        Path(path).write_text("".join(text + "\n" for text in lines[:at] + [_fill(line, last)] + lines[at:]))
+        Path(path).write_text("".join(text + "\n" for text in lines[:at] + [_fill(line, last)] + lines[at:]),
+                              encoding="utf-8")
         with mock.patch.object(ioformats, "_STRICT_RUN_BYTES", run_bytes):
             assert _outcome(read, path) == _outcome(ref, path)
 
