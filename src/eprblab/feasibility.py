@@ -260,6 +260,12 @@ def _inverse(matrix: list[list[int]]) -> tuple[int, np.ndarray] | None:
     return sign * prev, np.array([[sign * v for v in row[k:]] for row in rows], dtype=object).reshape(k, k)
 
 
+def _over_common_denominator(values: list[Fraction]) -> tuple[int, np.ndarray]:
+    """(d, d * values) for d the values' least common denominator: integers of the same signs and ratios."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, np.array([v.numerator * (d // v.denominator) for v in values], dtype=object)
+
+
 def _exact_simplex(
     a: np.ndarray, support: np.ndarray, rhs: list[Fraction], basis: list[int]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None, str, int]:
@@ -285,8 +291,7 @@ def _exact_simplex(
     """
     m, n = a.shape
     a = a.astype(object)  # Python ints, which cannot overflow
-    scale = math.lcm(*(v.denominator for v in rhs))
-    b = np.array([v.numerator * (scale // v.denominator) for v in rhs], dtype=object)
+    scale, b = _over_common_denominator(rhs)
     artificial = set(range(n, n + m))
     basis = set(basis)
     path = "artificial-basis" if basis == artificial else "float-basis"
@@ -386,12 +391,13 @@ def joint_feasibility(
         if marginalize(witness, pairs, identify_equal_settings, convention).tables != tables.tables:
             raise InternalInvariantError("witness distribution does not reproduce the tables")
     else:
-        if sum(yi * bi for yi, bi in zip(y, rhs)) <= 0:
+        # the checks on y and b scaled to integers by positive factors
+        (_, y_int), (_, b_int) = _over_common_denominator(y), _over_common_denominator(rhs)
+        if y_int @ b_int <= 0:
             raise InternalInvariantError("separating functional does not separate the right-hand side")
-        for col, h in zip(columns, hits):
-            # column col has a 1 in row 4p + h[p] of each pair p and in the normalization row
-            if sum(y[4 * p + c] for p, c in enumerate(h)) + y[-1] > 0:
-                raise InternalInvariantError(f"separating functional fails on domain column {col!r}")
+        failing = np.flatnonzero(y_int[support].sum(axis=1) > 0)
+        if failing.size:
+            raise InternalInvariantError(f"separating functional fails on domain column {columns[failing[0]]!r}")
         certificate = dict(zip(row_labels, y))
     return FeasibilityResult(
         witness is not None, identify_equal_settings, convention, labels, witness, certificate,

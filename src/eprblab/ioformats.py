@@ -9,28 +9,28 @@ digest without reading the file back.  Readers read a file once, validate
 eagerly and raise FormatError with a 1-based line number wherever a line
 is attributable.
 
-Event and pair files are written one line per row from a fixed template
-over the columns, with no whitespace and keys in a fixed order, each line
-ending in a newline:
+Event and pair files are written one line per row, with no whitespace and
+keys in a fixed order, each line ending in a newline:
 
     {"island":"T","t_ns":5,"setting":"a","outcome":-1}
     {"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"c","outcome_left":1,"outcome_right":-1,"window_ns":3}
 
 These are the bytes ``json.dumps(row, separators=(",", ":"))`` gives.
-Event files, pair files and raw station logs (``t_ns setting outcome``)
-have one reader each: ``_rows`` parses the bytes into columns, then one
-pass over the columns makes the checks.  The writers' line format (for
-raw logs: single spaces, outcome 1, +1 or -1) is stated once per file
-format as a field spec: a separator, and per field a literal
+The line format of event files, pair files and raw station logs
+(``t_ns setting outcome``; single spaces, outcome 1, +1 or -1) is stated
+once per format as a field spec: a separator, and per field a literal
 prefix, a kind (decimal, island letter, setting letter, sign) and a
-literal suffix.  The spec gives the compiled pattern that checks a run of
-whole lines (about 1 MB) and the position of every field, from each
-line's separators; numpy builds the columns of a run the pattern takes.
-Any other run (other key order or whitespace, CRLF line ends, blank or
-comment lines, escapes, a missing final newline, leading zeros, or a bad
-line) is parsed line by line into the same columns, so one odd line
-costs only its own run.  A JSON line may not repeat a key.  Line numbers
-count newlines only.
+literal suffix.  The spec gives the writers' ``%`` template and the
+readers' compiled pattern.  A writer formats 64k rows at a time with one
+``%`` of the repeated template and streams each chunk into the temp file
+and the digest, so it holds a few MB however long the file.  Each format
+has one reader: ``_rows`` takes the bytes in runs of whole lines (about
+1 MB), and numpy builds the columns of a run the pattern takes, from each
+line's separators.  Any other run (other key order or whitespace, CRLF
+line ends, blank or comment lines, escapes, a missing final newline,
+leading zeros, or a bad line) is parsed line by line into the same
+columns, so one odd line costs only its own run.  A JSON line may not
+repeat a key.  Line numbers count newlines only.
 
 The checks that span rows run once over the columns: for event files and
 raw logs one island and t_ns strictly increasing and below 2^63; for pair
@@ -58,7 +58,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -100,26 +100,29 @@ SWEEP_HEADER = "window_ns,pairs,statistic,stderr,violated"
 EMPTY_CELL_MARKER = "EmptyCell"
 
 
-def atomic_write_text(path: str, text: str) -> str:
-    """Write text to path as UTF-8 via a same-directory temp file and rename,
-    and return "sha256:<hex>" of the bytes written.  The file gets the mode
-    open() would give it under the current umask, not the owner-only mode of
-    the temp file."""
-    data = text.encode("utf-8")
+def atomic_write(path: str, chunks: Iterable[bytes]) -> str:
+    """Write the byte chunks to path via a same-directory temp file and
+    rename, and return "sha256:<hex>" of the bytes written.  The old file, if
+    any, stays whole until the rename.  The file gets the mode open() would
+    give it under the current umask, not the owner-only mode of the temp
+    file."""
     umask = os.umask(0)  # setting the umask is the only way to read it
     os.umask(umask)
+    digest = hashlib.sha256()
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + digest.hexdigest()
 
 
 def sha256_file(path: str) -> str:
@@ -135,12 +138,10 @@ def sha256_file(path: str) -> str:
 
 
 def write_events(path: str, stream: EventStream) -> str:
-    island, labels = stream.island, stream.labels
-    lines = [
-        f'{{"island":"{island}","t_ns":{t},"setting":"{labels[s]}","outcome":{o}}}\n'
-        for t, s, o in zip(stream.t_ns.tolist(), stream.setting_idx.tolist(), stream.outcome.tolist())
-    ]
-    return atomic_write_text(path, "".join(lines))
+    def run(rows: slice) -> list[list]:
+        return [[stream.island] * (rows.stop - rows.start), *_event_columns(stream, rows)]
+
+    return atomic_write(path, _chunks(_EVENT_LINE, len(stream), run))
 
 
 # the parser recurses once per nesting level
@@ -204,12 +205,14 @@ class _LineFormat(NamedTuple):
     sep: int
     fields: tuple[tuple[bytes, str, bytes], ...]
     lines: re.Pattern  # any run of whole lines in this format
+    template: str  # one line, with %s for each field's value
 
 
 def _line_format(sep: bytes, *fields: tuple[bytes, str, bytes]) -> _LineFormat:
-    assert not any(sep in prefix + suffix for prefix, _, suffix in fields)
+    assert not any(sep in prefix + suffix or b"%" in prefix + suffix for prefix, _, suffix in fields)
     line = sep.join(re.escape(prefix) + _KINDS[kind][0] + re.escape(suffix) for prefix, kind, suffix in fields)
-    return _LineFormat(sep[0], fields, re.compile(b"(?:" + line + rb"\n)" + _REPEAT))
+    template = sep.join(prefix + b"%s" + suffix for prefix, _, suffix in fields) + b"\n"
+    return _LineFormat(sep[0], fields, re.compile(b"(?:" + line + rb"\n)" + _REPEAT), template.decode())
 
 
 def _json_format(keys: tuple[str, ...], kinds: tuple[str, ...]) -> _LineFormat:
@@ -233,6 +236,28 @@ _RAW_LINE = _line_format(b" ", (b"", "decimal", b""), (b"", "setting", b""), (b"
 # eight bytes per field.
 _STRICT_RUN_BYTES = 1 << 20
 _MINUS, _NEWLINE, _ZERO = ord("-"), ord("\n"), ord("0")
+# Rows per chunk a writer formats: it holds one chunk's values and text, a
+# few MB, however long the file.
+_WRITE_RUN_ROWS = 1 << 16
+
+
+def _chunks(fmt: _LineFormat, n: int, run):
+    """The lines of n rows in fmt, as byte chunks of up to _WRITE_RUN_ROWS
+    rows; run(rows) gives the values of the rows in the slice rows, one list
+    per field."""
+    for start in range(0, n, _WRITE_RUN_ROWS):
+        rows = slice(start, min(n, start + _WRITE_RUN_ROWS))
+        values = [None] * (len(fmt.fields) * (rows.stop - start))
+        for k, column in enumerate(run(rows)):
+            values[k :: len(fmt.fields)] = column
+        yield ((fmt.template * (rows.stop - start)) % tuple(values)).encode()
+
+
+def _event_columns(stream: EventStream, rows) -> tuple[list, list, list]:
+    """The times, setting labels and outcomes of the stream's events at rows
+    (a slice or an index array), as lists."""
+    labels = np.array(stream.labels)[stream.setting_idx[rows]]
+    return stream.t_ns[rows].tolist(), labels.tolist(), stream.outcome[rows].tolist()
 
 
 def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -416,28 +441,16 @@ def _read_station(path: str, fmt: _LineFormat, parse_line, island: str | None, w
 
 
 def write_pairs_indexed(
-    path: str,
-    left: EventStream,
-    right: EventStream,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
-    window_ns: int,
+    path: str, left: EventStream, right: EventStream, left_idx: np.ndarray, right_idx: np.ndarray, window_ns: int
 ) -> str:
     window = json.dumps(window_ns)
-    ll, rl = left.labels, right.labels
-    lines = [
-        f'{{"t_left_ns":{tl},"t_right_ns":{tr},"setting_left":"{ll[sl]}","setting_right":"{rl[sr]}",'
-        f'"outcome_left":{ol},"outcome_right":{orr},"window_ns":{window}}}\n'
-        for tl, tr, sl, sr, ol, orr in zip(
-            left.t_ns[left_idx].tolist(),
-            right.t_ns[right_idx].tolist(),
-            left.setting_idx[left_idx].tolist(),
-            right.setting_idx[right_idx].tolist(),
-            left.outcome[left_idx].tolist(),
-            right.outcome[right_idx].tolist(),
-        )
-    ]
-    return atomic_write_text(path, "".join(lines))
+
+    def run(rows: slice) -> list[list]:
+        t_left, s_left, o_left = _event_columns(left, left_idx[rows])
+        t_right, s_right, o_right = _event_columns(right, right_idx[rows])
+        return [t_left, t_right, s_left, s_right, o_left, o_right, [window] * len(t_left)]
+
+    return atomic_write(path, _chunks(_PAIR_LINE, len(left_idx), run))
 
 
 def _pair_line(text: str):
@@ -506,7 +519,7 @@ def write_tally(path: str, tally: TallyTable) -> str:
         ";".join(pair): {CELL_NAMES[c]: tally.counts[pair][c] for c in CELLS}
         for pair in sorted(tally.counts)
     }
-    return atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return atomic_write(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _count(value) -> int:
@@ -553,27 +566,13 @@ def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> str:
         else:
             flag = "true" if row.violated else "false"
             lines.append(f"{row.window_ns},{row.pairs},{row.statistic!r},{row.stderr!r},{flag}")
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
 # source configs
 
-_CONFIG_KEYS = (
-    "kind",
-    "settings",
-    "seed",
-    "emission_period_ns",
-    "jitter_ns",
-    "total_pairs",
-    "pairs_per_combination",
-    "convention",
-    "max_delay_ns",
-    "delay_exponent",
-    "domain_weights",
-    "station_t_labels",
-    "station_l_labels",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(SourceConfig))
 
 
 def _parse_domain_weights(obj, labels: list[str]) -> WignerDomainDistribution:
@@ -752,17 +751,10 @@ class RunManifest:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "inputs": dict(sorted(self.inputs.items())),
-            "outputs": dict(sorted(self.outputs.items())),
-            "parameters": dict(sorted(self.parameters.items())),
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-        }
+        """The fields in order, with the three mappings sorted by key."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return doc | {key: dict(sorted(doc[key].items())) for key in ("inputs", "outputs", "parameters")}
 
 
 def write_manifest(path: str, manifest: RunManifest) -> str:
-    return atomic_write_text(path, json.dumps(manifest.to_dict(), indent=2) + "\n")
+    return atomic_write(path, [(json.dumps(manifest.to_dict(), indent=2) + "\n").encode()])

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import uniform_identified
 from eprblab import feasibility
-from eprblab.errors import EmptyCellError, SupportViolationError
+from eprblab.cli import main
+from eprblab.errors import EmptyCellError, InternalInvariantError, SupportViolationError
 from eprblab.feasibility import (
     FeasibilityResult,
     PairwiseTables,
@@ -16,7 +18,7 @@ from eprblab.feasibility import (
     marginalize,
     wigner_residual,
 )
-from eprblab.model import CELLS, TallyTable, WignerDomainDistribution, all_domain_keys
+from eprblab.model import CELL_NAMES, CELLS, TallyTable, WignerDomainDistribution, all_domain_keys
 
 F = Fraction
 
@@ -374,6 +376,70 @@ def test_failed_float_basis_falls_back_to_the_exact_simplex(float_basis, identif
         assert res.float_pivots == 2
     assert (res.lp_rows, res.lp_cols) == (plain.lp_rows, plain.lp_cols) == (13, 8 if identified else 64)
     verify_answer(tables, res)
+
+
+# ---------------------------------------------------------------------------
+# the gates, each given an answer that misses it by the least amount
+
+TINY = F(1, 10**30)  # lost in a float sum of the other terms
+
+
+def _breaks_a_column(support, rhs, x, y):
+    """Raise one cell row's weight so that the column nearest to failing
+    sums to TINY; y . b only grows."""
+    sums = [sum(y[i] for i in rows) for rows in support.tolist()]
+    j = max(range(len(sums)), key=sums.__getitem__)
+    y = list(y)
+    y[support[j][0]] += TINY - sums[j]
+    return x, y
+
+
+def _does_not_separate(support, rhs, x, y):
+    """Lower one row's weight until y . b is exactly 0; no column sum grows."""
+    r = next(i for i, b in enumerate(rhs) if b > 0)
+    y = list(y)
+    y[r] -= sum(yi * bi for yi, bi in zip(y, rhs)) / rhs[r]
+    return x, y
+
+
+def _misses_a_cell(support, rhs, x, y):
+    """Move TINY of the first weighted domain column onto the next one."""
+    j = next(j for j, w in enumerate(x) if w > 0)
+    x = list(x)
+    x[j] -= TINY
+    x[(j + 1) % len(x)] += TINY
+    return x, y
+
+
+# each break, the menu it is made on, and the gate's message
+GATE_BREAKS = {
+    "column": (_breaks_a_column, True, "fails on domain column"),
+    "separation": (_does_not_separate, True, "does not separate the right-hand side"),
+    "witness": (_misses_a_cell, False, "does not reproduce the tables"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_BREAKS))
+def test_each_gate_refuses_an_answer_that_misses_it(tmp_path, capsys, name):
+    """An answer from the exact simplex that misses a gate by the least
+    amount raises InternalInvariantError, and ``feasibility`` exits 4."""
+    breaks, identified, message = GATE_BREAKS[name]
+    solve = feasibility._exact_simplex
+
+    def broken(a, support, rhs, basis):
+        x, y, path, pivots = solve(a, support, rhs, basis)
+        return (*breaks(support, rhs, x, y), path, pivots)
+
+    tables = singlet_tables("anti")
+    path = tmp_path / "tables.json"
+    doc = {f"{x};{y}": {CELL_NAMES[c]: str(p) for c, p in table.items()} for (x, y), table in tables.tables.items()}
+    path.write_text(json.dumps({"convention": "anti", "tables": doc}))
+    argv = ["feasibility", "--tables", str(path)] + (["--identify-equal-settings"] if identified else [])
+    with mock.patch.object(feasibility, "_exact_simplex", broken):
+        with pytest.raises(InternalInvariantError, match=message):
+            joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
+        assert main(argv) == 4
+    assert message in capsys.readouterr().err
 
 
 def _point_mass_tables(sigma, tau, pairs) -> PairwiseTables:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import stat
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_line_reader as reference
+import per_line_writer
 from conftest import config_to_dict, pair, read_manifest, read_sweep_csv, stream
 from eprblab import ioformats
 from eprblab.errors import ConfigParseError, FormatError
@@ -19,7 +22,7 @@ from eprblab.ioformats import (
     EMPTY_CELL_MARKER,
     EVENT_KEYS,
     RunManifest,
-    atomic_write_text,
+    atomic_write,
     config_from_dict,
     load_config,
     read_events,
@@ -41,9 +44,18 @@ from eprblab.stats import SweepRow, tally
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.txt"
-    atomic_write_text(str(path), "hello\n")
+    assert atomic_write(str(path), [b"hel", b"lo\n"]) == "sha256:" + hashlib.sha256(b"hello\n").hexdigest()
     assert path.read_text() == "hello\n"
-    atomic_write_text(str(path), "replaced\n")
+    atomic_write(str(path), [b"replaced\n"])
+    assert path.read_text() == "replaced\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+    def failing():
+        yield b"half a file\n"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        atomic_write(str(path), failing())
     assert path.read_text() == "replaced\n"
     assert os.listdir(tmp_path) == ["out.txt"]
 
@@ -52,7 +64,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
     saved = os.umask(umask)
     try:
-        atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        atomic_write(str(tmp_path / "atomic.txt"), [b"x\n"])
         with open(tmp_path / "plain.txt", "w") as handle:
             handle.write("x\n")
     finally:
@@ -161,12 +173,14 @@ def test_raw_station_log_round_trip_and_rejections(tmp_path):
 
 
 @st.composite
-def valid_streams(draw):
-    """Nonempty streams of any island and menu, times anywhere in int64."""
-    times = sorted(draw(st.sets(st.integers(0, 2000) | st.integers(0, 2**63 - 1), min_size=1, max_size=40)))
+def valid_streams(draw, min_size=1):
+    """Streams of any island and menu, nonempty by default, times anywhere
+    in int64 with 0 and 2^63 - 1 among the likely ones."""
+    times = st.integers(0, 2000) | st.integers(0, 2**63 - 1) | st.sampled_from([0, 2**63 - 1])
+    times = sorted(draw(st.sets(times, min_size=min_size, max_size=40)))
     labels = draw(st.lists(st.sampled_from(SETTING_LABELS), min_size=len(times), max_size=len(times)))
     outcomes = draw(st.lists(st.sampled_from(OUTCOMES), min_size=len(times), max_size=len(times)))
-    menu = tuple(sorted(set(labels)))
+    menu = tuple(sorted(set(labels))) or SETTING_LABELS[:1]
     return EventStream(
         island=draw(st.sampled_from(ISLANDS)),
         labels=menu,
@@ -232,6 +246,54 @@ def test_pair_writer_matches_json_dumps(tmp_path_factory, left, right, window):
         for i, j in zip(left_idx.tolist(), right_idx.tolist())
     ]
     assert open(path, encoding="utf-8").read() == "".join(expected)
+
+
+@settings(deadline=None, max_examples=80)
+@given(valid_streams(min_size=0), valid_streams(min_size=0), st.integers(0, 3000) | st.integers(0, 10**23), st.data(),
+       st.sampled_from([1, 3, ioformats._WRITE_RUN_ROWS]))
+def test_writers_match_the_per_line_writers(tmp_path_factory, left, right, window, data, run_rows):
+    """Both writers give the per-line writers' bytes and their digest, for
+    any chunk length, and any rows of the two streams."""
+    n = data.draw(st.integers(0, 40)) if len(left) and len(right) else 0
+
+    def rows(s: EventStream) -> np.ndarray:
+        return np.array(data.draw(st.lists(st.integers(0, max(len(s) - 1, 0)), min_size=n, max_size=n)), dtype=np.int64)
+
+    left_idx, right_idx = rows(left), rows(right)
+    directory = tmp_path_factory.mktemp("writers")
+    events, pairs = str(directory / "ev.jsonl"), str(directory / "pairs.jsonl")
+    with mock.patch.object(ioformats, "_WRITE_RUN_ROWS", run_rows):
+        written = {
+            events: write_events(events, left),
+            pairs: write_pairs_indexed(pairs, left, right, left_idx, right_idx, window),
+        }
+    expected = {
+        events: per_line_writer.event_bytes(left),
+        pairs: per_line_writer.pair_bytes(left, right, left_idx, right_idx, window),
+    }
+    for path, data_bytes in expected.items():
+        assert Path(path).read_bytes() == data_bytes, path
+        assert written[path] == "sha256:" + hashlib.sha256(data_bytes).hexdigest(), path
+
+
+def test_write_events_holds_one_chunk_at_a_time(tmp_path):
+    """300k events of a 100 us emission period: the whole file's lines would
+    take about 70 MB."""
+    n = 300_000
+    s = EventStream(
+        "T",
+        ("a", "c"),
+        np.arange(n, dtype=np.int64) * 100_000 + 7,
+        np.arange(n) % 2,
+        np.where(np.arange(n) % 3, 1, -1).astype(np.int8),
+    )
+    tracemalloc.start()
+    try:
+        write_events(str(tmp_path / "ev.jsonl"), s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def _event_variants(objects: list[dict], order: list[str], blank_at: int) -> dict[str, str]:
