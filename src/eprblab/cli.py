@@ -206,13 +206,7 @@ def _cmd_feasibility(args) -> int:
         "identify_equal_settings": result.identify_equal_settings,
         "convention": result.convention,
         "settings": list(result.setting_labels),
-        "lp": {
-            "rows": result.lp_rows,
-            "cols": result.lp_cols,
-            "float_pivots": result.float_pivots,
-            "exact_pivots": result.exact_pivots,
-            "path": result.path,
-        },
+        "lp": {"rows": result.lp_rows, "cols": result.lp_cols, "exact_pivots": result.exact_pivots},
     }
     if result.witness is not None:
         payload["witness"] = {

@@ -41,12 +41,12 @@ outcomes are assumed to be shared.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import InternalInvariantError, MalformedTupleError, SettingCollisionError, TooLargeError
 from .model import BellTriple, DetectionEvent, PairRecord, SETTING_LABELS, CorrelationClass, check_window
@@ -111,17 +111,17 @@ def per_trial_patterns(model: ConstraintModel | str) -> frozenset[Pattern]:
     return frozenset(pats)
 
 
-def _class_grid(M: int, patterns: frozenset[Pattern]) -> np.ndarray:
-    """The (M+1)^3 boolean grid of class triples reachable in M trials, by an
-    M-step sumset walk: only the multiset of per-trial patterns matters."""
-    reach = np.zeros((M + 1, M + 1, M + 1), dtype=bool)
-    reach[0, 0, 0] = True
-    steps = [(int(p[0]), int(p[1]), int(p[2])) for p in sorted(patterns)]
+def _class_grid(M: int, patterns: frozenset[Pattern]) -> int:
+    """The class triples reachable in M trials, as the bits of one int: bit
+    x (M+1)^2 + y (M+1) + z is set iff (x, y, z) is reachable.  An M-step
+    sumset walk, since only the multiset of per-trial patterns matters: each
+    step ORs together the reachable set shifted by each pattern's offset.
+    After k steps no coordinate exceeds k <= M, so no shift carries one
+    coordinate into the next and no mask is needed."""
+    shifts = {(M + 1) ** 2 * dx + (M + 1) * dy + dz for dx, dy, dz in patterns}
+    reach = 1
     for _ in range(M):
-        nxt = np.zeros_like(reach)
-        for dx, dy, dz in steps:
-            nxt[dx:, dy:, dz:] |= reach[: M + 1 - dx, : M + 1 - dy, : M + 1 - dz]
-        reach = nxt
+        reach = functools.reduce(operator.or_, (reach << k for k in shifts))
     return reach
 
 
@@ -144,16 +144,17 @@ def count_triple_classes(M: int, model: ConstraintModel | str) -> ClassCountRepo
     """Count the distinct (ab, ac, bc) class triples reachable in M trials
     per pair under the given constraint model.
 
-    The grid walk's count must equal the model's exact count; a mismatch
-    raises InternalInvariantError.
+    M may be any integer type.  The grid walk's count must equal the
+    model's exact count; a mismatch raises InternalInvariantError.
     """
     if isinstance(model, str):
         model = ConstraintModel(model)
+    M = operator.index(M)
     if M < 1:
         raise ValueError("M must be at least 1")
     if (M + 1) ** 3 > ENUMERATION_GUARD:
         raise TooLargeError(f"M={M}: the (M+1)^3 class grid exceeds the guard of {ENUMERATION_GUARD}")
-    count = int(_class_grid(M, per_trial_patterns(model)).sum())
+    count = _class_grid(M, per_trial_patterns(model)).bit_count()
     exact = _exact_count(M, model.kind)
     if count != exact:
         raise InternalInvariantError(f"M={M} {model.kind}: the grid walk reached {count} class triples, not {exact}")

@@ -9,13 +9,11 @@ distribution that is re-marginalized and compared exactly; infeasibility
 comes with a separating functional y such that y . b > 0 while y . A_d <= 0
 for every domain column d, verified before it is returned.
 
-Floats only choose where the exact solver starts.  A ``float64`` phase-1
-simplex (Dantzig's rule) picks a basis, and one exact revised simplex
-(Bland's rule, in integers) starts from it, or from the all-artificial basis
-if it is singular or negative, and pivots until it can decide.  Usually the
-float basis is already optimal and takes no exact pivot.  Every answer is
-exact and passes the checks above before it is returned; no tolerance ever
-decides one.
+One exact phase-1 simplex decides, in Python integers from the
+all-artificial basis: Dantzig's rule prices, and Bland's rule takes over
+on a run of degenerate pivots, so it terminates (``_exact_simplex``).  Every
+answer is exact and passes the checks above before it is returned; no
+tolerance ever decides one, and no array library is loaded.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
@@ -26,11 +24,10 @@ space to tau = sigma.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import EmptyCellError, InternalInvariantError, SupportViolationError
 from .model import (
@@ -167,11 +164,8 @@ def marginalize(
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """The answer with its witness or certificate, and the LP's path: its
-    size, the float phase's pivot count, the basis the exact simplex started
-    from (``path``: "float-basis", or "artificial-basis" when the float basis
-    was singular or negative) and its pivot count (``exact_pivots``; 0 when
-    the float basis was certified as it was)."""
+    """The answer with its witness or certificate, and the LP's size and
+    the exact simplex's pivot count (``exact_pivots``)."""
 
     feasible: bool
     identify_equal_settings: bool
@@ -182,9 +176,7 @@ class FeasibilityResult:
     row_labels: tuple[str, ...]
     lp_rows: int
     lp_cols: int
-    float_pivots: int
     exact_pivots: int
-    path: str
 
     @property
     def status(self) -> str:
@@ -195,143 +187,87 @@ def _row_label(key: tuple[str, str], cell: tuple[int, int]) -> str:
     return f"{key[0]};{key[1]}:{CELL_NAMES[cell]}"
 
 
-# The float phase only proposes the starting basis; the exact simplex goes on
-# from it and the gates check the answer, so a tolerance or cap that misjudges
-# some table costs exact pivots, never a wrong answer.  4-setting menus take 11
-# to about 100 float pivots.
-_FLOAT_TOL = 1e-9
-_FLOAT_PIVOT_CAP = 1000
-
-
-def _float_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[int], int]:
-    """Phase-1 simplex for {A x = b, x >= 0} in float64, Dantzig's rule.
-
-    Starts from the all-artificial basis (artificial i is column n + i) and
-    stops once the artificial sum is zero, no reduced cost is negative, no
-    row can leave or the pivot cap is hit.  Returns (basis, pivots), where
-    basis lists the m basic columns of the last basis.
-    """
-    m, n = a.shape
-    tab = np.hstack([a, np.eye(m), b[:, None]])
-    rc = np.concatenate([np.zeros(n), np.ones(m), [0.0]]) - tab.sum(axis=0)
-    basis = list(range(n, n + m))
-    pivots = 0
-    while -rc[-1] > _FLOAT_TOL and pivots < _FLOAT_PIVOT_CAP:
-        enter = int(np.argmin(rc[:-1]))
-        if rc[enter] >= -_FLOAT_TOL:
-            break
-        col = tab[:, enter]
-        rows = np.flatnonzero(col > _FLOAT_TOL)
-        if rows.size == 0:
-            break
-        ratio = np.maximum(tab[rows, -1], 0.0) / col[rows]
-        tied = rows[ratio <= ratio.min() + _FLOAT_TOL]
-        leave = int(tied[np.argmax(col[tied])])
-        tab[leave] /= tab[leave, enter]
-        factors = tab[:, enter].copy()
-        factors[leave] = 0.0
-        tab -= np.outer(factors, tab[leave])
-        rc -= rc[enter] * tab[leave]
-        basis[leave] = enter
-        pivots += 1
-    return basis, pivots
-
-
-def _inverse(matrix: list[list[int]]) -> tuple[int, np.ndarray] | None:
-    """(d, N) with d > 0 and N / d the inverse of the square integer matrix,
-    by fraction-free (Bareiss) Gauss-Jordan elimination, in which every
-    division is exact; None if the matrix is singular."""
-    k = len(matrix)
-    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)]
-    prev = 1
-    for c in range(k):
-        p = next((i for i in range(c, k) if rows[i][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot = rows[c]
-        d = pivot[c]
-        for i in range(k):
-            if i != c:
-                f = rows[i][c]
-                rows[i] = [(d * v - f * u) // prev for v, u in zip(rows[i], pivot)]
-        prev = d
-    sign = 1 if prev > 0 else -1
-    return sign * prev, np.array([[sign * v for v in row[k:]] for row in rows], dtype=object).reshape(k, k)
-
-
-def _over_common_denominator(values: list[Fraction]) -> tuple[int, np.ndarray]:
+def _over_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
     """(d, d * values) for d the values' least common denominator: integers of the same signs and ratios."""
     d = math.lcm(*(v.denominator for v in values))
-    return d, np.array([v.numerator * (d // v.denominator) for v in values], dtype=object)
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+# Consecutive degenerate pivots after which Dantzig's rule gives way to Bland's
+_DEGENERATE_RUN = 3
 
 
 def _exact_simplex(
-    a: np.ndarray, support: np.ndarray, rhs: list[Fraction], basis: list[int]
-) -> tuple[list[Fraction] | None, list[Fraction] | None, str, int]:
+    support: list[tuple[int, ...]], rhs: list[Fraction]
+) -> tuple[list[Fraction] | None, list[Fraction] | None, int]:
     """Exact phase-1 revised simplex for {A x = b, x >= 0} with b >= 0.
 
-    Column n + i of [A | I] is the artificial of row i.  The simplex starts
-    from ``basis`` ("float-basis") unless that is singular or has a negative
-    basic value; then it starts from the all-artificial basis
-    ("artificial-basis").  Bland's rule picks the entering column (the
-    lowest-numbered domain column of negative reduced cost; artificials never
-    re-enter) and the leaving one (the lowest-numbered of the ratio test's
-    ties), so it terminates from any primal-feasible start (Bland 1977).
+    Domain column j of A holds a 1 on the rows in ``support[j]`` and 0
+    elsewhere; b is ``rhs``.  Column n + i of [A | I] is the artificial of
+    row i, and the simplex starts from the all-artificial basis, with
+    nothing but Python integers.  It keeps det * B^-1, the basic values
+    det * B^-1 b (b scaled to integers) and the duals det * c_B B^-1, with
+    det = det B > 0, and updates each by the fraction-free pivot of Edmonds
+    (1967): row i becomes (p * row_i - w_i * row_r) / det and det becomes p,
+    for pivot row r, entering column w = det * B^-1 A_s and p = w_r > 0.
+    Every entry is a minor of the integer system, so each division is exact.
 
-    Each pivot re-solves the basis.  An artificial column is a unit column,
-    so each basic artificial fixes its own row: only the free rows and the
-    basic domain columns form the square block that is inverted, in
-    integers.  Pricing sums the duals, scaled to integers, over each domain
-    column's ``support`` (the rows where it holds a 1).
+    Pricing (the entering column has y . A_j > 0, y the phase-1 duals;
+    artificials never re-enter) follows Dantzig's rule, the largest
+    y . A_j with ties to the lowest index, until _DEGENERATE_RUN
+    consecutive pivots leave the basic values unchanged.  Then Bland's rule
+    (the lowest-numbered column that can enter) prices until the next pivot
+    that changes them.  The leaving row is always, among the ratio test's
+    ties, the one whose basic column has the lowest number.
 
-    Returns (x, None, path, pivots) once no artificial carries weight, or
-    (None, y, path, pivots) once no column can enter, with y a separating
+    Termination: each pivot that changes the basic values strictly lowers
+    the phase-1 objective, which is a function of the basis, so no earlier
+    basis comes back after it, and there are finitely many such pivots.
+    Between two of them (and after the last), at most _DEGENERATE_RUN
+    pivots follow Dantzig's rule and the rest follow Bland's rule at one
+    fixed point, where Bland (1977) shows no basis can repeat.  An
+    artificial that leaves and never comes back lies on no cycle, so
+    keeping artificials out does not touch that argument.
+
+    Returns (x, None, pivots) once no artificial carries weight, or
+    (None, y, pivots) once no column can enter, with y a separating
     functional: y . b > 0, and y . A_j <= 0 for every domain column j.
     """
-    m, n = a.shape
-    a = a.astype(object)  # Python ints, which cannot overflow
-    scale, b = _over_common_denominator(rhs)
-    artificial = set(range(n, n + m))
-    basis = set(basis)
-    path = "artificial-basis" if basis == artificial else "float-basis"
-    pivots = 0
-    while True:
-        cols = sorted(j for j in basis if j < n)
-        fixed = [i for i in range(m) if n + i in basis]
-        free = [i for i in range(m) if n + i not in basis]
-        inverse = _inverse(a[np.ix_(free, cols)].tolist())
-        if inverse is not None:
-            det, adj = inverse
-            rest = a[np.ix_(fixed, cols)]
-
-            def solve(col: np.ndarray) -> dict[int, int]:
-                """det * B^-1 col, keyed by basic column."""
-                w = adj @ col[free]
-                return dict(zip(cols + [n + i for i in fixed], [*w, *(det * col[fixed] - rest @ w)]))
-
-            x = solve(b)  # the basic values times det * scale
-        if inverse is None or min(x.values()) < 0:
-            if pivots:
-                raise InternalInvariantError("the ratio test left a singular or negative basis")
-            basis, path = artificial, "artificial-basis"
-            continue
-        if not any(x[n + i] for i in fixed):
-            return [Fraction(x.get(j, 0), det * scale) for j in range(n)], None, path, pivots
-        # c_B is 1 on the artificials and 0 on domain columns, so y is 1 on the
-        # fixed rows and A_j^T y = 0 on each basic domain column j; times det
-        y = np.full(m, det, dtype=object)
-        y[free] = adj.T @ -rest.sum(axis=0)
-        entering = np.flatnonzero(y[support].sum(axis=1) > 0)
-        if entering.size == 0:
-            return None, [Fraction(v, det) for v in y], path, pivots
-        enter = int(entering[0])
-        w = solve(a[:, enter])
-        ratios = [(Fraction(x[v], w[v]), v) for v in w if w[v] > 0]
+    m, n = len(rhs), len(support)
+    scale, xb = _over_common_denominator(rhs)
+    basis = list(range(n, n + m))  # the column basic in each row
+    inv = [[int(i == k) for k in range(m)] for i in range(m)]
+    y = [1] * m
+    det, pivots, degenerate = 1, 0, 0
+    while any(x for x, j in zip(xb, basis) if j >= n):
+        prices = [sum(map(y.__getitem__, rows)) for rows in support]  # y . A_j
+        entering = [j for j in range(n) if prices[j] > 0]
+        if not entering:
+            return None, [Fraction(v, det) for v in y], pivots
+        enter = max(entering, key=prices.__getitem__) if degenerate < _DEGENERATE_RUN else entering[0]
+        w = [sum(map(row.__getitem__, support[enter])) for row in inv]
+        ratios = [(Fraction(xb[i], w[i]), basis[i], i) for i in range(m) if w[i] > 0]
         if not ratios:
             raise InternalInvariantError("phase-1 objective is bounded below by 0 and cannot be unbounded")
-        basis = basis - {min(ratios)[1]} | {enter}
+        r = min(ratios)[2]
+        p, pivot_row, pivot_x = w[r], inv[r], xb[r]
+        for i, f in enumerate(w):
+            if i == r:
+                continue
+            if f:
+                inv[i] = [(p * v - f * u) // det for v, u in zip(inv[i], pivot_row)]
+            elif p != det:  # a row the entering column misses only rescales
+                inv[i] = [p * v // det for v in inv[i]]
+            xb[i] = (p * xb[i] - f * pivot_x) // det
+        y = [(p * v - prices[enter] * u) // det for v, u in zip(y, pivot_row)]
+        det, basis[r] = p, enter
+        degenerate = degenerate + 1 if pivot_x == 0 else 0
         pivots += 1
+    x = [Fraction(0)] * n
+    for value, j in zip(xb, basis):
+        if j < n:
+            x[j] = Fraction(value, det * scale)
+    return x, None, pivots
 
 
 def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> list[DomainKey]:
@@ -360,9 +296,8 @@ def joint_feasibility(
     Feasible outcomes carry a witness distribution (verified here by exact
     re-marginalization); infeasible ones carry a separating functional
     keyed by constraint row, verified against every domain column before
-    being returned.  The exact simplex starts from the float phase's basis
-    and pivots on until it can decide.  Verification failure of its answer
-    raises InternalInvariantError, since it would mean the solver lied.
+    being returned.  Verification failure of its answer raises
+    InternalInvariantError, since it would mean the solver lied.
     """
     if isinstance(tables, TallyTable):
         tables = PairwiseTables.from_tally(tables)
@@ -376,12 +311,8 @@ def joint_feasibility(
     row_labels = [_row_label(key, cell) for key in pairs for cell in CELLS] + ["normalization"]
     rhs = [tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)]
     # support[j] lists the rows where domain column j holds a 1
-    support = np.hstack([4 * np.arange(len(pairs)) + np.array(hits), np.full((len(columns), 1), len(rhs) - 1)])
-    a = np.zeros((len(rhs), len(columns)), dtype=np.int64)
-    a[support, np.arange(len(columns))[:, None]] = 1
-
-    basis, float_pivots = _float_basis(a.astype(np.float64), np.array([float(v) for v in rhs]))
-    x, y, path, exact_pivots = _exact_simplex(a, support, rhs, basis)
+    support = [tuple(4 * p + c for p, c in enumerate(h)) + (len(rhs) - 1,) for h in hits]
+    x, y, exact_pivots = _exact_simplex(support, rhs)
 
     witness = certificate = None
     if x is not None:
@@ -393,15 +324,15 @@ def joint_feasibility(
     else:
         # the checks on y and b scaled to integers by positive factors
         (_, y_int), (_, b_int) = _over_common_denominator(y), _over_common_denominator(rhs)
-        if y_int @ b_int <= 0:
+        if sum(map(operator.mul, y_int, b_int)) <= 0:
             raise InternalInvariantError("separating functional does not separate the right-hand side")
-        failing = np.flatnonzero(y_int[support].sum(axis=1) > 0)
-        if failing.size:
+        failing = [j for j, rows in enumerate(support) if sum(y_int[i] for i in rows) > 0]
+        if failing:
             raise InternalInvariantError(f"separating functional fails on domain column {columns[failing[0]]!r}")
         certificate = dict(zip(row_labels, y))
     return FeasibilityResult(
         witness is not None, identify_equal_settings, convention, labels, witness, certificate,
-        tuple(row_labels), len(rhs), len(columns), float_pivots, exact_pivots, path,
+        tuple(row_labels), len(rhs), len(columns), exact_pivots,
     )
 
 

@@ -62,9 +62,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-import numpy as np
-
 from . import __version__ as _version
+from ._lazy import np
 from .errors import ConfigParseError, FormatError
 from .feasibility import PairwiseTables, _as_fraction
 from .model import (
@@ -182,11 +181,11 @@ def read_events(path: str) -> EventStream:
 # the "+1" of raw logs.  A letter column holds byte codes and a sign column
 # whether the sign is minus.
 _KINDS = {
-    "decimal": (rb"(?:0|[1-9][0-9]{0,18})", np.uint64),
-    "island": (b"[" + "".join(ISLANDS).encode() + b"]", np.uint8),
-    "setting": (b"[" + "".join(SETTING_LABELS).encode() + b"]", np.uint8),
-    "sign": (rb"-?1", np.bool_),
-    "sign+": (rb"[+-]?1", np.bool_),
+    "decimal": (rb"(?:0|[1-9][0-9]{0,18})", "u8"),
+    "island": (b"[" + "".join(ISLANDS).encode() + b"]", "u1"),
+    "setting": (b"[" + "".join(SETTING_LABELS).encode() + b"]", "u1"),
+    "sign": (rb"-?1", "?"),
+    "sign+": (rb"[+-]?1", "?"),
 }
 
 
@@ -443,7 +442,8 @@ def _read_station(path: str, fmt: _LineFormat, parse_line, island: str | None, w
 def write_pairs_indexed(
     path: str, left: EventStream, right: EventStream, left_idx: np.ndarray, right_idx: np.ndarray, window_ns: int
 ) -> str:
-    window = json.dumps(window_ns)
+    check_window(window_ns)
+    window = int(window_ns)  # a plain JSON number, whatever integer type the window has
 
     def run(rows: slice) -> list[list]:
         t_left, s_left, o_left = _event_columns(left, left_idx[rows])

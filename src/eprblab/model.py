@@ -24,13 +24,13 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidStreamError
 
 SETTING_LABELS = ("a", "b", "c", "d")
@@ -88,12 +88,12 @@ class DetectionEvent:
     def __post_init__(self) -> None:
         if self.island not in ISLANDS:
             raise ValueError(f"island must be 'T' or 'L', got {self.island!r}")
-        if not isinstance(self.time_ns, (int, np.integer)) or isinstance(self.time_ns, bool):
+        if not isinstance(self.time_ns, numbers.Integral) or isinstance(self.time_ns, bool):
             raise ValueError(f"time_ns must be an integer, got {self.time_ns!r}")
         if self.setting_label not in SETTING_LABELS:
             raise ValueError(f"setting_label must be one of {SETTING_LABELS}, got {self.setting_label!r}")
         if (
-            not isinstance(self.outcome, (int, np.integer))
+            not isinstance(self.outcome, numbers.Integral)
             or isinstance(self.outcome, bool)
             or self.outcome not in OUTCOMES
         ):
@@ -103,7 +103,7 @@ class DetectionEvent:
 def check_window(window_ns, dt: int = 0) -> None:
     """Raise ValueError unless window_ns is a nonnegative integer (not a
     bool) and the pair's time difference dt = |t - t'| lies within it."""
-    if not isinstance(window_ns, (int, np.integer)) or isinstance(window_ns, bool):
+    if not isinstance(window_ns, numbers.Integral) or isinstance(window_ns, bool):
         raise ValueError(f"window_ns must be an integer, got {window_ns!r}")
     if window_ns < 0:
         raise ValueError("window_ns must be nonnegative")
@@ -331,7 +331,7 @@ class TallyTable:
             for cell, count in cells.items():
                 if cell not in full:
                     raise ValueError(f"bad outcome cell {cell!r} for pair {pair!r}")
-                if not isinstance(count, (int, np.integer)) or count < 0:
+                if not isinstance(count, numbers.Integral) or count < 0:
                     raise ValueError(f"cell counts must be nonnegative integers, got {count!r}")
                 full[cell] = int(count)
             norm[(x, y)] = full
@@ -457,7 +457,7 @@ def _time_column(times) -> np.ndarray:
     if isinstance(times, np.ndarray) and times.dtype.kind == "i":
         return times.astype(np.int64, copy=False)
     values = np.asarray(times, dtype=object)
-    if any(isinstance(v, (int, np.integer)) and not 0 <= v <= MAX_T_NS for v in values.flat):
+    if any(isinstance(v, numbers.Integral) and not 0 <= v <= MAX_T_NS for v in values.flat):
         return values
     return values.astype(np.int64)
 

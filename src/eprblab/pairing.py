@@ -46,8 +46,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .model import check_window, require_valid_stream
 
 # A round that accepts fewer than this share of the live events that still

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConfigParseError
 from .model import EventStream, Setting, WignerDomainDistribution, l_sign
 

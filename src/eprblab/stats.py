@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EmptyCellError
 from .model import CELLS, EventStream, TallyTable, l_sign, require_valid_stream
 from .pairing import PairingConfig, match_pairs_indexed

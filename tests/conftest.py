@@ -50,12 +50,21 @@ def pair_columns(records):
 
 
 def scan_class_grid(M: int, patterns) -> np.ndarray:
-    """Naive reference for ``counting._class_grid``: scan all |patterns|^M
-    tuples of per-trial patterns and mark the class triple of each."""
+    """Naive reference for ``counting._class_grid`` (read through
+    ``class_grid_cells``): scan all |patterns|^M tuples of per-trial
+    patterns and mark the class triple of each."""
     grid = np.zeros((M + 1, M + 1, M + 1), dtype=bool)
     for combo in itertools.product(sorted(patterns), repeat=M):
         grid[tuple(sum(p[k] for p in combo) for k in range(3))] = True
     return grid
+
+
+def class_grid_cells(bits: int, M: int) -> np.ndarray:
+    """The (M+1)^3 boolean grid that ``counting._class_grid`` encodes: cell
+    (x, y, z) is bit x (M+1)^2 + y (M+1) + z.  No bit may lie past the grid."""
+    size = (M + 1) ** 3
+    assert bits >> size == 0
+    return np.array([bits >> k & 1 for k in range(size)], dtype=bool).reshape(M + 1, M + 1, M + 1)
 
 
 def scan_eu_classes(M: int) -> list[CorrelationClass]:

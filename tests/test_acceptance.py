@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import pair, pair_columns, read_manifest, scan_class_grid
+from conftest import class_grid_cells, pair, pair_columns, read_manifest, scan_class_grid
 from eprblab.cli import main
 from eprblab.counting import (
     _class_grid,
@@ -72,7 +72,7 @@ def test_criterion_03_constrained_counts_strategy_agreement():
         patterns = per_trial_patterns(kind)
         for M in range(1, 7):
             scanned = scan_class_grid(M, patterns)
-            assert np.array_equal(scanned, _class_grid(M, patterns))
+            assert np.array_equal(scanned, class_grid_cells(_class_grid(M, patterns), M))
             report = count_triple_classes(M, kind)
             assert report.enumerated_count == scanned.sum()
             assert report.closed_form is not None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pair, scan_class_grid, scan_eu_classes
+from conftest import class_grid_cells, pair, scan_class_grid, scan_eu_classes
 from eprblab import counting
 from eprblab.cli import main
 from eprblab.counting import (
@@ -72,24 +72,22 @@ def test_per_trial_patterns():
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6])
 def test_enumeration_strategies_agree(kind, M):
     patterns = per_trial_patterns(kind)
-    assert np.array_equal(scan_class_grid(M, patterns), _class_grid(M, patterns))
+    assert np.array_equal(scan_class_grid(M, patterns), class_grid_cells(_class_grid(M, patterns), M))
 
 
 @pytest.mark.parametrize("kind", ["independent", "shared", "shared-identified"])
 def test_walk_meets_the_exact_counts(kind):
     # the counts proven in the counting module docstring
-    for M in range(1, 41):
+    for M in range(1, 61):
         want = math.comb(M + 3, 3) if kind == "shared-identified" else (M + 1) ** 3
-        assert int(_class_grid(M, per_trial_patterns(kind)).sum()) == want
+        assert _class_grid(M, per_trial_patterns(kind)).bit_count() == want
 
 
 def test_miscounting_walk_is_an_internal_error(monkeypatch):
     real = counting._class_grid
 
     def off_by_one(M, patterns):
-        grid = real(M, patterns).copy()
-        grid[0, 0, 0] = not grid[0, 0, 0]
-        return grid
+        return real(M, patterns) ^ 1  # flips the triple (0, 0, 0)
 
     monkeypatch.setattr(counting, "_class_grid", off_by_one)
     for kind in ("independent", "shared", "shared-identified"):
@@ -128,6 +126,15 @@ def test_count_triple_classes_multiset_only_range():
     assert rep.agrees
 
 
+def test_count_triple_classes_takes_any_integer_type():
+    rep = count_triple_classes(np.int64(9), "shared-identified")
+    assert rep == count_triple_classes(9, "shared-identified")
+    assert type(rep.M) is int and rep.enumerated_count == 220
+    for M in (9.0, "9"):
+        with pytest.raises(TypeError):
+            count_triple_classes(M, "shared-identified")
+
+
 def test_count_triple_classes_guards():
     with pytest.raises(ValueError):
         count_triple_classes(0, "shared")
@@ -140,7 +147,7 @@ def test_count_triple_classes_guards():
 
 @given(st.integers(1, 12))
 def test_shared_identified_counts_are_even_parity_reachable(M):
-    got = np.argwhere(_class_grid(M, per_trial_patterns("shared-identified")))
+    got = np.argwhere(class_grid_cells(_class_grid(M, per_trial_patterns("shared-identified")), M))
     for x, y, z in got.tolist():
         assert 0 <= x <= M and 0 <= y <= M and 0 <= z <= M
         # every even-parity pattern contributes an odd number of equalities

@@ -2,7 +2,6 @@ import json
 from fractions import Fraction
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,70 +311,11 @@ def test_chsh_within_bound_feasible():
         verify_witness(tables, res)
 
 
-# ---------------------------------------------------------------------------
-# the float start and the exact simplex
-
-
-def _wrong_basis(a, b):
-    """The all-artificial starting basis, handed over as if it were optimal:
-    nonsingular and nonnegative, but its dual fails the column gate."""
-    m, n = a.shape
-    return list(range(n, n + m)), 0
-
-
-def _singular_basis(a, b):
-    """The first m columns of [A | I].  On three pairs the rows its
-    artificials leave free hold the four cell rows of two pairs, and each
-    four sum to the same all-ones row, so B is singular."""
-    m, _n = a.shape
-    return list(range(m)), 0
-
-
-def _negative_basis(a, b):
-    """One domain column, basic on the row of the largest cell it meets, and
-    the artificials of every other row: B is nonsingular, but the artificial
-    of a row where that column meets a smaller cell goes negative."""
-    m, n = a.shape
-    j = next(j for j in range(n) if len(set(b[a[:, j] == 1])) > 1)
-    r = max(np.flatnonzero(a[:, j]), key=lambda i: b[i])
-    return [j if i == r else n + i for i in range(m)], 0
-
-
-# what each case patches in the float phase, and the start it leads to
-FLOAT_STARTS = {
-    "wrong": ("_float_basis", _wrong_basis, "artificial-basis"),
-    "singular": ("_float_basis", _singular_basis, "artificial-basis"),
-    "negative": ("_float_basis", _negative_basis, "artificial-basis"),
-    "cap": ("_FLOAT_PIVOT_CAP", 2, "float-basis"),
-}
-
-
 def verify_answer(tables: PairwiseTables, res: FeasibilityResult):
     if res.feasible:
         verify_witness(tables, res)
     else:
         verify_certificate(tables, res)
-
-
-@pytest.mark.parametrize("float_basis", sorted(FLOAT_STARTS))
-@pytest.mark.parametrize("identified, status", [(True, "infeasible"), (False, "feasible")])
-def test_failed_float_basis_falls_back_to_the_exact_simplex(float_basis, identified, status):
-    """Whatever the float phase hands over, the exact simplex pivots on to a
-    checked witness or certificate, and ``path`` names where it started: the
-    float basis, even when the cap stopped it short of optimal, or the
-    all-artificial basis in its place when it is singular or negative."""
-    tables = singlet_tables("anti")
-    plain = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
-    assert (plain.status, plain.path, plain.exact_pivots) == (status, "float-basis", 0)
-    name, value, path = FLOAT_STARTS[float_basis]
-    with mock.patch.object(feasibility, name, value):
-        res = joint_feasibility(tables, identify_equal_settings=identified, convention="anti")
-    assert (res.status, res.path) == (status, path)
-    assert res.exact_pivots >= 1
-    if float_basis == "cap":
-        assert res.float_pivots == 2
-    assert (res.lp_rows, res.lp_cols) == (plain.lp_rows, plain.lp_cols) == (13, 8 if identified else 64)
-    verify_answer(tables, res)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +327,7 @@ TINY = F(1, 10**30)  # lost in a float sum of the other terms
 def _breaks_a_column(support, rhs, x, y):
     """Raise one cell row's weight so that the column nearest to failing
     sums to TINY; y . b only grows."""
-    sums = [sum(y[i] for i in rows) for rows in support.tolist()]
+    sums = [sum(y[i] for i in rows) for rows in support]
     j = max(range(len(sums)), key=sums.__getitem__)
     y = list(y)
     y[support[j][0]] += TINY - sums[j]
@@ -426,9 +366,9 @@ def test_each_gate_refuses_an_answer_that_misses_it(tmp_path, capsys, name):
     breaks, identified, message = GATE_BREAKS[name]
     solve = feasibility._exact_simplex
 
-    def broken(a, support, rhs, basis):
-        x, y, path, pivots = solve(a, support, rhs, basis)
-        return (*breaks(support, rhs, x, y), path, pivots)
+    def broken(support, rhs):
+        x, y, pivots = solve(support, rhs)
+        return (*breaks(support, rhs, x, y), pivots)
 
     tables = singlet_tables("anti")
     path = tmp_path / "tables.json"
@@ -454,20 +394,22 @@ ALL_PAIRS = [(x, y) for x in "abcd" for y in "abcd"]
 
 
 @pytest.mark.parametrize("identified", [False, True])
-def test_degenerate_menus_terminate_from_the_artificial_basis(identified):
+def test_degenerate_menus_terminate_from_the_artificial_basis(monkeypatch, identified):
     """Deterministic tables make most basic values zero, the case in which a
-    simplex without an anti-cycling rule can loop.  From the all-artificial
-    basis Bland's rule still ends, with a checked answer: the tables of one
-    domain are feasible, and mixing two tables that disagree on a station's
-    outcome is not."""
+    simplex without an anti-cycling rule can loop.  Bland's rule after a run
+    of degenerate pivots (or, with a run of 0, throughout) still ends, with
+    a checked answer: the tables of one domain are feasible, and mixing two
+    tables that disagree on a station's outcome is not."""
     sigma, tau = (1, -1, 1, 1), ((1, -1, 1, 1) if identified else (-1, 1, 1, -1))
     feasible = _point_mass_tables(sigma, tau, ALL_PAIRS)
     flipped = _point_mass_tables((-1, -1, 1, 1), tau, ALL_PAIRS)
     clash = PairwiseTables({**feasible.tables, ("a", "b"): flipped.tables[("a", "b")]})
-    for tables, status in ((feasible, "feasible"), (clash, "infeasible")):
-        with mock.patch.object(feasibility, "_float_basis", _wrong_basis):
-            res = joint_feasibility(tables, identify_equal_settings=identified)
-        assert (res.status, res.path, res.float_pivots) == (status, "artificial-basis", 0)
+    cases = [(run, tables, status) for run in (0, feasibility._DEGENERATE_RUN)
+             for tables, status in ((feasible, "feasible"), (clash, "infeasible"))]
+    for run, tables, status in cases:
+        monkeypatch.setattr(feasibility, "_DEGENERATE_RUN", run)
+        res = joint_feasibility(tables, identify_equal_settings=identified)
+        assert res.status == status
         assert res.exact_pivots >= 1
         verify_answer(tables, res)
 
@@ -530,34 +472,30 @@ def test_lp_status_matches_fines_theorem(tables, identified):
         verify_answer(tables, res)
 
 
-@settings(max_examples=60, deadline=None)
-@given(tables=ch_menu_tables(), identified=st.booleans())
-def test_exact_simplex_alone_matches_fines_theorem(tables, identified):
-    """The same oracle with the float phase capped at 0 pivots, so the exact
-    simplex decides from the all-artificial basis on its own."""
-    want = "feasible" if fine_feasible(tables) else "infeasible"
-    for convention in ("equal", "anti"):
-        with mock.patch.object(feasibility, "_FLOAT_PIVOT_CAP", 0):
-            res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
-        assert (res.status, res.path, res.float_pivots) == (want, "artificial-basis", 0)
-        verify_answer(tables, res)
+@st.composite
+def zero_one_systems(draw):
+    """{A x = b, x >= 0} with A a 0/1 matrix of nonempty columns and b >= 0:
+    unlike the domain LPs, its bases can have any determinant."""
+    m = draw(st.integers(1, 6))
+    rows = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True).map(lambda r: tuple(sorted(r)))
+    support = draw(st.lists(rows, min_size=1, max_size=10))
+    rhs = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=7), min_size=m, max_size=m))
+    return support, rhs
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6).flatmap(
-    lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
-def test_fraction_free_inverse(matrix):
-    """(d, N) has d = |det M| and N M = d I, so every division was exact;
-    None exactly when M is singular."""
-    k = len(matrix)
-    det = round(np.linalg.det(np.array(matrix, dtype=float).reshape(k, k)))
-    got = feasibility._inverse(matrix)
-    if det == 0:
-        assert got is None
-        return
-    d, adj = got
-    assert d == abs(det)
-    assert (adj @ np.array(matrix, dtype=object).reshape(k, k) == d * np.eye(k, dtype=int)).all()
+@given(zero_one_systems())
+def test_exact_simplex_answers_any_zero_one_system(system):
+    """Every answer is exact: x >= 0 with A x = b, or y . b > 0 with
+    y . A_j <= 0 on every column, so each fraction-free division was exact."""
+    support, rhs = system
+    x, y, _ = feasibility._exact_simplex(support, rhs)
+    if x is not None:
+        assert y is None and min(x) >= 0
+        assert [sum(x[j] for j, rows in enumerate(support) if i in rows) for i in range(len(rhs))] == rhs
+    else:
+        assert sum(yi * bi for yi, bi in zip(y, rhs)) > 0
+        assert all(sum(y[i] for i in rows) <= 0 for rows in support)
 
 
 # ---------------------------------------------------------------------------

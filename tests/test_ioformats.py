@@ -539,6 +539,22 @@ def test_pairs_writers_agree(tmp_path):
     assert _pair_events(*read_pairs(a)) == [(p.left, p.right) for p in records]
 
 
+def test_pair_writer_takes_any_integer_window(tmp_path):
+    """A numpy integer window, which PairingConfig accepts, writes the bytes
+    a plain int window writes; a bool or float window is refused."""
+    left = stream("T", [(5, "a", 1)])
+    right = stream("L", [(6, "c", -1)])
+    idx = np.array([0])
+    plain, numpy_int = str(tmp_path / "plain.jsonl"), str(tmp_path / "numpy.jsonl")
+    assert write_pairs_indexed(plain, left, right, idx, idx, 1000) == write_pairs_indexed(
+        numpy_int, left, right, idx, idx, np.int64(1000)
+    )
+    assert open(numpy_int, "rb").read() == open(plain, "rb").read()
+    for window in (True, 1000.0):
+        with pytest.raises(ValueError, match="window_ns must be an integer"):
+            write_pairs_indexed(str(tmp_path / "bad.jsonl"), left, right, idx, idx, window)
+
+
 def _pair_events(left, right, left_idx, right_idx):
     return [(left.event(i), right.event(j)) for i, j in zip(left_idx.tolist(), right_idx.tolist())]
 
