@@ -197,6 +197,23 @@ def _over_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
 _DEGENERATE_RUN = 3
 
 
+def _fraction_free_pivot(rows: list[list[int]], w: list[int], r: int, det: int) -> int:
+    """Edmonds's (1967) fraction-free pivot, in place: for p = w[r] != 0,
+    every row i != r becomes (p * row_i - w[i] * row_r) / det, and p, the
+    next det, is returned.  When the rows are det * B^-1 (with any columns
+    it maps) and w is det * B^-1 times the entering column, every entry
+    after it is a minor of the integer system, so each division is exact."""
+    p, pivot_row = w[r], rows[r]
+    for i, f in enumerate(w):
+        if i == r:
+            continue
+        if f:
+            rows[i] = [(p * v - f * u) // det for v, u in zip(rows[i], pivot_row)]
+        elif p != det:  # a row the entering column misses only rescales
+            rows[i] = [p * v // det for v in rows[i]]
+    return p
+
+
 def _exact_simplex(
     support: list[tuple[int, ...]], rhs: list[Fraction]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None, int]:
@@ -205,12 +222,11 @@ def _exact_simplex(
     Domain column j of A holds a 1 on the rows in ``support[j]`` and 0
     elsewhere; b is ``rhs``.  Column n + i of [A | I] is the artificial of
     row i, and the simplex starts from the all-artificial basis, with
-    nothing but Python integers.  It keeps det * B^-1, the basic values
-    det * B^-1 b (b scaled to integers) and the duals det * c_B B^-1, with
-    det = det B > 0, and updates each by the fraction-free pivot of Edmonds
-    (1967): row i becomes (p * row_i - w_i * row_r) / det and det becomes p,
-    for pivot row r, entering column w = det * B^-1 A_s and p = w_r > 0.
-    Every entry is a minor of the integer system, so each division is exact.
+    nothing but Python integers.  It keeps one table, with det = det B > 0:
+    row i is det * B^-1 row i followed by the basic value det * (B^-1 b)_i
+    (b scaled to integers), and the last row is the duals det * c_B B^-1
+    followed by det times the phase-1 objective.  Each pivot updates it by
+    ``_fraction_free_pivot``.
 
     Pricing (the entering column has y . A_j > 0, y the phase-1 duals;
     artificials never re-enter) follows Dantzig's rule, the largest
@@ -236,37 +252,29 @@ def _exact_simplex(
     m, n = len(rhs), len(support)
     scale, xb = _over_common_denominator(rhs)
     basis = list(range(n, n + m))  # the column basic in each row
-    inv = [[int(i == k) for k in range(m)] for i in range(m)]
-    y = [1] * m
+    table = [[int(i == k) for k in range(m)] + [xb[i]] for i in range(m)] + [[1] * m + [sum(xb)]]
+    rows_b, y = table[:m], table[m]
     det, pivots, degenerate = 1, 0, 0
-    while any(x for x, j in zip(xb, basis) if j >= n):
+    while any(row[m] for row, j in zip(rows_b, basis) if j >= n):
         prices = [sum(map(y.__getitem__, rows)) for rows in support]  # y . A_j
         entering = [j for j in range(n) if prices[j] > 0]
         if not entering:
-            return None, [Fraction(v, det) for v in y], pivots
+            return None, [Fraction(v, det) for v in y[:m]], pivots
         enter = max(entering, key=prices.__getitem__) if degenerate < _DEGENERATE_RUN else entering[0]
-        w = [sum(map(row.__getitem__, support[enter])) for row in inv]
-        ratios = [(Fraction(xb[i], w[i]), basis[i], i) for i in range(m) if w[i] > 0]
+        w = [sum(map(row.__getitem__, support[enter])) for row in rows_b]
+        ratios = [(Fraction(rows_b[i][m], w[i]), basis[i], i) for i in range(m) if w[i] > 0]
         if not ratios:
             raise InternalInvariantError("phase-1 objective is bounded below by 0 and cannot be unbounded")
         r = min(ratios)[2]
-        p, pivot_row, pivot_x = w[r], inv[r], xb[r]
-        for i, f in enumerate(w):
-            if i == r:
-                continue
-            if f:
-                inv[i] = [(p * v - f * u) // det for v, u in zip(inv[i], pivot_row)]
-            elif p != det:  # a row the entering column misses only rescales
-                inv[i] = [p * v // det for v in inv[i]]
-            xb[i] = (p * xb[i] - f * pivot_x) // det
-        y = [(p * v - prices[enter] * u) // det for v, u in zip(y, pivot_row)]
-        det, basis[r] = p, enter
-        degenerate = degenerate + 1 if pivot_x == 0 else 0
+        degenerate = degenerate + 1 if rows_b[r][m] == 0 else 0
+        det = _fraction_free_pivot(table, w + [prices[enter]], r, det)
+        rows_b, y = table[:m], table[m]
+        basis[r] = enter
         pivots += 1
     x = [Fraction(0)] * n
-    for value, j in zip(xb, basis):
+    for row, j in zip(rows_b, basis):
         if j < n:
-            x[j] = Fraction(value, det * scale)
+            x[j] = Fraction(row[m], det * scale)
     return x, None, pivots
 
 

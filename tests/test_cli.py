@@ -356,6 +356,17 @@ print(json.dumps({"before": before, "after": "numpy._core" in sys.modules, "even
     assert _fresh_interpreter(tmp_path, script) == {"before": False, "after": True, "events": 2}
 
 
+def test_lazy_numpy_is_numpy_once_imported(tmp_path):
+    """Where numpy is already loaded, the package takes that module as it is."""
+    script = """
+import json, sys
+import numpy
+from eprblab._lazy import np
+print(json.dumps({"same": np is numpy, "type": type(np).__name__}))
+"""
+    assert _fresh_interpreter(tmp_path, script) == {"same": True, "type": "module"}
+
+
 def _assert_clean_exit(capsys, argv, want):
     assert main(argv) == want
     err = capsys.readouterr().err

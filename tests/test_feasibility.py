@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -470,6 +471,55 @@ def test_lp_status_matches_fines_theorem(tables, identified):
         res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
         assert res.status == want
         verify_answer(tables, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=ch_menu_tables(), identified=st.booleans())
+def test_exact_simplex_alone_matches_fines_theorem(tables, identified):
+    """The same oracle with a degenerate run of 0, so Bland's rule alone
+    prices every pivot: the rule whose termination Bland (1977) proves."""
+    want = "feasible" if fine_feasible(tables) else "infeasible"
+    for convention in ("equal", "anti"):
+        with mock.patch.object(feasibility, "_DEGENERATE_RUN", 0):
+            res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
+        assert res.status == want
+        verify_answer(tables, res)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_fraction_free_inverse(matrix):
+    """Gauss-Jordan elimination of M by ``_fraction_free_pivot``, each
+    column into the first free row it meets, ends with N M = d P for P the
+    permutation it pivoted along and |d| = |det M|, so every division was
+    exact; it runs out of rows exactly when M is singular."""
+    k = len(matrix)
+    det = round(np.linalg.det(np.array(matrix, dtype=float).reshape(k, k)))
+    inv, d, row_of = [[int(i == j) for j in range(k)] for i in range(k)], 1, {}
+    for s in range(k):
+        w = [sum(v * matrix[t][s] for t, v in enumerate(row)) for row in inv]
+        free = [i for i in range(k) if w[i] and i not in row_of.values()]
+        if not free:
+            assert det == 0
+            return
+        row_of[s] = free[0]
+        d = feasibility._fraction_free_pivot(inv, w, free[0], d)
+    assert abs(d) == abs(det) != 0
+    product = [[sum(row[t] * matrix[t][s] for t in range(k)) for s in range(k)] for row in inv]
+    assert product == [[d * (row_of[s] == i) for s in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("support, rhs, want", [
+    ([(0,), (0, 1)], [F(0), F(0)], ([0, 0], None, 0)),
+    ([(0, 1)], [F(1, 2), F(1, 2)], ([F(1, 2)], None, 1)),
+    ([(0,)], [F(1), F(1)], (None, [0, 1], 1)),
+], ids=["zero-rhs", "one-column", "uncovered-row"])
+def test_exact_simplex_small_systems(support, rhs, want):
+    """b = 0 is solved by the all-artificial basis with no pivot; one
+    column meeting both rows carries b in one pivot; a row that no column
+    meets is separated by its own dual once the column has entered."""
+    assert feasibility._exact_simplex(support, rhs) == want
 
 
 @st.composite
