@@ -16,18 +16,7 @@ import sys
 import time
 
 from .counting import count_triple_classes, enumerate_eu_classes
-from .errors import (
-    ConfigMismatchError,
-    ConfigParseError,
-    EmptyCellError,
-    FormatError,
-    InternalInvariantError,
-    InvalidStreamError,
-    MalformedTupleError,
-    SettingCollisionError,
-    SupportViolationError,
-    TooLargeError,
-)
+from .errors import ConfigMismatchError, ConfigParseError, EprbLabError, InternalInvariantError, TooLargeError
 from .feasibility import joint_feasibility
 from .ioformats import (
     RunManifest,
@@ -301,23 +290,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigParseError, ConfigMismatchError, TooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (
-        FormatError,
-        InvalidStreamError,
-        EmptyCellError,
-        SupportViolationError,
-        MalformedTupleError,
-        SettingCollisionError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    except (ConfigParseError, ConfigMismatchError, TooLargeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except (EprbLabError, OSError) as exc:  # every other package error is about the input data
+        print(f"error: {exc}", file=sys.stderr)
+        return DATA_EXIT
 
 
 if __name__ == "__main__":

@@ -37,28 +37,12 @@ from .model import (
     DomainKey,
     TallyTable,
     WignerDomainDistribution,
+    _as_fraction,
+    _q,
     all_domain_keys,
     domain_key_to_string,
     l_sign,
 )
-from .stats import _q
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a probability: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"not a probability: {value!r} has a zero denominator")
-    if isinstance(value, float):
-        return Fraction(str(value))
-    raise ValueError(f"cannot interpret {value!r} as an exact probability")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """File formats: event streams (JSON Lines), pair files, tally tables,
-sweep CSVs, source configs, feasibility table files, raw station logs,
-and run manifests.
+sweep CSVs, source config files, feasibility table files, raw station
+logs, and run manifests.  The config schema lives in ``sources``:
+``load_config`` reads the JSON and ``sources.config_from_dict`` checks it.
 
 Writers are atomic (temp file in the same directory, then rename) and
 deterministic: the same data produces the same bytes.  Each writer returns
@@ -65,7 +66,7 @@ from typing import Iterable, Mapping, NamedTuple
 from . import __version__ as _version
 from ._lazy import np
 from .errors import ConfigParseError, FormatError
-from .feasibility import PairwiseTables, _as_fraction
+from .feasibility import PairwiseTables
 from .model import (
     CELL_FROM_NAME,
     CELL_NAMES,
@@ -75,15 +76,12 @@ from .model import (
     OUTCOMES,
     SETTING_LABELS,
     EventStream,
-    Setting,
     TallyTable,
-    WignerDomainDistribution,
+    _as_fraction,
     check_window,
-    domain_key_from_string,
     l_sign,
 )
-from .sources import SourceConfig
-from .stats import SweepRow
+from .sources import SourceConfig, config_from_dict
 
 EVENT_KEYS = ("island", "t_ns", "setting", "outcome")
 PAIR_KEYS = (
@@ -558,7 +556,8 @@ def read_tally(path: str) -> TallyTable:
 # sweep CSV
 
 
-def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> str:
+def write_sweep_csv(path: str, rows: Iterable) -> str:
+    """Write ``stats.sweep_window`` rows, one CSV line per window."""
     lines = [SWEEP_HEADER]
     for row in rows:
         if row.statistic is None:
@@ -571,81 +570,6 @@ def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> str:
 
 # ---------------------------------------------------------------------------
 # source configs
-
-_CONFIG_KEYS = tuple(f.name for f in fields(SourceConfig))
-
-
-def _parse_domain_weights(obj, labels: list[str]) -> WignerDomainDistribution:
-    if not isinstance(obj, dict) or not obj:
-        raise ConfigParseError("domain_weights must be a nonempty object of 'sss;ttt' keys")
-    try:
-        keys = [domain_key_from_string(k) for k in obj]
-    except ValueError as exc:
-        raise ConfigParseError(f"domain_weights: {exc}")
-    n = len(keys[0]) // 2
-    if any(len(k) != 2 * n for k in keys):
-        raise ConfigParseError("domain_weights keys must all describe the same number of settings")
-    settings = SETTING_LABELS[:n]
-    try:
-        weights = {k: _as_fraction(v) for k, v in zip(keys, obj.values())}
-        return WignerDomainDistribution.from_partial(weights, settings=settings)
-    except ValueError as exc:
-        raise ConfigParseError(f"domain_weights: {exc}")
-
-
-def config_from_dict(doc: Mapping, seed_override: int | None = None) -> SourceConfig:
-    if not isinstance(doc, Mapping):
-        raise ConfigParseError("config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigParseError(f"unknown config field(s): {unknown}")
-    missing = [k for k in ("kind", "settings", "seed", "emission_period_ns") if k not in doc]
-    if missing:
-        raise ConfigParseError(f"missing required config field(s): {missing}")
-    raw_settings = doc["settings"]
-    if not isinstance(raw_settings, list) or not raw_settings:
-        raise ConfigParseError("settings must be a nonempty list of {label, angle_deg} objects")
-    settings = []
-    for i, s in enumerate(raw_settings):
-        if not isinstance(s, dict) or set(s) != {"label", "angle_deg"}:
-            raise ConfigParseError(f"settings[{i}] must be an object with exactly label and angle_deg")
-        try:
-            settings.append(Setting(s["label"], float(s["angle_deg"])))
-        except (ValueError, TypeError) as exc:
-            raise ConfigParseError(f"settings[{i}]: {exc}")
-    labels = [s.label for s in settings]
-
-    weights = None
-    if doc.get("domain_weights") is not None:
-        weights = _parse_domain_weights(doc["domain_weights"], labels)
-
-    def menu(key):
-        v = doc.get(key)
-        if v is None:
-            return None
-        if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
-            raise ConfigParseError(f"{key} must be a list of setting labels")
-        return tuple(v)
-
-    seed = doc["seed"] if seed_override is None else seed_override
-    try:
-        return SourceConfig(
-            kind=doc["kind"],
-            settings=tuple(settings),
-            seed=seed,
-            emission_period_ns=doc["emission_period_ns"],
-            jitter_ns=doc.get("jitter_ns", 0),
-            total_pairs=doc.get("total_pairs"),
-            pairs_per_combination=doc.get("pairs_per_combination"),
-            convention=doc.get("convention", "anti"),
-            max_delay_ns=doc.get("max_delay_ns"),
-            delay_exponent=doc.get("delay_exponent"),
-            domain_weights=weights,
-            station_t_labels=menu("station_t_labels"),
-            station_l_labels=menu("station_l_labels"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(str(exc))
 
 
 def load_config(path: str, seed_override: int | None = None) -> SourceConfig:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from ._lazy import np
-from .errors import InvalidStreamError
+from .errors import EmptyCellError, InvalidStreamError
 
 SETTING_LABELS = ("a", "b", "c", "d")
 ISLANDS = ("T", "L")
@@ -51,6 +51,52 @@ def l_sign(convention) -> int:
     if convention == "anti":
         return -1
     raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
+
+def _cells_for(tables: Mapping, x: str, y: str) -> tuple[Mapping, bool]:
+    """The nonempty table for settings {x on T, y on L} or its transpose,
+    from tally counts or exact probability tables.
+
+    Returns (cells, transposed).  Raises EmptyCellError when neither
+    orientation has any pairs.
+    """
+    for key, transposed in (((x, y), False), ((y, x), True)):
+        cells = tables.get(key)
+        if cells and any(cells.values()):
+            return cells, transposed
+    raise EmptyCellError(f"no measured pairs for settings ({x};{y}) in either orientation")
+
+
+def _q(tables: Mapping, x: str, y: str, convention: str) -> tuple:
+    """(q(x, y), the table's total, the measured pair it was read from),
+    from tally counts or exact probability tables.  q is the share of the
+    observed cell holding the hidden-level event (x -> +, y -> -): with
+    s = l_sign(convention), the cell (+, -s) of the table for (x, y), or
+    (-, s) of its transpose.  ``stats`` derives the Bell-Wigner bound on q."""
+    s = l_sign(convention)
+    cells, transposed = _cells_for(tables, x, y)
+    cell = (-1, s) if transposed else (1, -s)
+    n = sum(cells.values())
+    return cells[cell] / n, n, ((y, x) if transposed else (x, y))
+
+
+def _as_fraction(value) -> Fraction:
+    """An exact probability from a Fraction, an int (not a bool), a 'p/q'
+    or decimal string, or a float read as its shortest decimal."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"not a probability: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"not a probability: {value!r} has a zero denominator")
+    if isinstance(value, float):
+        return Fraction(str(value))
+    raise ValueError(f"cannot interpret {value!r} as an exact probability")
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,21 @@ setting draws, and vice versa.
 A kind is one law: from the source generator and both islands' settings it
 draws, per emission, T's outcome sigma, the hidden tau at L's setting, and
 each station's detection delay.  L reports ``model.l_sign(convention) * tau``.
+
+The config schema is stated here: ``SourceConfig`` checks every field, and
+``config_from_dict`` builds one from a parsed JSON document (the reader of
+config files is ``ioformats.load_config``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 from ._lazy import np
 from .errors import ConfigParseError
-from .model import EventStream, Setting, WignerDomainDistribution, l_sign
+from .model import SETTING_LABELS, EventStream, Setting, WignerDomainDistribution, _as_fraction, domain_key_from_string, l_sign
 
 KINDS = ("singlet", "wigner-domain", "local-delay")
 
@@ -157,6 +162,81 @@ class SourceConfig:
         if self.total_pairs is not None:
             return self.total_pairs
         return self.pairs_per_combination * len(self.menu("T")) * len(self.menu("L"))
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(SourceConfig))
+
+
+def _parse_domain_weights(obj) -> WignerDomainDistribution:
+    if not isinstance(obj, dict) or not obj:
+        raise ConfigParseError("domain_weights must be a nonempty object of 'sss;ttt' keys")
+    try:
+        keys = [domain_key_from_string(k) for k in obj]
+    except ValueError as exc:
+        raise ConfigParseError(f"domain_weights: {exc}")
+    n = len(keys[0]) // 2
+    if any(len(k) != 2 * n for k in keys):
+        raise ConfigParseError("domain_weights keys must all describe the same number of settings")
+    settings = SETTING_LABELS[:n]
+    try:
+        weights = {k: _as_fraction(v) for k, v in zip(keys, obj.values())}
+        return WignerDomainDistribution.from_partial(weights, settings=settings)
+    except ValueError as exc:
+        raise ConfigParseError(f"domain_weights: {exc}")
+
+
+def config_from_dict(doc: Mapping, seed_override: int | None = None) -> SourceConfig:
+    if not isinstance(doc, Mapping):
+        raise ConfigParseError("config must be a JSON object")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigParseError(f"unknown config field(s): {unknown}")
+    missing = [k for k in ("kind", "settings", "seed", "emission_period_ns") if k not in doc]
+    if missing:
+        raise ConfigParseError(f"missing required config field(s): {missing}")
+    raw_settings = doc["settings"]
+    if not isinstance(raw_settings, list) or not raw_settings:
+        raise ConfigParseError("settings must be a nonempty list of {label, angle_deg} objects")
+    settings = []
+    for i, s in enumerate(raw_settings):
+        if not isinstance(s, dict) or set(s) != {"label", "angle_deg"}:
+            raise ConfigParseError(f"settings[{i}] must be an object with exactly label and angle_deg")
+        try:
+            settings.append(Setting(s["label"], float(s["angle_deg"])))
+        except (ValueError, TypeError) as exc:
+            raise ConfigParseError(f"settings[{i}]: {exc}")
+
+    weights = None
+    if doc.get("domain_weights") is not None:
+        weights = _parse_domain_weights(doc["domain_weights"])
+
+    def menu(key):
+        v = doc.get(key)
+        if v is None:
+            return None
+        if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+            raise ConfigParseError(f"{key} must be a list of setting labels")
+        return tuple(v)
+
+    seed = doc["seed"] if seed_override is None else seed_override
+    try:
+        return SourceConfig(
+            kind=doc["kind"],
+            settings=tuple(settings),
+            seed=seed,
+            emission_period_ns=doc["emission_period_ns"],
+            jitter_ns=doc.get("jitter_ns", 0),
+            total_pairs=doc.get("total_pairs"),
+            pairs_per_combination=doc.get("pairs_per_combination"),
+            convention=doc.get("convention", "anti"),
+            max_delay_ns=doc.get("max_delay_ns"),
+            delay_exponent=doc.get("delay_exponent"),
+            domain_weights=weights,
+            station_t_labels=menu("station_t_labels"),
+            station_l_labels=menu("station_l_labels"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(str(exc))
 
 
 def _rngs(seed: int) -> dict[str, np.random.Generator]:

@@ -22,8 +22,8 @@ distribution over identified outcome domains obeys the bound in either
 convention; sampled singlet data violates it.  Reading
 all three terms naively from the (+, +) cell regardless of table
 orientation looks simpler but is not a valid bound (a deterministic
-identified assignment already breaks it), which is why the lookup is
-orientation- and convention-aware.
+identified assignment already breaks it), which is why the lookup
+(``model._q``) is orientation- and convention-aware.
 
 Statistical errors are binomial standard errors on fractions, propagated
 in quadrature; adequate at desk scale and reported next to every point
@@ -33,12 +33,12 @@ estimate.  The violation flags use the point estimates alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._lazy import np
 from .errors import EmptyCellError
-from .model import CELLS, EventStream, TallyTable, l_sign, require_valid_stream
+from .model import CELLS, EventStream, TallyTable, _cells_for, _q, check_window, require_valid_stream
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -76,20 +76,6 @@ def tally(
     return TallyTable(counts, unmatched_left, unmatched_right)
 
 
-def _cells_for(tables: Mapping, x: str, y: str) -> tuple[Mapping, bool]:
-    """The nonempty table for settings {x on T, y on L} or its transpose,
-    from tally counts or exact probability tables.
-
-    Returns (cells, transposed).  Raises EmptyCellError when neither
-    orientation has any pairs.
-    """
-    for key, transposed in (((x, y), False), ((y, x), True)):
-        cells = tables.get(key)
-        if cells and any(cells.values()):
-            return cells, transposed
-    raise EmptyCellError(f"no measured pairs for settings ({x};{y}) in either orientation")
-
-
 def correlation(t: TallyTable, x: str, y: str) -> float:
     """E = (N++ + N-- - N+- - N-+)/N for the setting pair; transpose-safe."""
     cells, _ = _cells_for(t.counts, x, y)
@@ -102,19 +88,6 @@ def equal_fraction(t: TallyTable, x: str, y: str) -> float:
     cells, _ = _cells_for(t.counts, x, y)
     n = sum(cells.values())
     return (cells[(1, 1)] + cells[(-1, -1)]) / n
-
-
-def _q(tables: Mapping, x: str, y: str, convention: str) -> tuple:
-    """(q(x, y), the table's total, the measured pair it was read from),
-    from tally counts or exact probability tables.  q is the share of the
-    observed cell holding the hidden-level event (x -> +, y -> -) in the
-    table for (x, y) or its transpose; see the module docstring for the
-    derivation."""
-    s = l_sign(convention)
-    cells, transposed = _cells_for(tables, x, y)
-    cell = (-1, s) if transposed else (1, -s)
-    n = sum(cells.values())
-    return cells[cell] / n, n, ((y, x) if transposed else (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +191,7 @@ def sweep_window(
     property in ``pairing``).  Either side may be an EventStream or a
     DetectionEvent sequence, as for the matcher.
     """
-    windows = [int(w) for w in windows]
+    windows = list(windows)
     if not windows:
         raise ValueError("windows must be nonempty")
     if any(b < a for a, b in zip(windows, windows[1:])):
@@ -227,8 +200,9 @@ def sweep_window(
         raise ValueError(f"kind must be 'bell-wigner' or 'chsh', got {kind!r}")
     if ordering is None:
         ordering = ("a", "b", "c") if kind == "bell-wigner" else ("a", "b", "c", "d")
-    if windows[0] < 0:
-        raise ValueError("window_ns must be nonnegative")
+    for w in windows:
+        check_window(w)
+    windows = [int(w) for w in windows]
 
     left, right = require_valid_stream(left), require_valid_stream(right)
     all_i, all_j, _, _ = match_pairs_indexed(left, right, PairingConfig(windows[-1]))

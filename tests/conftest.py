@@ -110,7 +110,7 @@ def read_sweep_csv(path: str) -> list[SweepRow]:
 
 
 def config_to_dict(config: SourceConfig) -> dict:
-    """The config file document that ``ioformats.config_from_dict`` reads
+    """The config file document that ``sources.config_from_dict`` reads
     back to config."""
     doc = {
         "kind": config.kind,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprblab import stats
+from eprblab import cli, errors, stats
 from eprblab.cli import main
 from conftest import read_manifest, read_sweep_csv, stream
 from eprblab.ioformats import read_events, read_pairs, sha256_file, write_events
@@ -365,6 +365,91 @@ from eprblab._lazy import np
 print(json.dumps({"same": np is numpy, "type": type(np).__name__}))
 """
     assert _fresh_interpreter(tmp_path, script) == {"same": True, "type": "module"}
+
+
+# the package's import layers, lowest first: a module imports only from layers below its own
+IMPORT_LAYERS = (("errors", "_lazy"), ("model",), ("pairing", "sources", "counting", "feasibility"), ("stats",),
+                 ("ioformats",), ("cli",))
+CORE = {"errors", "_lazy", "model"}  # what importing model loads
+
+
+def _loaded_by(tmp_path, module: str):
+    """The eprblab modules a fresh interpreter holds after importing module,
+    and whether numpy was loaded."""
+    script = f"""
+import json, sys
+import {module}
+print(json.dumps([sorted(m[8:] for m in sys.modules if m.startswith("eprblab.")), "numpy._core" in sys.modules]))
+"""
+    modules, numpy = _fresh_interpreter(tmp_path, script)
+    return set(modules), numpy
+
+
+@pytest.mark.parametrize(
+    "module, want",
+    [
+        ("eprblab", set()),
+        ("eprblab.feasibility", CORE | {"feasibility"}),
+        ("eprblab.counting", CORE | {"counting"}),
+        ("eprblab.stats", CORE | {"pairing", "stats"}),
+        ("eprblab.ioformats", CORE | {"feasibility", "sources", "ioformats"}),
+    ],
+    ids=["eprblab", "feasibility", "counting", "stats", "ioformats"],
+)
+def test_an_import_loads_only_the_modules_it_uses(tmp_path, module, want):
+    """The package loads no module until a name is used; the exact decision
+    and the class count need no matcher, sampler or file format, and the
+    file formats need no statistics."""
+    assert _loaded_by(tmp_path, module) == (want, False)
+
+
+@pytest.mark.parametrize("level, module", [pytest.param(i, m, id=m) for i, layer in enumerate(IMPORT_LAYERS) for m in layer])
+def test_each_module_imports_only_layers_below_its_own(tmp_path, level, module):
+    below = {m for layer in IMPORT_LAYERS[:level] for m in layer}
+    loaded, numpy = _loaded_by(tmp_path, f"eprblab.{module}")
+    assert module in loaded and loaded - {module} <= below
+    assert not numpy
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    """Every public name comes from the module that defines it, is listed
+    by dir(), and a submodule of the same package stays importable by name."""
+    import eprblab
+
+    names = [name for name in eprblab.__all__ if name != "__version__"]
+    assert len(set(names)) == len(names) == 60
+    for name in names:
+        obj = getattr(eprblab, name)
+        assert obj is getattr(sys.modules[obj.__module__], name)
+        assert obj.__module__.startswith("eprblab.")
+    assert set(eprblab.__all__) <= set(dir(eprblab))
+    from eprblab import feasibility, joint_feasibility
+
+    assert feasibility is sys.modules["eprblab.feasibility"]
+    assert joint_feasibility is feasibility.joint_feasibility
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        eprblab.nothing
+
+
+# every package error, and one added later
+ERRORS = [
+    *(obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, errors.EprbLabError)),
+    type("LaterError", (errors.EprbLabError,), {}),
+]
+EXIT_BY_ERROR = {"InternalInvariantError": 4, "ConfigParseError": 2, "ConfigMismatchError": 2, "TooLargeError": 2}
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_code_and_no_traceback(monkeypatch, capsys, error):
+    """Exit codes follow the error hierarchy, so the base class and any
+    error added later exit cleanly with 3, the data-error code."""
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", fail)
+    code = EXIT_BY_ERROR.get(error.__name__, 3)
+    err = _assert_clean_exit(capsys, ["enumerate", "--M", "1"], code)
+    assert err == ("internal error: " if code == 4 else "error: ") + f"{error('boom')}\n"
 
 
 def _assert_clean_exit(capsys, argv, want):

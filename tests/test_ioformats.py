@@ -23,7 +23,6 @@ from eprblab.ioformats import (
     EVENT_KEYS,
     RunManifest,
     atomic_write,
-    config_from_dict,
     load_config,
     read_events,
     read_pairs,
@@ -39,6 +38,7 @@ from eprblab.ioformats import (
 )
 from eprblab.model import ISLANDS, OUTCOMES, SETTING_LABELS, EventStream, TallyTable
 from eprblab.pairing import PairingConfig, match_pairs_indexed
+from eprblab.sources import config_from_dict
 from eprblab.stats import SweepRow, tally
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -264,6 +265,8 @@ def test_sweep_validates_inputs():
         sweep_window(left, right, [], kind="chsh")
     with pytest.raises(ValueError):
         sweep_window(left, right, [5], kind="steering")
+    with pytest.raises(ValueError, match="got 2.9"):
+        sweep_window(left, right, [1, 2.9, 3], kind="chsh")
 
 
 def test_sweep_accepts_detection_event_sequences():
@@ -323,6 +326,28 @@ def test_sweep_rejects_negative_window():
     left, right = _singlet_streams(n=10)
     with pytest.raises(ValueError, match="nonnegative"):
         sweep_window(left, right, [-5, 10], kind="chsh")
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [(2.9, "must be an integer, got 2.9"), (True, "must be an integer, got True"),
+     ("5", "must be an integer, got '5'"), (-1, "must be nonnegative")],
+)
+def test_sweep_windows_are_checked_like_the_matchers(window, message):
+    """A window the matcher would refuse is refused with the matcher's
+    message, never truncated to an integer."""
+    left, right = _singlet_streams(n=10)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_window(left, right, [window], kind="chsh")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PairingConfig(window)
+
+
+def test_sweep_takes_any_integer_window():
+    left, right = _singlet_streams(n=50)
+    (row,) = sweep_window(left, right, [np.int64(5)], kind="chsh")
+    assert row == sweep_window(left, right, [5], kind="chsh")[0]
+    assert type(row.window_ns) is int
 
 
 # ---------------------------------------------------------------------------
