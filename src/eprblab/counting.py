@@ -45,19 +45,17 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalInvariantError, MalformedTupleError, SettingCollisionError, TooLargeError
-from .model import BellTriple, DetectionEvent, PairRecord, SETTING_LABELS, CorrelationClass, check_window
+from .model import BellTriple, DetectionEvent, PairRecord, SETTING_LABELS, CorrelationClass, Record, check_window
 
 ENUMERATION_GUARD = 10_000_000
 
 CONSTRAINT_MODEL_KINDS = ("independent", "shared", "shared-identified")
 
 
-@dataclass(frozen=True)
-class ConstraintModel:
+class ConstraintModel(Record):
     """Which per-trial sharing structure constrains the three pairs."""
 
     kind: str
@@ -67,8 +65,7 @@ class ConstraintModel:
             raise ValueError(f"kind must be one of {CONSTRAINT_MODEL_KINDS}, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ClassCountReport:
+class ClassCountReport(Record):
     """Enumerated number of reachable class triples, next to the closed-form
     count the coarse argument would give for the same model."""
 
@@ -179,8 +176,7 @@ def count_nonlocal_domains(pairings: int = 9) -> int:
     return 4**pairings
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Record):
     left: str
     right: str
     time_correlated: bool
@@ -216,8 +212,7 @@ class TopologyViolationKind(Enum):
     WINDOW_EXCEEDED = "WindowExceeded"
 
 
-@dataclass(frozen=True)
-class TopologyViolation:
+class TopologyViolation(Record):
     kind: TopologyViolationKind
     entries: tuple[int, ...]
     message: str
@@ -334,8 +329,7 @@ def setting_grouped_entries(triple: BellTriple) -> list[Entry]:
     ]
 
 
-@dataclass(frozen=True)
-class CounterfactualTriple:
+class CounterfactualTriple(Record):
     """A measured pair annotated with a third, never-measured setting.
 
     The third slot has no outcome and no time; it marks what a triple-based

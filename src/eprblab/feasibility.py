@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,6 +34,7 @@ from .model import (
     CELL_NAMES,
     SETTING_LABELS,
     DomainKey,
+    Record,
     TallyTable,
     WignerDomainDistribution,
     _as_fraction,
@@ -45,8 +45,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class PairwiseTables:
+class PairwiseTables(Record):
     """Exact 2x2 outcome tables keyed by ordered measured setting pair.
 
     The key (x, y) means the T station measured x and the L station
@@ -146,8 +145,7 @@ def marginalize(
     return PairwiseTables(out)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Record):
     """The answer with its witness or certificate, and the LP's size and
     the exact simplex's pivot count (``exact_pivots``)."""
 

@@ -59,8 +59,8 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from . import __version__ as _version
@@ -76,6 +76,7 @@ from .model import (
     OUTCOMES,
     SETTING_LABELS,
     EventStream,
+    Record,
     TallyTable,
     _as_fraction,
     check_window,
@@ -661,22 +662,21 @@ def read_raw_station(path: str, island: str) -> EventStream:
 # run manifests
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     """Provenance record written next to every file a command produces."""
 
     command: str
     seed: int | None = None
     config_digest: str | None = None
-    inputs: Mapping[str, str] = field(default_factory=dict)
-    outputs: Mapping[str, str] = field(default_factory=dict)
-    parameters: Mapping[str, object] = field(default_factory=dict)
+    inputs: Mapping[str, str] = MappingProxyType({})
+    outputs: Mapping[str, str] = MappingProxyType({})
+    parameters: Mapping[str, object] = MappingProxyType({})
     tool_version: str = _version
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         """The fields in order, with the three mappings sorted by key."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {name: getattr(self, name) for name in self._fields}
         return doc | {key: dict(sorted(doc[key].items())) for key in ("inputs", "outputs", "parameters")}
 
 

@@ -3,7 +3,10 @@ domain distributions, and tally tables.
 
 All types validate their invariants at construction time and are immutable
 afterwards, so any instance reachable from user code is internally
-consistent and safe to share between threads.
+consistent and safe to share between threads.  Every value type of the
+package, here and in the other modules, is a ``Record`` subclass: it
+behaves as a frozen dataclass, without the per-class code generation that
+every CLI command would pay for at start-up.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -39,6 +41,77 @@ OUTCOMES = (1, -1)
 CONVENTIONS = ("equal", "anti")
 # the largest event time; stream times are stored as int64
 MAX_T_NS = 2**63 - 1
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A direct subclass's annotations, in order, are its fields
+    (``_fields``), and a class attribute with a field's name is that
+    field's default.  Instances take the fields by position or keyword,
+    then run ``__post_init__``, which may store a normalized value with
+    ``object.__setattr__``.  Equality and hashing follow the class and the
+    field values, and assignment or deletion raises AttributeError.  This
+    is what ``@dataclass(frozen=True)`` would give, built once here instead
+    of compiled for every class when the package is imported.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value from a call that does not give each field
+        by position, with defaults filled in."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        positional = fields[: len(args)]
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in positional:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required argument(s): {', '.join(map(repr, missing))}")
+        return tuple(values[f] for f in fields)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def l_sign(convention) -> int:
@@ -103,8 +176,7 @@ def _as_fraction(value) -> Fraction:
 # elementary records
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(Record):
     """A measurement direction: a label and its polar angle on the
     measurement plane, in degrees within [0, 360)."""
 
@@ -122,8 +194,7 @@ class Setting:
         return math.radians(self.angle_deg)
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
+class DetectionEvent(Record):
     """One station's time-tagged measurement."""
 
     island: str
@@ -157,8 +228,7 @@ def check_window(window_ns, dt: int = 0) -> None:
         raise ValueError(f"|t - t'| = {dt} exceeds window {window_ns}")
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(Record):
     """A time-matched pair of detections, one per island, under window W."""
 
     left: DetectionEvent
@@ -177,8 +247,7 @@ class PairRecord:
         return (self.left.setting_label, self.right.setting_label)
 
 
-@dataclass(frozen=True)
-class BellTriple:
+class BellTriple(Record):
     """Three pair measurements with settings (a,b), (a,c), (b,c) drawn from
     disjoint trial ranges of a run of 3M pair measurements.
 
@@ -223,8 +292,7 @@ class BellTriple:
         return out
 
 
-@dataclass(frozen=True)
-class CorrelationClass:
+class CorrelationClass(Record):
     """Counts of equal and unequal outcome pairs in a run of M trials."""
 
     equal_count: int
@@ -283,8 +351,7 @@ def all_domain_keys(n_settings: int) -> list[DomainKey]:
     return keys
 
 
-@dataclass(frozen=True)
-class WignerDomainDistribution:
+class WignerDomainDistribution(Record):
     """Nonnegative rational weights on the 2^(2n) domains
     (sigma_1..sigma_n; tau_1..tau_n), summing to exactly 1.
 
@@ -356,8 +423,7 @@ CELL_NAMES: dict[Cell, str] = {(1, 1): "pp", (1, -1): "pm", (-1, 1): "mp", (-1, 
 CELL_FROM_NAME: dict[str, Cell] = {v: k for k, v in CELL_NAMES.items()}
 
 
-@dataclass(frozen=True)
-class TallyTable:
+class TallyTable(Record):
     """Outcome counts N(s, s') per measured setting pair, with the counts of
     events that the matcher left unpaired."""
 
@@ -394,8 +460,7 @@ class TallyTable:
 # event streams and their validation
 
 
-@dataclass(frozen=True)
-class EventStream:
+class EventStream(Record):
     """A station's full run, stored columnar for speed.
 
     ``labels`` is the setting menu; ``setting_idx`` indexes into it.
@@ -464,12 +529,7 @@ class EventStream:
         return int(self.t_ns.shape[0])
 
     def event(self, i: int) -> DetectionEvent:
-        return DetectionEvent(
-            island=self.island,
-            time_ns=int(self.t_ns[i]),
-            setting_label=self.labels[int(self.setting_idx[i])],
-            outcome=int(self.outcome[i]),
-        )
+        return DetectionEvent(self.island, int(self.t_ns[i]), self.labels[int(self.setting_idx[i])], int(self.outcome[i]))
 
     def __iter__(self) -> Iterator[DetectionEvent]:
         for i in range(len(self)):
@@ -484,8 +544,7 @@ class ViolationKind(Enum):
     BAD_SETTING = "BadSetting"
 
 
-@dataclass(frozen=True)
-class StreamViolation:
+class StreamViolation(Record):
     kind: ViolationKind
     index: int
     message: str

@@ -44,10 +44,9 @@ window: no phase ever holds more than a few arrays of length n.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from ._lazy import np
-from .model import check_window, require_valid_stream
+from .model import Record, check_window, require_valid_stream
 
 # A round that accepts fewer than this share of the live events that still
 # have a candidate hands the rest to the merged-order walk.  Every other
@@ -56,8 +55,7 @@ from .model import check_window, require_valid_stream
 _MIN_ROUND_SHARE = 0.1
 
 
-@dataclass(frozen=True)
-class PairingConfig:
+class PairingConfig(Record):
     window_ns: int
 
     def __post_init__(self) -> None:

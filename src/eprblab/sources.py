@@ -21,12 +21,11 @@ config files is ``ioformats.load_config``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Mapping
 
 from ._lazy import np
 from .errors import ConfigParseError
-from .model import SETTING_LABELS, EventStream, Setting, WignerDomainDistribution, _as_fraction, domain_key_from_string, l_sign
+from .model import SETTING_LABELS, EventStream, Record, Setting, WignerDomainDistribution, _as_fraction, domain_key_from_string, l_sign
 
 KINDS = ("singlet", "wigner-domain", "local-delay")
 
@@ -46,8 +45,7 @@ def _finite_real(value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(Record):
     """Full description of one simulated run.
 
     Exactly one of ``total_pairs`` (emissions with per-island uniform random
@@ -164,9 +162,6 @@ class SourceConfig:
         return self.pairs_per_combination * len(self.menu("T")) * len(self.menu("L"))
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(SourceConfig))
-
-
 def _parse_domain_weights(obj) -> WignerDomainDistribution:
     if not isinstance(obj, dict) or not obj:
         raise ConfigParseError("domain_weights must be a nonempty object of 'sss;ttt' keys")
@@ -188,7 +183,7 @@ def _parse_domain_weights(obj) -> WignerDomainDistribution:
 def config_from_dict(doc: Mapping, seed_override: int | None = None) -> SourceConfig:
     if not isinstance(doc, Mapping):
         raise ConfigParseError("config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    unknown = sorted(set(doc) - set(SourceConfig._fields))
     if unknown:
         raise ConfigParseError(f"unknown config field(s): {unknown}")
     missing = [k for k in ("kind", "settings", "seed", "emission_period_ns") if k not in doc]

@@ -33,12 +33,11 @@ estimate.  The violation flags use the point estimates alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._lazy import np
 from .errors import EmptyCellError
-from .model import CELLS, EventStream, TallyTable, _cells_for, _q, check_window, require_valid_stream
+from .model import CELLS, EventStream, Record, TallyTable, _cells_for, _q, check_window, require_valid_stream
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -94,8 +93,7 @@ def equal_fraction(t: TallyTable, x: str, y: str) -> float:
 # inequality reports
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     """Outcome of one inequality evaluation.
 
     For bell-wigner, ``lhs``/``rhs`` hold the two sides of
@@ -163,8 +161,7 @@ def chsh(t: TallyTable, ordering: tuple[str, str, str, str] = ("a", "b", "c", "d
 # window sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One window's worth of sweep output.  ``statistic`` is S for chsh and
     lhs - rhs for bell-wigner; all three result fields are None when some
     required setting pair tallied zero pairs at this window."""
@@ -194,15 +191,15 @@ def sweep_window(
     windows = list(windows)
     if not windows:
         raise ValueError("windows must be nonempty")
+    for w in windows:
+        check_window(w)
+    windows = [int(w) for w in windows]
     if any(b < a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows must be sorted ascending")
     if kind not in ("bell-wigner", "chsh"):
         raise ValueError(f"kind must be 'bell-wigner' or 'chsh', got {kind!r}")
     if ordering is None:
         ordering = ("a", "b", "c") if kind == "bell-wigner" else ("a", "b", "c", "d")
-    for w in windows:
-        check_window(w)
-    windows = [int(w) for w in windows]
 
     left, right = require_valid_stream(left), require_valid_stream(right)
     all_i, all_j, _, _ = match_pairs_indexed(left, right, PairingConfig(windows[-1]))

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import re
+from collections.abc import MutableMapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import eprblab
 from conftest import ev, pair, stream, uniform_identified
 from eprblab.errors import ConfigParseError, FormatError, InvalidStreamError
 from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, wigner_residual
-from eprblab.ioformats import read_tables
+from eprblab.ioformats import RunManifest, read_tables
 from eprblab.model import (
     CELLS,
     BellTriple,
@@ -20,6 +22,7 @@ from eprblab.model import (
     DetectionEvent,
     EventStream,
     PairRecord,
+    Record,
     Setting,
     StreamViolation,
     TallyTable,
@@ -392,9 +395,15 @@ def test_convention_is_compared_only_in_l_sign():
     assert in_l_sign == 2  # the check itself sees the two comparisons it allows
 
 
-def test_runtime_does_not_import_scipy():
-    """numpy is the only numeric dependency: scipy may be installed, but no
-    module of the package imports it, not even inside a function."""
+# scipy: numpy is the only numeric dependency (scipy may be installed).
+# dataclasses: it loads inspect, ast, dis and tokenize, 10-12 ms of every
+# command's start-up; the value types are model.Record subclasses instead.
+FORBIDDEN_IMPORTS = {"scipy", "dataclasses"}
+
+
+def test_package_imports_no_forbidden_module():
+    """No module of the package imports a FORBIDDEN_IMPORTS module, not even
+    inside a function."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -404,7 +413,7 @@ def test_runtime_does_not_import_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] in FORBIDDEN_IMPORTS]
     assert found == []
 
 
@@ -462,3 +471,106 @@ def test_config_and_table_files_reuse_the_convention_message(tmp_path):
     path.write_text('{"convention": "sideways", "tables": {"a;b": {"pp": 1, "pm": 0, "mp": 0, "mm": 0}}}')
     with pytest.raises(FormatError, match=re.escape(SIDEWAYS)):
         read_tables(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the value-type base
+
+
+def _record_fields_in_source() -> dict[tuple[str, str], tuple[str, ...]]:
+    """{(module, class): its annotated names in source order} for every
+    class in the package that subclasses Record."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Record" for base in node.bases):
+                names = tuple(item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+                found[(f"eprblab.{path.stem}", node.name)] = names
+    return found
+
+
+def test_every_record_has_its_annotations_as_fields_in_source_order():
+    want = _record_fields_in_source()
+    for module, name in want:
+        importlib.import_module(module)
+    loaded = {(cls.__module__, cls.__name__): cls for cls in Record.__subclasses__() if cls.__module__.startswith("eprblab.")}
+    assert set(loaded) == set(want)
+    for key, fields in want.items():
+        assert loaded[key]._fields == loaded[key].__match_args__ == fields, key
+
+
+class Point(Record):
+    x: int
+    y: int = 0
+
+
+class OtherPoint(Record):
+    x: int
+    y: int = 0
+
+
+def test_record_equality_and_hash_follow_class_and_values():
+    assert Point(1, 2) == Point(y=2, x=1)
+    assert hash(Point(1, 2)) == hash(Point(1, 2)) == hash((1, 2))
+    assert Point(1, 2) != Point(1, 3)
+    assert Point(1, 2) != OtherPoint(1, 2)
+    assert Point(1, 2) != (1, 2)
+    assert len({Point(1, 2), Point(1, 2), OtherPoint(1, 2)}) == 2
+
+
+def test_record_repr_names_every_field():
+    assert repr(Point(1, "a")) == "Point(x=1, y='a')"
+    assert repr(Setting("b", 45.0)) == "Setting(label='b', angle_deg=45.0)"
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    p = Point(1)
+    for change in (lambda: setattr(p, "x", 2), lambda: delattr(p, "x"), lambda: setattr(p, "z", 3)):
+        with pytest.raises(AttributeError):
+            change()
+    assert p == Point(1, 0)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((), {}, "missing required argument"),
+        ((), {"y": 1}, "missing required argument"),
+        ((1, 2, 3), {}, "takes 2 arguments but 3 were given"),
+        ((1,), {"z": 3}, "unexpected keyword argument 'z'"),
+        ((1,), {"x": 1}, "multiple values for argument 'x'"),
+    ],
+)
+def test_record_rejects_missing_unknown_and_repeated_arguments(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Point(*args, **kwargs)
+
+
+def test_record_defaults_apply_before_post_init():
+    seen = []
+
+    class Checked(Record):
+        a: int
+        b: str = "b"
+        c: tuple = ()
+
+        def __post_init__(self):
+            seen.append((self.a, self.b, self.c))
+
+    assert Checked._fields == ("a", "b", "c")
+    Checked(1)
+    Checked(2, c=(3,))
+    assert seen == [(1, "b", ()), (2, "b", (3,))]
+    match Checked(4, "x"):
+        case Checked(a, b):
+            assert (a, b) == (4, "x")
+
+
+def test_run_manifests_share_no_mutable_mapping():
+    first, second = RunManifest("pair"), RunManifest("tally")
+    for name in ("inputs", "outputs", "parameters"):
+        mapping = getattr(first, name)
+        assert not isinstance(mapping, MutableMapping) or mapping is not getattr(second, name)
+        with pytest.raises(TypeError):
+            mapping["key"] = "value"
+        assert first.to_dict()[name] == {} == dict(getattr(second, name))

@@ -267,6 +267,9 @@ def test_sweep_validates_inputs():
         sweep_window(left, right, [5], kind="steering")
     with pytest.raises(ValueError, match="got 2.9"):
         sweep_window(left, right, [1, 2.9, 3], kind="chsh")
+    for windows in ([3, "5"], [3, None]):
+        with pytest.raises(ValueError, match="window_ns must be an integer"):
+            sweep_window(left, right, windows, kind="chsh")
 
 
 def test_sweep_accepts_detection_event_sequences():
