@@ -65,15 +65,6 @@ class Record:
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-        self.__post_init__()
-
-    def _bind(self, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value from a call that does not give each field
-        by position, with defaults filled in."""
         name, fields = type(self).__qualname__, self._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
@@ -87,7 +78,8 @@ class Record:
         missing = [f for f in fields if f not in values]
         if missing:
             raise TypeError(f"{name}() missing required argument(s): {', '.join(map(repr, missing))}")
-        return tuple(values[f] for f in fields)
+        self.__dict__.update((f, values[f]) for f in fields)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         pass
@@ -529,7 +521,12 @@ class EventStream(Record):
         return int(self.t_ns.shape[0])
 
     def event(self, i: int) -> DetectionEvent:
-        return DetectionEvent(self.island, int(self.t_ns[i]), self.labels[int(self.setting_idx[i])], int(self.outcome[i]))
+        return DetectionEvent(
+            island=self.island,
+            time_ns=int(self.t_ns[i]),
+            setting_label=self.labels[int(self.setting_idx[i])],
+            outcome=int(self.outcome[i]),
+        )
 
     def __iter__(self) -> Iterator[DetectionEvent]:
         for i in range(len(self)):
