@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 configuration or usage problems, 3 malformed or
-inconsistent input data, 4 violated internal invariants.  Every command
+Exit codes: 0 success, 2 configuration or usage problems (numpy missing
+for an array command among them), 3 malformed or inconsistent input data,
+4 violated internal invariants.  Every command
 that writes a file also writes ``<file>.manifest.json`` (for simulate,
 ``<out>.manifest.json`` covering both event files) recording input and
 output digests, the seed, and the tool version.  Results and summaries go
@@ -195,7 +196,10 @@ def _cmd_feasibility(args) -> int:
         "identify_equal_settings": result.identify_equal_settings,
         "convention": result.convention,
         "settings": list(result.setting_labels),
-        "lp": {"rows": result.lp_rows, "cols": result.lp_cols, "exact_pivots": result.exact_pivots},
+        "lp": {
+            "rows": result.lp_rows, "cols": result.lp_cols, "solved_rows": result.solved_rows,
+            "solved_cols": result.solved_cols, "exact_pivots": result.exact_pivots,
+        },
     }
     if result.witness is not None:
         payload["witness"] = {
@@ -293,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    except (ConfigParseError, ConfigMismatchError, TooLargeError, ValueError) as exc:
+    except (ConfigParseError, ConfigMismatchError, TooLargeError, ValueError, ModuleNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (EprbLabError, OSError) as exc:  # every other package error is about the input data

@@ -9,11 +9,14 @@ distribution that is re-marginalized and compared exactly; infeasibility
 comes with a separating functional y such that y . b > 0 while y . A_d <= 0
 for every domain column d, verified before it is returned.
 
-One exact phase-1 simplex decides, in Python integers from the
-all-artificial basis: Dantzig's rule prices, and Bland's rule takes over
-on a run of degenerate pivots, so it terminates (``_exact_simplex``).  Every
-answer is exact and passes the checks above before it is returned; no
-tolerance ever decides one, and no array library is loaded.
+An exact presolve (``_presolved_simplex``) first drops the domains that
+land in a zero cell, with the zero cells' rows, and one implied cell row
+per table.  One exact phase-1 simplex then decides the smaller system, in
+Python integers from the all-artificial basis: Dantzig's rule prices, and
+Bland's rule takes over on a run of degenerate pivots, so it terminates
+(``_exact_simplex``).  Its answer is mapped back to the full system, where
+the checks above run on every row and every domain column.  Every answer
+is exact; no tolerance ever decides one, and no array library is loaded.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
@@ -146,8 +149,10 @@ def marginalize(
 
 
 class FeasibilityResult(Record):
-    """The answer with its witness or certificate, and the LP's size and
-    the exact simplex's pivot count (``exact_pivots``)."""
+    """The answer with its witness or certificate, the full LP's size
+    (``lp_rows`` x ``lp_cols``), the size of the presolved LP the simplex
+    solved (``solved_rows`` x ``solved_cols``) and its pivot count
+    (``exact_pivots``)."""
 
     feasible: bool
     identify_equal_settings: bool
@@ -158,6 +163,8 @@ class FeasibilityResult(Record):
     row_labels: tuple[str, ...]
     lp_rows: int
     lp_cols: int
+    solved_rows: int
+    solved_cols: int
     exact_pivots: int
 
     @property
@@ -201,14 +208,15 @@ def _exact_simplex(
 ) -> tuple[list[Fraction] | None, list[Fraction] | None, int]:
     """Exact phase-1 revised simplex for {A x = b, x >= 0} with b >= 0.
 
-    Domain column j of A holds a 1 on the rows in ``support[j]`` and 0
-    elsewhere; b is ``rhs``.  Column n + i of [A | I] is the artificial of
-    row i, and the simplex starts from the all-artificial basis, with
-    nothing but Python integers.  It keeps one table, with det = det B > 0:
-    row i is det * B^-1 row i followed by the basic value det * (B^-1 b)_i
-    (b scaled to integers), and the last row is the duals det * c_B B^-1
-    followed by det times the phase-1 objective.  Each pivot updates it by
-    ``_fraction_free_pivot``.
+    ``joint_feasibility`` hands it the presolved system of
+    ``_presolved_simplex``, in which every b_i > 0.  Domain column j of A
+    holds a 1 on the rows in ``support[j]`` and 0 elsewhere; b is ``rhs``.
+    Column n + i of [A | I] is the artificial of row i, and the simplex
+    starts from the all-artificial basis, with nothing but Python integers.
+    It keeps one table, with det = det B > 0: row i is det * B^-1 row i
+    followed by the basic value det * (B^-1 b)_i (b scaled to integers),
+    and the last row is the duals det * c_B B^-1 followed by det times the
+    phase-1 objective.  Each pivot updates it by ``_fraction_free_pivot``.
 
     Pricing (the entering column has y . A_j > 0, y the phase-1 duals;
     artificials never re-enter) follows Dantzig's rule, the largest
@@ -260,6 +268,57 @@ def _exact_simplex(
     return x, None, pivots
 
 
+def _presolved_simplex(
+    support: list[tuple[int, ...]], rhs: list[Fraction]
+) -> tuple[list[Fraction] | None, list[Fraction] | None, int, int, int]:
+    """``_exact_simplex`` on the domain LP after an exact presolve, with its
+    answer mapped back to the full system: (x, y, rows solved, columns
+    solved, pivots).
+
+    Rows 4p to 4p + 3 hold the cells of table p and the last row is
+    normalization, as ``joint_feasibility`` lays them out.  Two reductions
+    (Andersen & Andersen, Math. Programming 71, 221 (1995)) drop rows and
+    columns without changing the answer:
+
+    - A row with b_i = 0 forces x_j = 0 on every column j that meets it, so
+      those columns and rows go.
+    - Every column meets one cell of each table, and each table sums to 1,
+      so a table's cell rows add up to the normalization row.  Its first
+      row with b_i > 0 (every table has one) is implied by the rest and
+      goes.
+
+    x gets 0 on every dropped column.  y gets 0 on each implied row, and
+    -K on each zero row, for K = max(0, y . A_j over the dropped columns
+    j): each of those meets a zero row, so y . A_j <= 0 holds for it too,
+    and y . b does not change.  K is found in integers over y's common
+    denominator.
+    """
+    m, n = len(rhs), len(support)
+    zero = {i for i, b in enumerate(rhs) if b == 0}
+    implied = {min(i for i in range(t, t + 4) if i not in zero) for t in range(0, m - 1, 4)}
+    rows = [i for i in range(m) if i not in zero and i not in implied]
+    cols = [j for j, hit in enumerate(support) if zero.isdisjoint(hit)]
+    index = {i: k for k, i in enumerate(rows)}
+    kept, y_kept, pivots = _exact_simplex(
+        [tuple(index[i] for i in support[j] if i in index) for j in cols], [rhs[i] for i in rows]
+    )
+    x = y = None
+    if kept is not None:
+        x = [Fraction(0)] * n
+        for j, w in zip(cols, kept):
+            x[j] = w
+    else:
+        d, y_int = _over_common_denominator(y_kept)
+        full = [0] * m
+        for i, v in zip(rows, y_int):
+            full[i] = v
+        lift = max([0] + [sum(map(full.__getitem__, hit)) for hit in support if not zero.isdisjoint(hit)])
+        for i in zero:
+            full[i] = -lift
+        y = [Fraction(v, d) for v in full]
+    return x, y, len(rows), len(cols), pivots
+
+
 def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> list[DomainKey]:
     n = len(setting_labels)
     keys = all_domain_keys(n)
@@ -268,12 +327,25 @@ def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bo
     return keys
 
 
-def _cell_hits(columns: list[DomainKey], labels: tuple[str, ...], pairs, flip: int) -> list[tuple[int, ...]]:
-    """For each domain column, the index in CELLS of the cell it lands in
-    for each measured pair: (sigma_x, flip * tau_y) for pair (x, y)."""
-    n = len(labels)
-    where = [(labels.index(x), n + labels.index(y)) for x, y in pairs]
-    return [tuple(CELLS.index((col[ix], flip * col[iy])) for ix, iy in where) for col in columns]
+def _domain_lp(
+    tables: PairwiseTables, identify_equal_settings: bool, convention: str
+) -> tuple[list[DomainKey], list[tuple[int, ...]], list[Fraction]]:
+    """The full LP {A x = b, x >= 0}: (domain columns, support, b).
+
+    Row 4p + c holds cell CELLS[c] of measured pair p and the last row is
+    normalization; ``support[j]`` lists the rows where domain column j
+    holds a 1, that is, for each pair (x, y) the cell (sigma_x, flip *
+    tau_y) it lands in, and normalization."""
+    labels, pairs = tables.setting_labels, tables.measured_pairs()
+    columns = _domain_columns(labels, identify_equal_settings)
+    n, flip = len(labels), l_sign(convention)
+    where = [(4 * p, labels.index(x), n + labels.index(y)) for p, (x, y) in enumerate(pairs)]
+    rhs = [tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)]
+    support = [
+        tuple(row + CELLS.index((col[ix], flip * col[iy])) for row, ix, iy in where) + (len(rhs) - 1,)
+        for col in columns
+    ]
+    return columns, support, rhs
 
 
 def joint_feasibility(
@@ -291,18 +363,10 @@ def joint_feasibility(
     """
     if isinstance(tables, TallyTable):
         tables = PairwiseTables.from_tally(tables)
-    flip = l_sign(convention)
-    labels = tables.setting_labels
-    pairs = tables.measured_pairs()
-    columns = _domain_columns(labels, identify_equal_settings)
-    hits = _cell_hits(columns, labels, pairs, flip)
-
-    # row 4p + c holds cell CELLS[c] of pair p; the last row is normalization
+    labels, pairs = tables.setting_labels, tables.measured_pairs()
+    columns, support, rhs = _domain_lp(tables, identify_equal_settings, convention)
     row_labels = [_row_label(key, cell) for key in pairs for cell in CELLS] + ["normalization"]
-    rhs = [tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)]
-    # support[j] lists the rows where domain column j holds a 1
-    support = [tuple(4 * p + c for p, c in enumerate(h)) + (len(rhs) - 1,) for h in hits]
-    x, y, exact_pivots = _exact_simplex(support, rhs)
+    x, y, solved_rows, solved_cols, exact_pivots = _presolved_simplex(support, rhs)
 
     witness = certificate = None
     if x is not None:
@@ -322,7 +386,7 @@ def joint_feasibility(
         certificate = dict(zip(row_labels, y))
     return FeasibilityResult(
         witness is not None, identify_equal_settings, convention, labels, witness, certificate,
-        tuple(row_labels), len(rhs), len(columns), exact_pivots,
+        tuple(row_labels), len(rhs), len(columns), solved_rows, solved_cols, exact_pivots,
     )
 
 

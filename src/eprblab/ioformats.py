@@ -53,7 +53,6 @@ for cells.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -104,6 +103,8 @@ def atomic_write(path: str, chunks: Iterable[bytes]) -> str:
     any, stays whole until the rename.  The file gets the mode open() would
     give it under the current umask, not the owner-only mode of the temp
     file."""
+    import hashlib  # here, so the commands that write no file never load OpenSSL
+
     umask = os.umask(0)  # setting the umask is the only way to read it
     os.umask(umask)
     digest = hashlib.sha256()
@@ -124,6 +125,8 @@ def atomic_write(path: str, chunks: Iterable[bytes]) -> str:
 
 
 def sha256_file(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):

@@ -176,7 +176,8 @@ def test_feasibility_wrapped_probability_file(tmp_path, capsys):
     assert payload["status"] == "infeasible"
     assert payload["convention"] == "anti"
     assert "certificate" in payload and "witness" not in payload
-    assert payload["lp"] == {"rows": 13, "cols": 8, "exact_pivots": 6}
+    # no zero cell, so the presolve drops one implied cell row per table and no column
+    assert payload["lp"] == {"rows": 13, "cols": 8, "solved_rows": 10, "solved_cols": 8, "exact_pivots": 6}
     code, payload = run(capsys, "feasibility", "--tables", str(path))
     assert code == 0
     assert payload["status"] == "feasible"
@@ -318,8 +319,9 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     """feasibility on each tables layout (tally counts, probabilities, and
     either wrapped with a convention), enumerate, inequalities and a usage
     error run in a fresh interpreter without loading numpy, which is about
-    half of a command's start-up, or dataclasses and the inspect module it
-    imports."""
+    half of a command's start-up, dataclasses and the inspect module it
+    imports, or hashlib and the OpenSSL module behind it, which only the
+    commands that write or digest a file use."""
     ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
     (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
     (tmp_path / "probs.json").write_text(json.dumps({"a;b": {"pp": "1/2", "pm": 0, "mp": 0, "mm": "1/2"}}))
@@ -338,10 +340,35 @@ codes = [
           "--convention", "anti"]),
     main(["enumerate", "--M", "0", "--model", "shared"]),
 ]
-loaded = sorted(m for m in ("numpy._core", "dataclasses", "inspect") if m in sys.modules)
+loaded = sorted(m for m in ("numpy._core", "dataclasses", "inspect", "hashlib", "_hashlib") if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
     assert _fresh_interpreter(tmp_path, script) == {"codes": [0, 0, 0, 0, 0, 0, 2], "loaded": []}
+
+
+def test_exact_commands_run_without_numpy(tmp_path, config_path):
+    """Where numpy is not installed (``find_spec`` returns None for it, as
+    with ``sys.modules["numpy"] = None``), the exact commands still run, and
+    an array command exits 2 with one line that names numpy."""
+    ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
+    (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
+    script = f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from eprblab.cli import main
+codes = [
+    main(["feasibility", "--tables", "tally.json"]),
+    main(["enumerate", "--M", "9", "--model", "shared-identified"]),
+    main(["inequalities", "--tally", "tally.json", "--kind", "bell-wigner", "--ordering", "a,b,c",
+          "--convention", "anti"]),
+]
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    codes.append(main(["simulate", "--config", {config_path!r}, "--out", "run"]))
+print(json.dumps({{"codes": codes, "err": err.getvalue()}}))
+"""
+    assert _fresh_interpreter(tmp_path, script) == {
+        "codes": [0, 0, 0, 2], "err": "error: numpy is required for array commands but is not installed\n"}
 
 
 def test_numpy_loads_on_first_array_use(tmp_path):

@@ -96,6 +96,23 @@ def verify_certificate(tables: PairwiseTables, res: FeasibilityResult):
         assert total <= 0, f"functional fails on {key}"
 
 
+def full_lp(tables: PairwiseTables, identified: bool, convention: str = "equal"):
+    """(support, b) of the full formulation that ``joint_feasibility``
+    presolves, built by the module's own helper."""
+    _, support, rhs = feasibility._domain_lp(tables, identified, convention)
+    return support, rhs
+
+
+def assert_exact_answer(support, rhs, x, y):
+    """x >= 0 with A x = b, or y . b > 0 with y . A_j <= 0 on every column."""
+    if x is not None:
+        assert y is None and min(x) >= 0
+        assert [sum(x[j] for j, rows in enumerate(support) if i in rows) for i in range(len(rhs))] == rhs
+    else:
+        assert sum(yi * bi for yi, bi in zip(y, rhs)) > 0
+        assert all(sum(y[i] for i in rows) <= 0 for rows in support)
+
+
 def verify_witness(tables: PairwiseTables, res: FeasibilityResult):
     back = marginalize(res.witness, tables.measured_pairs(), res.identify_equal_settings, res.convention)
     assert back.tables == tables.tables
@@ -399,8 +416,11 @@ def test_degenerate_menus_terminate_from_the_artificial_basis(monkeypatch, ident
     """Deterministic tables make most basic values zero, the case in which a
     simplex without an anti-cycling rule can loop.  Bland's rule after a run
     of degenerate pivots (or, with a run of 0, throughout) still ends, with
-    a checked answer: the tables of one domain are feasible, and mixing two
-    tables that disagree on a station's outcome is not."""
+    an exact answer: the tables of one domain are feasible, and mixing two
+    tables that disagree on a station's outcome is not.  The presolve drops
+    almost every column of these menus (all of them for the clash), so the
+    simplex runs on the full formulation here, and ``joint_feasibility``
+    must give the same status with a checked answer."""
     sigma, tau = (1, -1, 1, 1), ((1, -1, 1, 1) if identified else (-1, 1, 1, -1))
     feasible = _point_mass_tables(sigma, tau, ALL_PAIRS)
     flipped = _point_mass_tables((-1, -1, 1, 1), tau, ALL_PAIRS)
@@ -409,10 +429,70 @@ def test_degenerate_menus_terminate_from_the_artificial_basis(monkeypatch, ident
              for tables, status in ((feasible, "feasible"), (clash, "infeasible"))]
     for run, tables, status in cases:
         monkeypatch.setattr(feasibility, "_DEGENERATE_RUN", run)
+        support, rhs = full_lp(tables, identified)
+        x, y, pivots = feasibility._exact_simplex(support, rhs)
+        assert pivots >= 1
+        assert (x is not None) == (status == "feasible")
+        assert_exact_answer(support, rhs, x, y)
         res = joint_feasibility(tables, identify_equal_settings=identified)
         assert res.status == status
-        assert res.exact_pivots >= 1
         verify_answer(tables, res)
+
+
+def test_a_certificate_is_lifted_onto_the_columns_through_zero_cells():
+    """All of a;b's weight is on sigma_a = + and none of a;c's, so every
+    domain column meets a zero cell and the presolved system keeps two rows
+    and no column.  Its duals alone are positive on the columns through
+    a;c:mm; the printed certificate puts -K on each zero cell's row, which
+    separates, and keeps a key for every row."""
+    tables = PairwiseTables({("a", "b"): cells(1, 0, 0, 0), ("a", "c"): cells(0, 0, "1/2", "1/2")})
+    res = joint_feasibility(tables)
+    assert (res.status, res.lp_rows, res.lp_cols, res.solved_rows, res.solved_cols, res.exact_pivots) == (
+        "infeasible", 9, 64, 2, 0, 0)
+    assert list(res.certificate) == list(res.row_labels)
+    support, rhs = full_lp(tables, False)
+    y = [res.certificate[label] for label in res.row_labels]
+    unlifted = [v if b else 0 for v, b in zip(y, rhs)]
+    assert max(sum(unlifted[i] for i in rows) for rows in support) > 0
+    assert min(v for v, b in zip(y, rhs) if b == 0) < 0
+    verify_certificate(tables, res)
+
+
+@st.composite
+def sparse_menus(draw):
+    """Tables on up to six of the 16 pairs of a, b, c, d with most cells
+    zero: the marginals of a distribution on one to three domains
+    (identified or not), with one table replaced, half the time, by one
+    with halves or a whole in its cells."""
+    identified = draw(st.booleans())
+    keys = [k for k in all_domain_keys(4) if not identified or k[:4] == k[4:]]
+    domains = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(domains), max_size=len(domains)))
+    dist = WignerDomainDistribution.from_partial(
+        {k: F(w, sum(weights)) for k, w in zip(domains, weights)}, settings="abcd")
+    pairs = draw(st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=6, unique=True))
+    convention = draw(st.sampled_from(["equal", "anti"]))
+    tables = marginalize(dist, pairs, identified, convention).tables
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.integers(0, 2)) for _ in range(3))
+        tables = {**tables, draw(st.sampled_from(pairs)): cells(*(F(hi - lo, 2) for lo, hi in zip([0, *cuts], [*cuts, 2])))}
+    return PairwiseTables(tables), convention
+
+
+@settings(max_examples=80, deadline=None)
+@given(menu=sparse_menus(), identified=st.booleans())
+def test_presolve_keeps_the_status_of_the_full_lp(menu, identified):
+    """With zero cells common, the presolved LP and the full formulation
+    (the simplex run on it directly) always agree on the status, and the
+    answer mapped back passes the checks on the full formulation."""
+    tables, convention = menu
+    res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
+    support, rhs = full_lp(tables, identified, convention)
+    x, _, _ = feasibility._exact_simplex(support, rhs)
+    assert res.status == ("feasible" if x is not None else "infeasible")
+    assert (res.lp_rows, res.lp_cols) == (len(rhs), len(support))
+    assert res.solved_rows < res.lp_rows and res.solved_cols <= res.lp_cols
+    verify_answer(tables, res)
 
 
 CH_PAIRS = [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]
@@ -539,13 +619,7 @@ def test_exact_simplex_answers_any_zero_one_system(system):
     """Every answer is exact: x >= 0 with A x = b, or y . b > 0 with
     y . A_j <= 0 on every column, so each fraction-free division was exact."""
     support, rhs = system
-    x, y, _ = feasibility._exact_simplex(support, rhs)
-    if x is not None:
-        assert y is None and min(x) >= 0
-        assert [sum(x[j] for j, rows in enumerate(support) if i in rows) for i in range(len(rhs))] == rhs
-    else:
-        assert sum(yi * bi for yi, bi in zip(y, rhs)) > 0
-        assert all(sum(y[i] for i in rows) <= 0 for rows in support)
+    assert_exact_answer(support, rhs, *feasibility._exact_simplex(support, rhs)[:2])
 
 
 # ---------------------------------------------------------------------------
