@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 2 configuration or usage problems (numpy missing
 for an array command among them), 3 malformed or inconsistent input data,
-4 violated internal invariants.  Every command
-that writes a file also writes ``<file>.manifest.json`` (for simulate,
-``<out>.manifest.json`` covering both event files) recording input and
-output digests, the seed, and the tool version.  Results and summaries go
-to stdout as single JSON objects; diagnostics go to stderr.
+4 violated internal invariants.  Every command that writes a file also
+writes ``<file>.manifest.json`` (for simulate, ``<out>.manifest.json``
+covering both event files) recording input and output digests, the seed,
+and the tool version.  Results and summaries go to stdout as single JSON
+objects; diagnostics go to stderr.
 """
 
 from __future__ import annotations

@@ -96,13 +96,6 @@ def verify_certificate(tables: PairwiseTables, res: FeasibilityResult):
         assert total <= 0, f"functional fails on {key}"
 
 
-def full_lp(tables: PairwiseTables, identified: bool, convention: str = "equal"):
-    """(support, b) of the full formulation that ``joint_feasibility``
-    presolves, built by the module's own helper."""
-    _, support, rhs = feasibility._domain_lp(tables, identified, convention)
-    return support, rhs
-
-
 def assert_exact_answer(support, rhs, x, y):
     """x >= 0 with A x = b, or y . b > 0 with y . A_j <= 0 on every column."""
     if x is not None:
@@ -429,7 +422,7 @@ def test_degenerate_menus_terminate_from_the_artificial_basis(monkeypatch, ident
              for tables, status in ((feasible, "feasible"), (clash, "infeasible"))]
     for run, tables, status in cases:
         monkeypatch.setattr(feasibility, "_DEGENERATE_RUN", run)
-        support, rhs = full_lp(tables, identified)
+        _, support, rhs = feasibility._domain_lp(tables, identified, "equal")
         x, y, pivots = feasibility._exact_simplex(support, rhs)
         assert pivots >= 1
         assert (x is not None) == (status == "feasible")
@@ -450,7 +443,7 @@ def test_a_certificate_is_lifted_onto_the_columns_through_zero_cells():
     assert (res.status, res.lp_rows, res.lp_cols, res.solved_rows, res.solved_cols, res.exact_pivots) == (
         "infeasible", 9, 64, 2, 0, 0)
     assert list(res.certificate) == list(res.row_labels)
-    support, rhs = full_lp(tables, False)
+    _, support, rhs = feasibility._domain_lp(tables, False, "equal")
     y = [res.certificate[label] for label in res.row_labels]
     unlifted = [v if b else 0 for v, b in zip(y, rhs)]
     assert max(sum(unlifted[i] for i in rows) for rows in support) > 0
@@ -475,7 +468,8 @@ def sparse_menus(draw):
     tables = marginalize(dist, pairs, identified, convention).tables
     if draw(st.booleans()):
         cuts = sorted(draw(st.integers(0, 2)) for _ in range(3))
-        tables = {**tables, draw(st.sampled_from(pairs)): cells(*(F(hi - lo, 2) for lo, hi in zip([0, *cuts], [*cuts, 2])))}
+        sparse = cells(*(F(hi - lo, 2) for lo, hi in zip([0, *cuts], [*cuts, 2])))
+        tables = {**tables, draw(st.sampled_from(pairs)): sparse}
     return PairwiseTables(tables), convention
 
 
@@ -487,7 +481,7 @@ def test_presolve_keeps_the_status_of_the_full_lp(menu, identified):
     answer mapped back passes the checks on the full formulation."""
     tables, convention = menu
     res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
-    support, rhs = full_lp(tables, identified, convention)
+    _, support, rhs = feasibility._domain_lp(tables, identified, convention)
     x, _, _ = feasibility._exact_simplex(support, rhs)
     assert res.status == ("feasible" if x is not None else "infeasible")
     assert (res.lp_rows, res.lp_cols) == (len(rhs), len(support))
