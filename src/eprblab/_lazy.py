@@ -1,36 +1,32 @@
-"""numpy, imported on first attribute access.
+"""numpy, imported on first attribute use.
 
 The exact commands (feasibility, enumerate, inequalities) never touch an
 array, so they never pay numpy's import, and they run where numpy is not
-installed.  There, the first array use raises ModuleNotFoundError naming
-numpy.  Modules take ``np`` from here: an ``import numpy`` of their own
-would load it at once.
+installed.  Modules take ``np`` from here: an ``import numpy`` of their own
+would load it at once.  Where numpy is already imported, ``np`` is that
+module.  Otherwise ``np`` is a proxy that adds nothing to ``sys.modules``
+until an attribute is used; then it imports numpy and keeps the attribute.
+Where numpy is not installed, that first use raises ModuleNotFoundError
+naming numpy.
 """
 
-import importlib.util
 import sys
 
 
-class _Missing:
-    """Stands in for a module that is not installed: any attribute use
-    raises ModuleNotFoundError naming it."""
-
-    def __init__(self, name: str):
-        self._name = name
+class _Numpy:
+    """numpy's attributes, each imported on its first use and kept."""
 
     def __getattr__(self, attr: str):
-        raise ModuleNotFoundError(f"{self._name} is required for array commands but is not installed", name=self._name)
+        try:
+            import numpy
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            message = "numpy is required for array commands but is not installed"
+            raise ModuleNotFoundError(message, name="numpy") from None
+        value = getattr(numpy, attr)
+        setattr(self, attr, value)
+        return value
 
 
-def _lazy_module(name: str):
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        return _Missing(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = sys.modules.get("numpy") or _lazy_module("numpy")
+np = sys.modules.get("numpy") or _Numpy()

@@ -14,7 +14,8 @@ class EprbLabError(Exception):
 
 
 class ConfigMismatchError(EprbLabError):
-    """A generator was invoked with a config of the wrong kind."""
+    """Two stream files were given for the wrong islands: ``pair`` or
+    ``sweep`` got a non-T file as ``--left`` or a non-L file as ``--right``."""
 
 
 class ConfigParseError(EprbLabError):

@@ -458,7 +458,13 @@ class EventStream(Record):
     ``labels`` is the setting menu; ``setting_idx`` indexes into it.
     Construction enforces the stream invariants (single island, strictly
     increasing times in [0, MAX_T_NS], two-valued outcomes), so an
-    EventStream in hand is always valid.  Iteration yields DetectionEvent records.
+    EventStream in hand is always valid.  Each column is checked as given
+    and only then stored narrowed (int64, int16, int8): a value that is not
+    an integer raises ValueError naming its column, and an integer outside
+    its range is a violation, never wrapped.  Iteration yields
+    DetectionEvent records.  ``from_events`` builds the same columns from
+    records, with one island per event, and ``validate_stream`` reports
+    what it raises.
     """
 
     island: str
@@ -474,19 +480,16 @@ class EventStream(Record):
             raise ValueError(f"labels must be drawn from {SETTING_LABELS}, got {self.labels!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("setting labels must be distinct")
-        t = _time_column(self.t_ns)
-        si = np.asarray(self.setting_idx, dtype=np.int16)
-        oc = np.asarray(self.outcome, dtype=np.int8)
-        if not (t.shape == si.shape == oc.shape) or t.ndim != 1:
+        columns = [_integer_column(getattr(self, name), name) for name in _COLUMNS]
+        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
             raise ValueError("t_ns, setting_idx and outcome must be 1-d arrays of equal length")
-        violations = _validate_columns(self.island, t, si, oc, len(self.labels))
+        violations = _validate_columns(self.island, *columns, len(self.labels))
         if violations:
             raise InvalidStreamError(violations)
-        for arr in (t, si, oc):
-            arr.setflags(write=False)
-        object.__setattr__(self, "t_ns", t)
-        object.__setattr__(self, "setting_idx", si)
-        object.__setattr__(self, "outcome", oc)
+        for (name, dtype), column in zip(_COLUMNS.items(), columns):
+            column = column.astype(dtype, copy=False)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @classmethod
@@ -507,14 +510,15 @@ class EventStream(Record):
             island = events[0].island if events else "T"
         elif events and events[0].island != island:
             raise ValueError(f"events are from island {events[0].island!r}, not {island!r}")
-        if any(e.island != island for e in events):
-            raise InvalidStreamError(validate_stream(events))
         missing = [e.setting_label for e in events if e.setting_label not in index]
         if missing:
             raise ValueError(f"event setting {missing[0]!r} is not in the label menu {labels}")
-        t = _time_column([e.time_ns for e in events])
+        t = _integer_column([e.time_ns for e in events], "t_ns")
         si = np.array([index[e.setting_label] for e in events], dtype=np.int16)
         oc = np.array([e.outcome for e in events], dtype=np.int8)
+        violations = _validate_columns([e.island for e in events], t, si, oc, len(labels))
+        if violations:
+            raise InvalidStreamError(violations)
         return cls(island, labels, t, si, oc)
 
     def __len__(self) -> int:
@@ -550,57 +554,45 @@ class StreamViolation(Record):
         return f"{self.kind.value} at index {self.index}: {self.message}"
 
 
-def _time_column(times) -> np.ndarray:
-    """Times as an int64 column.  Times that are not yet a signed integer
-    array are checked as Python integers first: if one lies outside
-    [0, MAX_T_NS] they all stay Python integers (object dtype), so that
-    _validate_columns reports it where the conversion would wrap, round or
-    raise OverflowError."""
-    if isinstance(times, np.ndarray) and times.dtype.kind == "i":
-        return times.astype(np.int64, copy=False)
-    values = np.asarray(times, dtype=object)
-    if any(isinstance(v, numbers.Integral) and not 0 <= v <= MAX_T_NS for v in values.flat):
+# each column of a stream and the dtype it is stored as
+_COLUMNS = {"t_ns": "int64", "setting_idx": "int16", "outcome": "int8"}
+
+
+def _integer_column(values, name: str) -> np.ndarray:
+    """A column as given, before any narrowing: an integer array as it is,
+    anything else as Python integers (object dtype), so that
+    _validate_columns reports a value outside its column's range where a
+    narrowing would wrap it.  Raises ValueError naming the column at a value
+    that is not an integer."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
-    return values.astype(np.int64)
+    column = np.array(values, dtype=object)
+    for i, v in enumerate(column.flat):
+        if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"{name} must hold integers, got {v!r}")
+        column.flat[i] = int(v)
+    return column
 
 
-def _validate_columns(
-    islands, t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_labels: int
-) -> list[StreamViolation]:
-    """Every violation in a stream's columns.  ``islands`` is the island of
-    each event, or one island for all of them."""
-    out: list[StreamViolation] = []
+def _validate_columns(islands, t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_labels: int) -> list[StreamViolation]:
+    """Every violation in a stream's columns, ordered by (index, kind).
+    ``islands`` is the island of each event, or one island for all of them."""
     if len(t) == 0:
-        return out
+        return []
     islands = np.asarray(islands)
     ref = str(islands.flat[0])
-    for i in np.flatnonzero(islands != ref):
-        out.append(
-            StreamViolation(ViolationKind.MIXED_ISLAND, int(i), f"island {str(islands[i])!r} differs from {ref!r}")
-        )
-    bad_oc = np.nonzero(np.abs(oc) != 1)[0]
-    for i in bad_oc:
-        out.append(StreamViolation(ViolationKind.BAD_OUTCOME, int(i), f"outcome {int(oc[i])} is not +1/-1"))
-    bad_si = np.nonzero((si < 0) | (si >= n_labels))[0]
-    for i in bad_si:
-        out.append(
-            StreamViolation(
-                ViolationKind.BAD_SETTING, int(i), f"setting index {int(si[i])} is outside the {n_labels}-label menu"
-            )
-        )
-    for i in np.flatnonzero((t < 0) | (t > MAX_T_NS)):
-        out.append(
-            StreamViolation(ViolationKind.TIME_OUT_OF_RANGE, int(i), f"time {t[i]} lies outside [0, 2^63 - 1]")
-        )
-    non_incr = np.nonzero(t[1:] <= t[:-1])[0]
-    for i in non_incr:
-        out.append(
-            StreamViolation(
-                ViolationKind.NON_MONOTONIC_TIME,
-                int(i) + 1,
-                f"time {t[i + 1]} does not increase past {t[i]}",
-            )
-        )
+    checks = (  # kind, the rows that break the rule, the message for row i
+        (ViolationKind.MIXED_ISLAND, np.flatnonzero(islands != ref),
+         lambda i: f"island {str(islands[i])!r} differs from {ref!r}"),
+        (ViolationKind.BAD_OUTCOME, np.flatnonzero(np.abs(oc) != 1), lambda i: f"outcome {int(oc[i])} is not +1/-1"),
+        (ViolationKind.BAD_SETTING, np.flatnonzero((si < 0) | (si >= n_labels)),
+         lambda i: f"setting index {int(si[i])} is outside the {n_labels}-label menu"),
+        (ViolationKind.TIME_OUT_OF_RANGE, np.flatnonzero((t < 0) | (t > MAX_T_NS)),
+         lambda i: f"time {t[i]} lies outside [0, 2^63 - 1]"),
+        (ViolationKind.NON_MONOTONIC_TIME, np.flatnonzero(t[1:] <= t[:-1]) + 1,
+         lambda i: f"time {t[i]} does not increase past {t[i - 1]}"),
+    )
+    out = [StreamViolation(kind, int(i), message(i)) for kind, rows, message in checks for i in rows]
     return sorted(out, key=lambda v: (v.index, v.kind.value))
 
 
@@ -608,16 +600,16 @@ def validate_stream(events: EventStream | Sequence[DetectionEvent]) -> list[Stre
     """Check one station's stream and return the complete violation list.
 
     An empty list means the stream is valid.  Accepts an EventStream
-    (always valid by construction) or a DetectionEvent sequence.
+    (always valid by construction) or a DetectionEvent sequence, whose
+    violations are the ones ``EventStream.from_events`` raises.
     """
     if isinstance(events, EventStream):
         return []
-    events = list(events)
-    islands = np.array([e.island for e in events])
-    times = _time_column([e.time_ns for e in events])
-    outcomes = np.array([e.outcome for e in events])
-    # each DetectionEvent has checked its own setting label and outcome
-    return _validate_columns(islands, times, np.zeros(len(times), dtype=np.int16), outcomes, 1)
+    try:
+        EventStream.from_events(list(events))
+    except InvalidStreamError as exc:
+        return exc.violations
+    return []
 
 
 def require_valid_stream(events) -> EventStream:

@@ -13,8 +13,9 @@ A kind is one law: from the source generator and both islands' settings it
 draws, per emission, T's outcome sigma, the hidden tau at L's setting, and
 each station's detection delay.  L reports ``model.l_sign(convention) * tau``.
 
-The config schema is stated here: ``SourceConfig`` checks every field, and
-``config_from_dict`` builds one from a parsed JSON document (the reader of
+The config schema is stated once, in ``SourceConfig``: its fields, their
+defaults and the check of every field.  ``config_from_dict`` builds one from
+a parsed JSON document, converting only the nested shapes (the reader of
 config files is ``ioformats.load_config``).
 """
 
@@ -181,55 +182,38 @@ def _parse_domain_weights(obj) -> WignerDomainDistribution:
 
 
 def config_from_dict(doc: Mapping, seed_override: int | None = None) -> SourceConfig:
+    """The config a parsed JSON document describes.  The fields, their
+    defaults and which are required are ``SourceConfig``'s; this converts
+    only the nested JSON shapes and applies the seed override."""
     if not isinstance(doc, Mapping):
         raise ConfigParseError("config must be a JSON object")
     unknown = sorted(set(doc) - set(SourceConfig._fields))
     if unknown:
         raise ConfigParseError(f"unknown config field(s): {unknown}")
-    missing = [k for k in ("kind", "settings", "seed", "emission_period_ns") if k not in doc]
+    missing = [k for k in SourceConfig._fields if k not in SourceConfig._defaults and k not in doc]
     if missing:
         raise ConfigParseError(f"missing required config field(s): {missing}")
-    raw_settings = doc["settings"]
-    if not isinstance(raw_settings, list) or not raw_settings:
+    if not isinstance(doc["settings"], list) or not doc["settings"]:
         raise ConfigParseError("settings must be a nonempty list of {label, angle_deg} objects")
     settings = []
-    for i, s in enumerate(raw_settings):
+    for i, s in enumerate(doc["settings"]):
         if not isinstance(s, dict) or set(s) != {"label", "angle_deg"}:
             raise ConfigParseError(f"settings[{i}] must be an object with exactly label and angle_deg")
         try:
             settings.append(Setting(s["label"], float(s["angle_deg"])))
         except (ValueError, TypeError) as exc:
             raise ConfigParseError(f"settings[{i}]: {exc}")
-
-    weights = None
+    fields = dict(doc, settings=tuple(settings))
     if doc.get("domain_weights") is not None:
-        weights = _parse_domain_weights(doc["domain_weights"])
-
-    def menu(key):
-        v = doc.get(key)
-        if v is None:
-            return None
-        if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+        fields["domain_weights"] = _parse_domain_weights(doc["domain_weights"])
+    for key in ("station_t_labels", "station_l_labels"):
+        menu = doc.get(key)  # SourceConfig stores a menu as a tuple
+        if menu is not None and (not isinstance(menu, list) or not all(isinstance(x, str) for x in menu)):
             raise ConfigParseError(f"{key} must be a list of setting labels")
-        return tuple(v)
-
-    seed = doc["seed"] if seed_override is None else seed_override
+    if seed_override is not None:
+        fields["seed"] = seed_override
     try:
-        return SourceConfig(
-            kind=doc["kind"],
-            settings=tuple(settings),
-            seed=seed,
-            emission_period_ns=doc["emission_period_ns"],
-            jitter_ns=doc.get("jitter_ns", 0),
-            total_pairs=doc.get("total_pairs"),
-            pairs_per_combination=doc.get("pairs_per_combination"),
-            convention=doc.get("convention", "anti"),
-            max_delay_ns=doc.get("max_delay_ns"),
-            delay_exponent=doc.get("delay_exponent"),
-            domain_weights=weights,
-            station_t_labels=menu("station_t_labels"),
-            station_l_labels=menu("station_l_labels"),
-        )
+        return SourceConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigParseError(str(exc))
 

@@ -396,6 +396,20 @@ print(json.dumps({"same": np is numpy, "type": type(np).__name__}))
     assert _fresh_interpreter(tmp_path, script) == {"same": True, "type": "module"}
 
 
+def test_lazy_numpy_registers_nothing_until_used(tmp_path):
+    """Importing the CLI leaves numpy out of sys.modules; once numpy is
+    imported, the package's np gives numpy's own attributes."""
+    script = """
+import json, sys
+import eprblab.cli
+from eprblab import _lazy
+before = "numpy" in sys.modules
+import numpy
+print(json.dumps({"before": before, "same": _lazy.np.ndarray is numpy.ndarray}))
+"""
+    assert _fresh_interpreter(tmp_path, script) == {"before": False, "same": True}
+
+
 # the package's import layers, lowest first: a module imports only from layers below its own
 IMPORT_LAYERS = (("errors", "_lazy"), ("model",), ("pairing", "sources", "counting", "feasibility"), ("stats",),
                  ("ioformats",), ("cli",))

@@ -36,9 +36,9 @@ from eprblab.ioformats import (
     write_sweep_csv,
     write_tally,
 )
-from eprblab.model import ISLANDS, OUTCOMES, SETTING_LABELS, EventStream, TallyTable
+from eprblab.model import ISLANDS, OUTCOMES, SETTING_LABELS, EventStream, Setting, TallyTable, WignerDomainDistribution
 from eprblab.pairing import PairingConfig, match_pairs_indexed
-from eprblab.sources import config_from_dict
+from eprblab.sources import SourceConfig, config_from_dict
 from eprblab.stats import SweepRow, tally
 
 
@@ -850,6 +850,56 @@ def test_config_rejections():
         config_from_dict({**BASE, "settings": [{"label": "a"}]})
     with pytest.raises(ConfigParseError):
         config_from_dict({**BASE, "kind": "wigner-domain"})  # needs domain_weights
+
+
+LOCAL_DELAY = {"kind": "local-delay", "max_delay_ns": 40, "delay_exponent": 2.0}
+
+# per SourceConfig field: an edit of BASE that sets the field to a valid
+# value other than BASE's (a None value drops a key), and that value
+FIELD_EDITS = {
+    "kind": (LOCAL_DELAY, "local-delay"),
+    "settings": ({"settings": [{"label": "a", "angle_deg": 30.0}]}, (Setting("a", 30.0),)),
+    "seed": ({"seed": 12}, 12),
+    "emission_period_ns": ({"emission_period_ns": 700}, 700),
+    "jitter_ns": ({"jitter_ns": 3}, 3),
+    "total_pairs": ({"total_pairs": 7}, 7),
+    "pairs_per_combination": ({"total_pairs": None, "pairs_per_combination": 2}, 2),
+    "convention": ({"convention": "equal"}, "equal"),
+    "max_delay_ns": (LOCAL_DELAY, 40),
+    "delay_exponent": (LOCAL_DELAY, 2.0),
+    "domain_weights": (
+        {"kind": "wigner-domain", "domain_weights": {"+++;+++": "1"}},
+        WignerDomainDistribution.from_partial({(1,) * 6: 1}),
+    ),
+    "station_t_labels": ({"station_t_labels": ["a", "b"]}, ("a", "b")),
+    "station_l_labels": ({"station_l_labels": ["c"]}, ("c",)),
+}
+
+
+@pytest.mark.parametrize("field", SourceConfig._fields)
+def test_every_config_field_reaches_the_config(field):
+    edit, value = FIELD_EDITS[field]
+    doc = {k: v for k, v in {**BASE, **edit}.items() if v is not None}
+    assert getattr(config_from_dict(BASE), field) != value
+    assert getattr(config_from_dict(doc), field) == value
+
+
+@pytest.mark.parametrize("field", SourceConfig._defaults)
+def test_an_omitted_config_field_takes_its_default(field):
+    doc = {k: v for k, v in BASE.items() if k != field}
+    if field == "total_pairs":
+        doc["pairs_per_combination"] = 2
+    assert getattr(config_from_dict(doc), field) == SourceConfig._defaults[field]
+
+
+@pytest.mark.parametrize(
+    "doc, missing",
+    [({}, ["kind", "settings", "seed", "emission_period_ns"]), ({"seed": 1, "settings": []}, ["kind", "emission_period_ns"])],
+)
+def test_missing_config_fields_are_listed_in_schema_order(doc, missing):
+    with pytest.raises(ConfigParseError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == f"missing required config field(s): {missing}"
 
 
 def test_config_domain_weights():

@@ -282,6 +282,35 @@ def test_event_stream_rejects_times_outside_int64_range():
     assert validate_stream([ev("T", 0, "a", 1), ev("T", INT64_MAX, "a", 1)]) == []
 
 
+@pytest.mark.parametrize(
+    "column, values, error",
+    [
+        ("t_ns", [1.5], "t_ns must hold integers, got 1.5"),
+        ("setting_idx", [0.9], "setting_idx must hold integers, got 0.9"),
+        ("setting_idx", np.array([65536], dtype=np.int64), ViolationKind.BAD_SETTING),
+        ("setting_idx", [65536], ViolationKind.BAD_SETTING),
+        ("outcome", [257], ViolationKind.BAD_OUTCOME),
+        ("outcome", [-255], ViolationKind.BAD_OUTCOME),
+        ("outcome", [1.5], "outcome must hold integers, got 1.5"),
+    ],
+    ids=["time-1.5", "setting-0.9", "setting-65536-int64", "setting-65536-int", "outcome-257", "outcome--255",
+         "outcome-1.5"],
+)
+def test_event_stream_checks_columns_before_narrowing_them(column, values, error):
+    """A value that is not an integer, or an integer outside its column's
+    range, is refused rather than truncated or wrapped by the narrowing."""
+    columns = {"t_ns": [1], "setting_idx": [0], "outcome": [1], column: values}
+    if isinstance(error, str):
+        with pytest.raises(ValueError) as err:
+            EventStream("T", ("a",), **columns)
+        assert str(err.value) == error
+    else:
+        with pytest.raises(InvalidStreamError) as err:
+            EventStream("T", ("a",), **columns)
+        assert [(v.kind, v.index) for v in err.value.violations] == [(error, 0)]
+        assert f" {int(values[0])} " in str(err.value)
+
+
 def test_event_stream_round_trip():
     rows = [(1, "a", 1), (4, "b", -1), (9, "a", -1)]
     s = stream("T", rows)
