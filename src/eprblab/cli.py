@@ -7,6 +7,17 @@ writes ``<file>.manifest.json`` (for simulate, ``<out>.manifest.json``
 covering both event files) recording input and output digests, the seed,
 and the tool version.  Results and summaries go to stdout as single JSON
 objects; diagnostics go to stderr.
+
+At start-up this module imports only ``errors``, ``_lazy`` and ``model``,
+so a command compiles and imports only the modules it runs: ``enumerate``
+loads ``counting``, and ``feasibility`` loads ``ioformats`` and
+``feasibility``.  Each function a command takes from another module is
+bound here as a ``_lazy.function`` forwarder, which imports the owning
+module on its first call.  A forwarder carries the owner function's
+``__module__``, ``__name__`` and ``__qualname__``: per-function tracing,
+such as the benchmark's, finds the functions ``cli`` calls by those names,
+and reads each one as a call into the owning layer.  The two classes
+``cli`` uses are imported in the functions that use them.
 """
 
 from __future__ import annotations
@@ -16,28 +27,31 @@ import json
 import sys
 import time
 
-from .counting import count_triple_classes, enumerate_eu_classes
+from . import _lazy
 from .errors import ConfigMismatchError, ConfigParseError, EprbLabError, InternalInvariantError, TooLargeError
-from .feasibility import joint_feasibility
-from .ioformats import (
-    RunManifest,
-    load_config,
-    read_events,
-    read_pairs,
-    read_raw_station,
-    read_tables,
-    read_tally,
-    sha256_file,
-    write_events,
-    write_manifest,
-    write_pairs_indexed,
-    write_sweep_csv,
-    write_tally,
-)
 from .model import CONVENTIONS, SETTING_LABELS, domain_key_to_string
-from .pairing import PairingConfig, match_pairs_indexed
-from .sources import generate
-from .stats import bell_wigner, chsh, sweep_window, tally
+
+count_triple_classes = _lazy.function("counting", "count_triple_classes")
+enumerate_eu_classes = _lazy.function("counting", "enumerate_eu_classes")
+joint_feasibility = _lazy.function("feasibility", "joint_feasibility")
+load_config = _lazy.function("ioformats", "load_config")
+read_events = _lazy.function("ioformats", "read_events")
+read_pairs = _lazy.function("ioformats", "read_pairs")
+read_raw_station = _lazy.function("ioformats", "read_raw_station")
+read_tables = _lazy.function("ioformats", "read_tables")
+read_tally = _lazy.function("ioformats", "read_tally")
+sha256_file = _lazy.function("ioformats", "sha256_file")
+write_events = _lazy.function("ioformats", "write_events")
+write_manifest = _lazy.function("ioformats", "write_manifest")
+write_pairs_indexed = _lazy.function("ioformats", "write_pairs_indexed")
+write_sweep_csv = _lazy.function("ioformats", "write_sweep_csv")
+write_tally = _lazy.function("ioformats", "write_tally")
+match_pairs_indexed = _lazy.function("pairing", "match_pairs_indexed")
+generate = _lazy.function("sources", "generate")
+bell_wigner = _lazy.function("stats", "bell_wigner")
+chsh = _lazy.function("stats", "chsh")
+sweep_window = _lazy.function("stats", "sweep_window")
+tally = _lazy.function("stats", "tally")
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -64,6 +78,8 @@ def _manifest(
     of each input file (the config's is also the config digest), the output
     digests the writers returned for the bytes they wrote, and the wall
     time.  No command reads back a file it wrote."""
+    from .ioformats import RunManifest
+
     digests = {path: sha256_file(path) for path in inputs}
     manifest = RunManifest(
         command=command,
@@ -101,6 +117,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .pairing import PairingConfig
+
     t0 = time.monotonic()
     if args.window_ns < 0:
         raise ValueError("--window-ns must be nonnegative")

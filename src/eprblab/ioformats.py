@@ -60,12 +60,11 @@ import sys
 import tempfile
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from . import __version__ as _version
 from ._lazy import np
 from .errors import ConfigParseError, FormatError
-from .feasibility import PairwiseTables
 from .model import (
     CELL_FROM_NAME,
     CELL_NAMES,
@@ -81,7 +80,10 @@ from .model import (
     check_window,
     l_sign,
 )
-from .sources import SourceConfig, config_from_dict
+
+if TYPE_CHECKING:  # imported where used: only simulate reads a config, only feasibility reads tables
+    from .feasibility import PairwiseTables
+    from .sources import SourceConfig
 
 EVENT_KEYS = ("island", "t_ns", "setting", "outcome")
 PAIR_KEYS = (
@@ -588,6 +590,8 @@ def load_config(path: str, seed_override: int | None = None) -> SourceConfig:
         raise ConfigParseError(f"config {path}: invalid JSON: {exc}")
     except RecursionError:
         raise ConfigParseError(f"config {path}: {_TOO_DEEP}") from None
+    from .sources import config_from_dict
+
     return config_from_dict(doc, seed_override)
 
 
@@ -605,6 +609,8 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
     {"convention": ..., "tables": {...}} to pin the reporting convention;
     the returned convention is None when the file does not state one.
     """
+    from .feasibility import PairwiseTables
+
     doc = _read_json(path)
     convention = None
     if isinstance(doc, dict) and "tables" in doc:

@@ -199,6 +199,8 @@ def config_from_dict(doc: Mapping, seed_override: int | None = None) -> SourceCo
     for i, s in enumerate(doc["settings"]):
         if not isinstance(s, dict) or set(s) != {"label", "angle_deg"}:
             raise ConfigParseError(f"settings[{i}] must be an object with exactly label and angle_deg")
+        if not _finite_real(s["angle_deg"]):
+            raise ConfigParseError(f"settings[{i}]: angle_deg must be a finite number, got {s['angle_deg']!r}")
         try:
             settings.append(Setting(s["label"], float(s["angle_deg"])))
         except (ValueError, TypeError) as exc:

@@ -435,7 +435,7 @@ print(json.dumps([sorted(m[8:] for m in sys.modules if m.startswith("eprblab."))
         ("eprblab.feasibility", CORE | {"feasibility"}),
         ("eprblab.counting", CORE | {"counting"}),
         ("eprblab.stats", CORE | {"pairing", "stats"}),
-        ("eprblab.ioformats", CORE | {"feasibility", "sources", "ioformats"}),
+        ("eprblab.ioformats", CORE | {"ioformats"}),
     ],
     ids=["eprblab", "feasibility", "counting", "stats", "ioformats"],
 )
@@ -444,6 +444,32 @@ def test_an_import_loads_only_the_modules_it_uses(tmp_path, module, want):
     and the class count need no matcher, sampler or file format, and the
     file formats need no statistics."""
     assert _loaded_by(tmp_path, module) == (want, False)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (None, set()),
+        (["enumerate", "--M", "9", "--model", "shared-identified"], {"counting"}),
+        (["feasibility", "--tables", "tally.json"], {"ioformats", "feasibility"}),
+        (["ingest", "--raw", "raw.log", "--island", "T", "--out", "events.jsonl"], {"ioformats"}),
+    ],
+    ids=["import", "enumerate", "feasibility", "ingest"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, want):
+    """Importing the CLI loads only errors, _lazy and model; a command then
+    loads only the modules it calls into."""
+    ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
+    (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
+    (tmp_path / "raw.log").write_text("5 a 1\n9 b -1\n")
+    script = f"""
+import json, sys
+from eprblab.cli import main
+code = None if {argv!r} is None else main({argv!r})
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("eprblab."))]))
+"""
+    code, loaded = _fresh_interpreter(tmp_path, script)
+    assert (code, set(loaded)) == (None if argv is None else 0, CORE | {"cli"} | want)
 
 
 @pytest.mark.parametrize("level, module", [pytest.param(i, m, id=m) for i, layer in enumerate(IMPORT_LAYERS) for m in layer])
@@ -608,29 +634,40 @@ def test_empty_pairs_file_tallies_to_nothing(tmp_path, capsys):
     assert out.read_text() == "{}\n"
 
 
-def test_traced_entry_points_are_the_library_functions():
-    """The CLI and the matcher call the library functions under their own
-    names, which is what per-function tracing keys on: every name here is
-    one that a per-layer benchmark metric is read from."""
-    from eprblab import cli, counting, feasibility, ioformats, model, pairing, sources, stats
+# the names a per-layer benchmark metric is read from, as cli binds them
+TRACED_CLI_NAMES = (
+    "read_events", "read_raw_station", "write_events", "write_pairs_indexed", "read_pairs", "sha256_file",
+    "write_manifest", "tally", "sweep_window", "match_pairs_indexed", "generate", "joint_feasibility",
+    "count_triple_classes",
+)
 
-    for module, name, owner in [
-        *((cli, name, ioformats) for name in (
-            "read_events", "read_raw_station", "write_events", "write_pairs_indexed", "read_pairs",
-            "sha256_file", "write_manifest",
-        )),
-        (cli, "tally", stats),
-        (cli, "sweep_window", stats),
-        (cli, "match_pairs_indexed", pairing),
-        (cli, "generate", sources),
-        (cli, "joint_feasibility", feasibility),
-        (cli, "count_triple_classes", counting),
-        (pairing, "require_valid_stream", model),
-    ]:
-        fn = getattr(module, name)
-        assert fn is getattr(owner, name)
-        assert fn.__name__ == name
-        assert fn.__module__ == owner.__name__
+
+def test_traced_entry_points_are_the_library_functions(monkeypatch):
+    """The CLI and the matcher call the library functions under their own
+    names, which is what per-function tracing keys on.  Every function cli
+    binds from another module names a function its owner defines, and
+    calling cli's name calls whatever the owner holds under that name (cli
+    binds forwarders, which import the owner on their first call)."""
+    import importlib
+    import inspect
+
+    from eprblab import model, pairing
+
+    bound = {name: fn for name, fn in vars(cli).items() if inspect.isfunction(fn) and fn.__module__ != cli.__name__}
+    assert set(TRACED_CLI_NAMES) <= set(bound)
+    for name, fn in bound.items():
+        owner = importlib.import_module(fn.__module__)
+        real = getattr(owner, fn.__name__)
+        assert inspect.isfunction(real) and real.__module__ == owner.__name__
+        assert fn.__name__ == name and fn.__qualname__ == real.__qualname__
+        if fn is real:
+            continue
+        sentinel = object()
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: (sentinel, args, kwargs))
+        assert fn(1, key=2) == (sentinel, (1,), {"key": 2}), name
+    fn = pairing.require_valid_stream
+    assert fn is model.require_valid_stream
+    assert fn.__name__ == "require_valid_stream" and fn.__module__ == model.__name__
 
 
 MANIFEST_GOLDEN = ROOT / "tests/golden/manifest_digests.json"

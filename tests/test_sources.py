@@ -137,6 +137,16 @@ def test_config_overflow_guard():
         singlet_config(total_pairs=2**53, emission_period_ns=2**12)
 
 
+@pytest.mark.parametrize("angle", [True, "45", "1e2", None], ids=repr)
+def test_config_angles_are_type_checked(angle):
+    """A setting's angle is a JSON number: a bool is not read as 1 degree,
+    nor a string as the number it spells."""
+    doc = json.loads((ROOT / "configs/singlet_bell.json").read_text())
+    doc["settings"][1]["angle_deg"] = angle
+    with pytest.raises(ConfigParseError, match=r"^settings\[1\]: angle_deg must be a finite number"):
+        config_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # determinism and stream validity
 
