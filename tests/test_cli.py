@@ -634,14 +634,6 @@ def test_empty_pairs_file_tallies_to_nothing(tmp_path, capsys):
     assert out.read_text() == "{}\n"
 
 
-# the names a per-layer benchmark metric is read from, as cli binds them
-TRACED_CLI_NAMES = (
-    "read_events", "read_raw_station", "write_events", "write_pairs_indexed", "read_pairs", "sha256_file",
-    "write_manifest", "tally", "sweep_window", "match_pairs_indexed", "generate", "joint_feasibility",
-    "count_triple_classes",
-)
-
-
 def test_traced_entry_points_are_the_library_functions(monkeypatch):
     """The CLI and the matcher call the library functions under their own
     names, which is what per-function tracing keys on.  Every function cli
@@ -654,7 +646,12 @@ def test_traced_entry_points_are_the_library_functions(monkeypatch):
     from eprblab import model, pairing
 
     bound = {name: fn for name, fn in vars(cli).items() if inspect.isfunction(fn) and fn.__module__ != cli.__name__}
-    assert set(TRACED_CLI_NAMES) <= set(bound)
+    # among them, every name that a per-layer benchmark metric is read from
+    assert set(bound) >= {
+        "read_events", "read_raw_station", "write_events", "write_pairs_indexed", "read_pairs", "sha256_file",
+        "write_manifest", "tally", "sweep_window", "match_pairs_indexed", "generate", "joint_feasibility",
+        "count_triple_classes",
+    }
     for name, fn in bound.items():
         owner = importlib.import_module(fn.__module__)
         real = getattr(owner, fn.__name__)
