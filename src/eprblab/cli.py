@@ -10,8 +10,10 @@ objects; diagnostics go to stderr.
 
 At start-up this module imports only ``errors``, ``_lazy`` and ``model``,
 so a command compiles and imports only the modules it runs: ``enumerate``
-loads ``counting``, and ``feasibility`` loads ``ioformats`` and
-``feasibility``.  Each function a command takes from another module is
+loads ``counting``; ``feasibility`` loads ``feasibility``, which reads the
+tally and table files; ``inequalities`` loads ``feasibility`` for its
+tally and ``stats`` (with ``pairing``) for the inequality, and never the
+line formats of ``ioformats``.  Each function a command takes from another module is
 bound here as a ``_lazy.function`` forwarder, which imports the owning
 module on its first call.  A forwarder carries the owner function's
 ``__module__``, ``__name__`` and ``__qualname__``: per-function tracing,
@@ -34,12 +36,12 @@ from .model import CONVENTIONS, SETTING_LABELS, domain_key_to_string
 count_triple_classes = _lazy.function("counting", "count_triple_classes")
 enumerate_eu_classes = _lazy.function("counting", "enumerate_eu_classes")
 joint_feasibility = _lazy.function("feasibility", "joint_feasibility")
+read_tables = _lazy.function("feasibility", "read_tables")
+read_tally = _lazy.function("feasibility", "read_tally")
 load_config = _lazy.function("ioformats", "load_config")
 read_events = _lazy.function("ioformats", "read_events")
 read_pairs = _lazy.function("ioformats", "read_pairs")
 read_raw_station = _lazy.function("ioformats", "read_raw_station")
-read_tables = _lazy.function("ioformats", "read_tables")
-read_tally = _lazy.function("ioformats", "read_tally")
 sha256_file = _lazy.function("ioformats", "sha256_file")
 write_events = _lazy.function("ioformats", "write_events")
 write_manifest = _lazy.function("ioformats", "write_manifest")

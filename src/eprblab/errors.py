@@ -8,6 +8,9 @@ to point at the offending datum.
 
 from __future__ import annotations
 
+# the message for a JSON document nested deeper than the parser's recursion allows
+JSON_TOO_DEEP = "invalid JSON: nested too deeply"
+
 
 class EprbLabError(Exception):
     """Base class for all package-specific errors."""

@@ -18,6 +18,10 @@ Bland's rule takes over on a run of degenerate pivots, so it terminates
 the checks above run on every row and every domain column.  Every answer
 is exact; no tolerance ever decides one, and no array library is loaded.
 
+Tally files and feasibility table files (counts, or exact probabilities)
+are read here, by ``read_tally`` and ``read_tables``, so the exact commands
+load no line format; ``ioformats.write_tally`` writes tally files.
+
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
 Identification (``identify_equal_settings=True``) restricts the domain
@@ -26,13 +30,15 @@ space to tau = sigma.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import EmptyCellError, InternalInvariantError, SupportViolationError
+from .errors import JSON_TOO_DEEP, EmptyCellError, FormatError, InternalInvariantError, SupportViolationError
 from .model import (
+    CELL_FROM_NAME,
     CELLS,
     CELL_NAMES,
     SETTING_LABELS,
@@ -41,8 +47,8 @@ from .model import (
     TallyTable,
     WignerDomainDistribution,
     _as_fraction,
+    _domain_keys,
     _q,
-    all_domain_keys,
     domain_key_to_string,
     l_sign,
 )
@@ -125,8 +131,9 @@ def marginalize(
     flip = l_sign(convention)
     if not measured_pairs:
         raise ValueError("measured_pairs must not be empty")
+    support = [(key, w) for key, w in dist.weights.items() if w]  # the weights are nonnegative
     if identify_equal_settings:
-        bad = [k for k, w in dist.weights.items() if w > 0 and not dist.is_identified(k)]
+        bad = [k for k, _ in support if not dist.is_identified(k)]
         if bad:
             shown = domain_key_to_string(sorted(bad)[0])
             raise SupportViolationError(
@@ -140,9 +147,7 @@ def marginalize(
             raise ValueError(f"measured pair ({x}, {y}) uses settings outside the distribution's {labels}")
         ix, iy = labels.index(x), labels.index(y)
         cells = {c: Fraction(0) for c in CELLS}
-        for key, w in dist.weights.items():
-            if w == 0:
-                continue
+        for key, w in support:
             cells[(key[ix], flip * key[n + iy])] += w
         out[(x, y)] = cells
     return PairwiseTables(out)
@@ -319,9 +324,9 @@ def _presolved_simplex(
     return x, y, len(rows), len(cols), pivots
 
 
-def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> list[DomainKey]:
+def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> Sequence[DomainKey]:
     n = len(setting_labels)
-    keys = all_domain_keys(n)
+    keys = _domain_keys(n)
     if identify_equal_settings:
         keys = [k for k in keys if k[:n] == k[n:]]
     return keys
@@ -329,7 +334,7 @@ def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bo
 
 def _domain_lp(
     tables: PairwiseTables, identify_equal_settings: bool, convention: str
-) -> tuple[list[DomainKey], list[tuple[int, ...]], list[Fraction]]:
+) -> tuple[Sequence[DomainKey], list[tuple[int, ...]], list[Fraction]]:
     """The full LP {A x = b, x >= 0}: (domain columns, support, b).
 
     Row 4p + c holds cell CELLS[c] of measured pair p and the last row is
@@ -414,3 +419,92 @@ def wigner_residual(
         - _q(tables.tables, x1, x3, convention)[0]
         - _q(tables.tables, x3, x2, convention)[0]
     )
+
+
+# ---------------------------------------------------------------------------
+# tally and table files
+
+
+def _read_json(path: str):
+    """Parse a whole-file JSON document.  Any ValueError from the parser,
+    including an integer too long to convert, and nesting deeper than the
+    recursion limit become a FormatError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
+        except ValueError as exc:
+            raise FormatError(f"invalid JSON: {exc}", path=path)
+        except RecursionError:
+            raise FormatError(JSON_TOO_DEEP, path=path) from None
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _parse_tables(doc, path: str, cell) -> dict[tuple[str, str], dict[tuple[int, int], object]]:
+    """The tables of a JSON object keyed by 'x;y', each holding exactly the
+    four named cells, every value converted by ``cell``; a ValueError from
+    it becomes a FormatError naming the table and cell."""
+    if not isinstance(doc, dict):
+        raise FormatError("tally file must be a JSON object keyed by 'x;y'", path=path)
+    tables = {}
+    for key, cells in doc.items():
+        pair = tuple(key.split(";"))
+        if len(pair) != 2 or any(label not in SETTING_LABELS for label in pair):
+            raise FormatError(f"bad setting-pair key {key!r}, expected 'x;y' with labels from {list(SETTING_LABELS)}", path=path)
+        if not isinstance(cells, dict) or set(cells) != set(CELL_FROM_NAME):
+            raise FormatError(f"table {key!r} must have exactly the cells {sorted(CELL_FROM_NAME)}", path=path)
+        table = tables[pair] = {}
+        for name, value in cells.items():
+            try:
+                table[CELL_FROM_NAME[name]] = cell(value)
+            except ValueError as exc:
+                raise FormatError(f"table {key!r} cell {name!r}: {exc}", path=path) from None
+    return tables
+
+
+def read_tally(path: str) -> TallyTable:
+    """Read a tally file, as ``ioformats.write_tally`` writes it."""
+    return TallyTable(_parse_tables(_read_json(path), path, _count))
+
+
+def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
+    """Read pairwise tables for the feasibility decision.
+
+    Two layouts are accepted: a tally file (integer counts, normalized
+    here; a listed table with no count is an EmptyCellError, as an all-zero
+    probability table is an error), or exact probabilities given as 'p/q' strings, integers, or
+    decimal numbers.  Either layout may be wrapped in an object
+    {"convention": ..., "tables": {...}} to pin the reporting convention;
+    the returned convention is None when the file does not state one.
+    """
+    doc = _read_json(path)
+    convention = None
+    if isinstance(doc, dict) and "tables" in doc:
+        extra = set(doc) - {"tables", "convention"}
+        if extra:
+            raise FormatError(f"unknown top-level key(s) {sorted(extra)}", path=path)
+        if "convention" in doc:
+            convention = doc["convention"]
+            try:
+                l_sign(convention)
+            except ValueError as exc:
+                raise FormatError(str(exc), path=path) from None
+        doc = doc["tables"]
+    if not isinstance(doc, dict) or not doc:
+        raise FormatError("tables must be a nonempty JSON object keyed by 'x;y'", path=path)
+    counts = all(type(v) is int for cells in doc.values() if isinstance(cells, dict) for v in cells.values())
+    try:
+        if counts:
+            tally = TallyTable(_parse_tables(doc, path, _count))
+            tables = PairwiseTables.from_tally(tally, pairs=sorted(tally.counts))
+        else:
+            tables = PairwiseTables(_parse_tables(doc, path, _as_fraction))
+    except ValueError as exc:
+        raise FormatError(str(exc), path=path)
+    return tables, convention

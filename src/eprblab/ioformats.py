@@ -1,7 +1,7 @@
-"""File formats: event streams (JSON Lines), pair files, tally tables,
-sweep CSVs, source config files, feasibility table files, raw station
-logs, and run manifests.  The config schema lives in ``sources``:
-``load_config`` reads the JSON and ``sources.config_from_dict`` checks it.
+"""File formats: event streams (JSON Lines), pair files, tally files
+(written here), sweep CSVs, source config files, raw station logs, and run
+manifests.  The config schema lives in ``sources``: ``load_config`` reads
+the JSON and ``sources.config_from_dict`` checks it.
 
 Writers are atomic (temp file in the same directory, then rename) and
 deterministic: the same data produces the same bytes.  Each writer returns
@@ -46,9 +46,10 @@ stream is built by one stream builder, ``_station``.
 right_idx), the one form ``write_pairs_indexed`` and ``stats.tally``
 take.
 
-Tally files and the count layout of feasibility table files share one
-key and cell parse; probability tables go through it with exact fractions
-for cells.
+Tally files and feasibility table files are read in ``feasibility``
+(``read_tally``, ``read_tables``), with the tables they hold, so the exact
+commands (``inequalities``, ``feasibility``) never compile the line
+formats above.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from . import __version__ as _version
 from ._lazy import np
-from .errors import ConfigParseError, FormatError
+from .errors import JSON_TOO_DEEP, ConfigParseError, FormatError
 from .model import (
-    CELL_FROM_NAME,
     CELL_NAMES,
     CELLS,
     ISLANDS,
@@ -76,13 +76,10 @@ from .model import (
     EventStream,
     Record,
     TallyTable,
-    _as_fraction,
     check_window,
-    l_sign,
 )
 
-if TYPE_CHECKING:  # imported where used: only simulate reads a config, only feasibility reads tables
-    from .feasibility import PairwiseTables
+if TYPE_CHECKING:  # imported where used: only simulate reads a config
     from .sources import SourceConfig
 
 EVENT_KEYS = ("island", "t_ns", "setting", "outcome")
@@ -145,25 +142,6 @@ def write_events(path: str, stream: EventStream) -> str:
         return [[stream.island] * (rows.stop - rows.start), *_event_columns(stream, rows)]
 
     return atomic_write(path, _chunks(_EVENT_LINE, len(stream), run))
-
-
-# the parser recurses once per nesting level
-_TOO_DEEP = "invalid JSON: nested too deeply"
-
-
-def _read_json(path: str):
-    """Parse a whole-file JSON document.  Any ValueError from the parser,
-    including an integer too long to convert, and nesting deeper than the
-    recursion limit become a FormatError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
-        except ValueError as exc:
-            raise FormatError(f"invalid JSON: {exc}", path=path)
-        except RecursionError:
-            raise FormatError(_TOO_DEEP, path=path) from None
 
 
 def read_events(path: str) -> EventStream:
@@ -371,7 +349,7 @@ def _json_line(text: str, keys: tuple[str, ...], what: str) -> dict:
     except ValueError as exc:
         raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
     except RecursionError:
-        raise ValueError(_TOO_DEEP) from None
+        raise ValueError(JSON_TOO_DEEP) from None
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         raise ValueError(f"{what} must have exactly the keys {list(keys)}")
     return obj
@@ -526,38 +504,6 @@ def write_tally(path: str, tally: TallyTable) -> str:
     return atomic_write(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def _count(value) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _parse_tables(doc, path: str, cell) -> dict[tuple[str, str], dict[tuple[int, int], object]]:
-    """The tables of a JSON object keyed by 'x;y', each holding exactly the
-    four named cells, every value converted by ``cell``; a ValueError from
-    it becomes a FormatError naming the table and cell."""
-    if not isinstance(doc, dict):
-        raise FormatError("tally file must be a JSON object keyed by 'x;y'", path=path)
-    tables = {}
-    for key, cells in doc.items():
-        pair = tuple(key.split(";"))
-        if len(pair) != 2 or any(label not in SETTING_LABELS for label in pair):
-            raise FormatError(f"bad setting-pair key {key!r}, expected 'x;y' with labels from {list(SETTING_LABELS)}", path=path)
-        if not isinstance(cells, dict) or set(cells) != set(CELL_FROM_NAME):
-            raise FormatError(f"table {key!r} must have exactly the cells {sorted(CELL_FROM_NAME)}", path=path)
-        table = tables[pair] = {}
-        for name, value in cells.items():
-            try:
-                table[CELL_FROM_NAME[name]] = cell(value)
-            except ValueError as exc:
-                raise FormatError(f"table {key!r} cell {name!r}: {exc}", path=path) from None
-    return tables
-
-
-def read_tally(path: str) -> TallyTable:
-    return TallyTable(_parse_tables(_read_json(path), path, _count))
-
-
 # ---------------------------------------------------------------------------
 # sweep CSV
 
@@ -589,53 +535,10 @@ def load_config(path: str, seed_override: int | None = None) -> SourceConfig:
     except ValueError as exc:  # e.g. an integer too long for the parser to convert
         raise ConfigParseError(f"config {path}: invalid JSON: {exc}")
     except RecursionError:
-        raise ConfigParseError(f"config {path}: {_TOO_DEEP}") from None
+        raise ConfigParseError(f"config {path}: {JSON_TOO_DEEP}") from None
     from .sources import config_from_dict
 
     return config_from_dict(doc, seed_override)
-
-
-# ---------------------------------------------------------------------------
-# feasibility table files
-
-
-def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
-    """Read pairwise tables for the feasibility decision.
-
-    Two layouts are accepted: a tally file (integer counts, normalized
-    here; a listed table with no count is an EmptyCellError, as an all-zero
-    probability table is an error), or exact probabilities given as 'p/q' strings, integers, or
-    decimal numbers.  Either layout may be wrapped in an object
-    {"convention": ..., "tables": {...}} to pin the reporting convention;
-    the returned convention is None when the file does not state one.
-    """
-    from .feasibility import PairwiseTables
-
-    doc = _read_json(path)
-    convention = None
-    if isinstance(doc, dict) and "tables" in doc:
-        extra = set(doc) - {"tables", "convention"}
-        if extra:
-            raise FormatError(f"unknown top-level key(s) {sorted(extra)}", path=path)
-        if "convention" in doc:
-            convention = doc["convention"]
-            try:
-                l_sign(convention)
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path) from None
-        doc = doc["tables"]
-    if not isinstance(doc, dict) or not doc:
-        raise FormatError("tables must be a nonempty JSON object keyed by 'x;y'", path=path)
-    counts = all(type(v) is int for cells in doc.values() if isinstance(cells, dict) for v in cells.values())
-    try:
-        if counts:
-            tally = TallyTable(_parse_tables(doc, path, _count))
-            tables = PairwiseTables.from_tally(tally, pairs=sorted(tally.counts))
-        else:
-            tables = PairwiseTables(_parse_tables(doc, path, _as_fraction))
-    except ValueError as exc:
-        raise FormatError(str(exc), path=path)
-    return tables, convention
 
 
 # ---------------------------------------------------------------------------

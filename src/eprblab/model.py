@@ -26,6 +26,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from enum import Enum
@@ -133,16 +135,17 @@ def _cells_for(tables: Mapping, x: str, y: str) -> tuple[Mapping, bool]:
 
 
 def _q(tables: Mapping, x: str, y: str, convention: str) -> tuple:
-    """(q(x, y), the table's total, the measured pair it was read from),
-    from tally counts or exact probability tables.  q is the share of the
-    observed cell holding the hidden-level event (x -> +, y -> -): with
-    s = l_sign(convention), the cell (+, -s) of the table for (x, y), or
-    (-, s) of its transpose.  ``stats`` derives the Bell-Wigner bound on q."""
+    """(q(x, y) as an exact Fraction, the table's total, the measured pair
+    it was read from), from tally counts or exact probability tables.  q is
+    the share of the observed cell holding the hidden-level event (x -> +,
+    y -> -): with s = l_sign(convention), the cell (+, -s) of the table for
+    (x, y), or (-, s) of its transpose.  ``stats`` derives the Bell-Wigner
+    bound on q."""
     s = l_sign(convention)
     cells, transposed = _cells_for(tables, x, y)
     cell = (-1, s) if transposed else (1, -s)
     n = sum(cells.values())
-    return cells[cell] / n, n, ((y, x) if transposed else (x, y))
+    return Fraction(cells[cell], n), n, ((y, x) if transposed else (x, y))
 
 
 def _as_fraction(value) -> Fraction:
@@ -332,15 +335,17 @@ def domain_key_to_string(key: DomainKey) -> str:
     return "".join(sym[v] for v in key[:n]) + ";" + "".join(sym[v] for v in key[n:])
 
 
+@functools.lru_cache(maxsize=len(SETTING_LABELS))
+def _domain_keys(n_settings: int) -> tuple[DomainKey, ...]:
+    """All 2^(2n) joint assignments (sigma_1..sigma_n; tau_1..tau_n), built
+    once per setting count: key i holds -1 where bit p of i is set, at
+    position p."""
+    return tuple(key[::-1] for key in itertools.product((1, -1), repeat=2 * n_settings))
+
+
 def all_domain_keys(n_settings: int) -> list[DomainKey]:
-    """All 2^(2n) joint assignments (sigma_1..sigma_n; tau_1..tau_n)."""
-    keys = []
-    for bits in range(4**n_settings):
-        key = []
-        for pos in range(2 * n_settings):
-            key.append(1 if (bits >> pos) & 1 == 0 else -1)
-        keys.append(tuple(key))
-    return keys
+    """All 2^(2n) joint assignments (sigma_1..sigma_n; tau_1..tau_n), as a new list."""
+    return list(_domain_keys(n_settings))
 
 
 class WignerDomainDistribution(Record):
@@ -359,15 +364,13 @@ class WignerDomainDistribution(Record):
         n = len(self.settings)
         if not 1 <= n <= 4 or tuple(self.settings) != SETTING_LABELS[:n]:
             raise ValueError(f"settings must be a prefix of {SETTING_LABELS}, got {self.settings!r}")
-        expected = set(all_domain_keys(n))
+        keys = _domain_keys(n)
         got = {k: Fraction(v) for k, v in self.weights.items()}
-        if set(got) != expected:
-            raise ValueError(
-                f"distribution must carry exactly the {len(expected)} domain keys, got {len(got)}"
-            )
+        if len(got) != len(keys) or not all(map(got.__contains__, keys)):
+            raise ValueError(f"distribution must carry exactly the {len(keys)} domain keys, got {len(got)}")
         if any(v < 0 for v in got.values()):
             raise ValueError("domain weights must be nonnegative")
-        total = sum(got.values())
+        total = sum(filter(None, got.values()))
         if total != 1:
             raise ValueError(f"domain weights must sum to exactly 1, got {total}")
         object.__setattr__(self, "weights", dict(sorted(got.items())))
@@ -378,16 +381,16 @@ class WignerDomainDistribution(Record):
         cls, weights: Mapping[DomainKey, Fraction | int], settings: tuple[str, ...] = ("a", "b", "c")
     ) -> "WignerDomainDistribution":
         """Build a distribution from a sparse weight map; missing keys get 0."""
-        full: dict[DomainKey, Fraction] = {k: Fraction(0) for k in all_domain_keys(len(settings))}
+        full: dict[DomainKey, Fraction | int] = dict.fromkeys(_domain_keys(len(settings)), 0)
         for k, v in weights.items():
             if k not in full:
                 raise ValueError(f"unknown domain key {k!r} for settings {settings}")
-            full[k] = Fraction(v)
+            full[k] = v
         return cls(full, settings)
 
     @classmethod
     def uniform(cls, settings: tuple[str, ...] = ("a", "b", "c")) -> "WignerDomainDistribution":
-        keys = all_domain_keys(len(settings))
+        keys = _domain_keys(len(settings))
         w = Fraction(1, len(keys))
         return cls({k: w for k in keys}, settings)
 

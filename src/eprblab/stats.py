@@ -27,12 +27,15 @@ identified assignment already breaks it), which is why the lookup
 
 Statistical errors are binomial standard errors on fractions, propagated
 in quadrature; adequate at desk scale and reported next to every point
-estimate.  The violation flags use the point estimates alone.
+estimate.  The violation flags use the point estimates alone, compared
+exactly: in Fractions of the integer counts, so a tie with the bound is
+never a violation.  The reported values are the float estimates.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._lazy import np
@@ -98,8 +101,9 @@ class InequalityReport(Record):
 
     For bell-wigner, ``lhs``/``rhs`` hold the two sides of
     q(a,b) <= q(a,c) + q(c,b); for chsh, ``s_value`` holds S and the bound
-    is 2.  ``violated`` uses the point estimate; ``standard_error`` is the
-    binomial error of the decisive quantity (lhs - rhs, or S).
+    is 2.  ``violated`` compares the exact point estimate with the bound;
+    ``standard_error`` is the binomial error of the decisive quantity
+    (lhs - rhs, or S).
     """
 
     name: str
@@ -118,15 +122,16 @@ class InequalityReport(Record):
 def bell_wigner(t: TallyTable, ordering: tuple[str, str, str] = ("a", "b", "c"), convention: str = "anti") -> InequalityReport:
     """Evaluate q(a,b) <= q(a,c) + q(c,b) on tallied data."""
     a, b, c = ordering
-    q_ab, n_ab, k_ab = _q(t.counts, a, b, convention)
-    q_ac, n_ac, k_ac = _q(t.counts, a, c, convention)
-    q_cb, n_cb, k_cb = _q(t.counts, c, b, convention)
+    exact_ab, n_ab, k_ab = _q(t.counts, a, b, convention)
+    exact_ac, n_ac, k_ac = _q(t.counts, a, c, convention)
+    exact_cb, n_cb, k_cb = _q(t.counts, c, b, convention)
+    q_ab, q_ac, q_cb = float(exact_ab), float(exact_ac), float(exact_cb)
     stderr = math.sqrt(
         q_ab * (1 - q_ab) / n_ab + q_ac * (1 - q_ac) / n_ac + q_cb * (1 - q_cb) / n_cb
     )
     return InequalityReport(
         name="bell-wigner",
-        violated=q_ab > q_ac + q_cb,
+        violated=exact_ab > exact_ac + exact_cb,
         standard_error=stderr,
         pair_counts={k_ab: n_ab, k_ac: n_ac, k_cb: n_cb},
         lhs=q_ab,
@@ -139,18 +144,21 @@ def chsh(t: TallyTable, ordering: tuple[str, str, str, str] = ("a", "b", "c", "d
     a, b, c, d = ordering
     terms = [((a, b), +1), ((a, d), -1), ((c, b), +1), ((c, d), +1)]
     s = 0.0
+    exact = Fraction(0)
     var = 0.0
     pair_counts: dict[tuple[str, str], int] = {}
     for (x, y), sign in terms:
         cells, transposed = _cells_for(t.counts, x, y)
         n = sum(cells.values())
-        e = (cells[(1, 1)] + cells[(-1, -1)] - cells[(1, -1)] - cells[(-1, 1)]) / n
+        agree = cells[(1, 1)] + cells[(-1, -1)] - cells[(1, -1)] - cells[(-1, 1)]
+        e = agree / n
         s += sign * e
+        exact += sign * Fraction(agree, n)
         var += (1 - e * e) / n
         pair_counts[(y, x) if transposed else (x, y)] = n
     return InequalityReport(
         name="chsh",
-        violated=abs(s) > 2.0,
+        violated=abs(exact) > 2,
         standard_error=math.sqrt(var),
         pair_counts=pair_counts,
         s_value=s,

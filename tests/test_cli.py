@@ -144,6 +144,36 @@ def test_enumerate_model(capsys):
     }
 
 
+ZERO = {"pp": 0, "pm": 0, "mp": 0, "mm": 0}
+
+
+@pytest.mark.parametrize(
+    "kind, ordering, tables, printed",
+    [
+        # S = 3/7 + 1 + 1 - 3/7 = 2 exactly
+        ("chsh", "a,b,c,d",
+         {"a;b": {**ZERO, "pp": 5, "pm": 2}, "a;d": {**ZERO, "pm": 7}, "c;b": {**ZERO, "pp": 7},
+          "c;d": {**ZERO, "pp": 2, "pm": 5}},
+         {"s_value": 2.0000000000000004}),
+        # q(a,b) = 2/5 = 1/3 + 1/15 = q(a,c) + q(c,b) exactly, under anti
+        ("bell-wigner", "a,b,c",
+         {"a;b": {**ZERO, "pp": 2, "pm": 3}, "a;c": {**ZERO, "pp": 1, "pm": 2}, "c;b": {**ZERO, "pp": 1, "pm": 14}},
+         {"lhs": 0.4, "rhs": 0.39999999999999997}),
+    ],
+    ids=["chsh", "bell-wigner"],
+)
+def test_inequalities_reads_an_exact_tie_as_no_violation(tmp_path, capsys, kind, ordering, tables, printed):
+    """A tally that meets the bound exactly is not a violation, although its
+    float sums, which are printed as before, land one ulp past the bound."""
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps(tables))
+    code, payload = run(capsys, "inequalities", "--tally", str(path), "--kind", kind, "--ordering", ordering,
+                        "--convention", "anti")
+    assert code == 0
+    assert payload["violated"] is False
+    assert {key: payload[key] for key in printed} == printed
+
+
 def test_feasibility_counts_file(tmp_path, capsys):
     path = tmp_path / "tables.json"
     flat = {"pp": 5, "pm": 5, "mp": 5, "mm": 5}
@@ -451,14 +481,17 @@ def test_an_import_loads_only_the_modules_it_uses(tmp_path, module, want):
     [
         (None, set()),
         (["enumerate", "--M", "9", "--model", "shared-identified"], {"counting"}),
-        (["feasibility", "--tables", "tally.json"], {"ioformats", "feasibility"}),
+        (["feasibility", "--tables", "tally.json"], {"feasibility"}),
+        (["inequalities", "--tally", "tally.json", "--kind", "bell-wigner", "--ordering", "a,b,c",
+          "--convention", "anti"], {"feasibility", "stats", "pairing"}),
         (["ingest", "--raw", "raw.log", "--island", "T", "--out", "events.jsonl"], {"ioformats"}),
     ],
-    ids=["import", "enumerate", "feasibility", "ingest"],
+    ids=["import", "enumerate", "feasibility", "inequalities", "ingest"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, want):
     """Importing the CLI loads only errors, _lazy and model; a command then
-    loads only the modules it calls into."""
+    loads only the modules it calls into.  The exact commands read their
+    tally and table files in feasibility, so they never load ioformats."""
     ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
     (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
     (tmp_path / "raw.log").write_text("5 a 1\n9 b -1\n")

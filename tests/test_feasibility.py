@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -614,6 +615,60 @@ def test_exact_simplex_answers_any_zero_one_system(system):
     y . A_j <= 0 on every column, so each fraction-free division was exact."""
     support, rhs = system
     assert_exact_answer(support, rhs, *feasibility._exact_simplex(support, rhs)[:2])
+
+
+# ---------------------------------------------------------------------------
+# the domain keys, built once per setting count, and recorded answers
+
+RECORDED_ANSWERS = json.loads((Path(__file__).parent / "golden" / "feasibility_answers.json").read_text())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_domain_keys_hands_out_a_new_list_in_the_bit_order(n):
+    """Key i holds -1 at position p where bit p of i is set; a caller that
+    changes the list it got changes no later call's keys."""
+    want = [tuple(-1 if (i >> p) & 1 else 1 for p in range(2 * n)) for i in range(4**n)]
+    keys = all_domain_keys(n)
+    assert keys == want
+    keys.reverse()
+    keys[0] = (0,)
+    keys.append((1,) * 2 * n)
+    assert all_domain_keys(n) == want
+    assert all_domain_keys(n) is not all_domain_keys(n)
+
+
+def test_a_distribution_refuses_a_missing_or_an_extra_key():
+    keys = all_domain_keys(3)
+    full = {k: F(1, 64) for k in keys}
+    missing = {k: w for k, w in full.items() if k != keys[5]}
+    missing[keys[0]] += F(1, 64)  # still sums to 1
+    extra = {**full, (1,) * 8: F(0)}
+    swapped = {**missing, (1,) * 8: F(0)}  # 64 keys, one of them foreign
+    for weights, got in ((missing, 63), (extra, 65), (swapped, 64)):
+        with pytest.raises(ValueError, match=f"exactly the 64 domain keys, got {got}$"):
+            WignerDomainDistribution(weights)
+    with pytest.raises(ValueError, match="unknown domain key"):
+        WignerDomainDistribution.from_partial({(1,) * 8: 1})
+    with pytest.raises(ValueError, match="exactly the 256 domain keys, got 64$"):
+        WignerDomainDistribution(full, ("a", "b", "c", "d"))
+    # the weights are kept in ascending key order, whatever order they came in
+    dist = WignerDomainDistribution(dict(reversed(full.items())))
+    assert list(dist.weights) == sorted(keys)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_ANSWERS))
+def test_feasibility_prints_the_recorded_answer(tmp_path, capsys, name):
+    """The exact-menu tables (4 settings, 16 pairs: feasible, singlet
+    infeasible, identified) and the wrapped probability file of the CLI
+    tests give, byte for byte, the stdout recorded before the domain keys
+    were built once per setting count: status, LP sizes, witness and
+    certificate."""
+    case = RECORDED_ANSWERS[name]
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(case["tables"]))
+    flags = ["--identify-equal-settings"] if case["identify_equal_settings"] else []
+    assert main(["feasibility", "--tables", str(path), *flags]) == 0
+    assert capsys.readouterr().out == case["stdout"] + "\n"
 
 
 # ---------------------------------------------------------------------------

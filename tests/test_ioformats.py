@@ -18,6 +18,7 @@ import per_line_writer
 from conftest import config_to_dict, pair, read_manifest, read_sweep_csv, stream
 from eprblab import ioformats
 from eprblab.errors import ConfigParseError, FormatError
+from eprblab.feasibility import read_tables, read_tally
 from eprblab.ioformats import (
     EMPTY_CELL_MARKER,
     EVENT_KEYS,
@@ -27,8 +28,6 @@ from eprblab.ioformats import (
     read_events,
     read_pairs,
     read_raw_station,
-    read_tables,
-    read_tally,
     sha256_file,
     write_events,
     write_manifest,

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import eprblab
 from conftest import ev, pair, stream, uniform_identified
 from eprblab.errors import ConfigParseError, FormatError, InvalidStreamError
-from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, wigner_residual
-from eprblab.ioformats import RunManifest, read_tables
+from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, read_tables, wigner_residual
+from eprblab.ioformats import RunManifest
 from eprblab.model import (
     CELLS,
     BellTriple,

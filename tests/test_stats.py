@@ -2,16 +2,17 @@ import itertools
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair, pair_columns, stream, uniform_identified
 from eprblab.counting import augment_triple
 from eprblab.errors import EmptyCellError
-from eprblab.model import CELLS, DetectionEvent, Setting, TallyTable
+from eprblab.model import CELLS, DetectionEvent, Setting, TallyTable, l_sign
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
 from eprblab.stats import (
@@ -222,6 +223,97 @@ def test_chsh_transposed_tables():
     rep = chsh(t, ("a", "b", "c", "d"))
     assert rep.s_value == pytest.approx(-4.0)
     assert set(rep.pair_counts) == {("b", "a"), ("a", "d"), ("b", "c"), ("d", "c")}
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts
+
+# Exact ties whose float sums land one ulp past the bound: S = 3/7 + 1 + 1 - 3/7 = 2, and
+# q(a,b) = 2/5 = 1/3 + 1/15 = q(a,c) + q(c,b) under anti
+CHSH_TIE = table(ab={"pp": 5, "pm": 2}, ad={"pm": 7}, cb={"pp": 7}, cd={"pp": 2, "pm": 5})
+BELL_WIGNER_TIE = table(ab={"pp": 2, "pm": 3}, ac={"pp": 1, "pm": 2}, cb={"pp": 1, "pm": 14})
+CHSH_TERMS = ((("a", "b"), 1), (("a", "d"), -1), (("c", "b"), 1), (("c", "d"), 1))
+
+
+def _cells(draw, n: int, counts: dict) -> dict:
+    """counts, with the pairs of n not yet placed spread over the cells it leaves out."""
+    rest = [c for c in ("pp", "pm", "mp", "mm") if c not in counts]
+    left = n - sum(counts.values())
+    for c in rest[:-1]:
+        counts[c] = draw(st.integers(0, left))
+        left -= counts[c]
+    counts[rest[-1]] = left
+    return counts
+
+
+@st.composite
+def chsh_tallies(draw):
+    """Tables a;b, a;d, c;b and c;d of 1 to 8 pairs.  Half the draws are
+    ties: every table holds n pairs and the c;d correlator makes S exactly
+    +2 or -2."""
+    tie = draw(st.booleans())
+    sizes = [draw(st.integers(1, 8))] * 4 if tie else [draw(st.integers(1, 8)) for _ in range(4)]
+    agree = [2 * draw(st.integers(0, n)) - n for n in sizes]  # pp + mm - pm - mp
+    if tie:
+        n = sizes[0]
+        agree[3] = draw(st.sampled_from([2 * n, -2 * n])) - (agree[0] - agree[1] + agree[2])
+        assume(-n <= agree[3] <= n)
+    tables = {}
+    for key, n, a in zip(("ab", "ad", "cb", "cd"), sizes, agree):
+        same = draw(st.integers(0, (n + a) // 2))
+        pm = draw(st.integers(0, (n - a) // 2))
+        tables[key] = {"pp": same, "mm": (n + a) // 2 - same, "pm": pm, "mp": (n - a) // 2 - pm}
+    return table(**tables)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chsh_tallies())
+@example(CHSH_TIE)
+@example(table(ab={"pm": 7}, ad={"pp": 5, "pm": 2}, cb={"mp": 7}, cd={"pp": 5, "mp": 2}))  # S = -2, summed as -2.0000000000000004
+def test_chsh_verdict_is_the_exact_comparison(t):
+    exact = Fraction(0)
+    for key, sign in CHSH_TERMS:
+        c = t.counts[key]
+        exact += sign * Fraction(c[(1, 1)] + c[(-1, -1)] - c[(1, -1)] - c[(-1, 1)], sum(c.values()))
+    assert chsh(t).violated == (abs(exact) > 2)
+
+
+@st.composite
+def bell_wigner_tallies(draw):
+    """(tally, convention) with tables a;b, a;c and c;b of 1 to 64 pairs.
+    Half the draws are ties: a;b holds n(a;c) * n(c;b) pairs and
+    q(a,b) = q(a,c) + q(c,b) exactly."""
+    convention = draw(st.sampled_from(["anti", "equal"]))
+    event = "pp" if convention == "anti" else "pm"  # the cell (+, -s) of q
+    n_ac, n_cb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k_ac, k_cb = draw(st.integers(0, n_ac)), draw(st.integers(0, n_cb))
+    if draw(st.booleans()):
+        n_ab, k_ab = n_ac * n_cb, k_ac * n_cb + k_cb * n_ac
+        assume(k_ab <= n_ab)
+    else:
+        n_ab = draw(st.integers(1, 8))
+        k_ab = draw(st.integers(0, n_ab))
+    tables = {key: _cells(draw, n, {event: k}) for key, n, k in (("ab", n_ab, k_ab), ("ac", n_ac, k_ac), ("cb", n_cb, k_cb))}
+    return table(**tables), convention
+
+
+@settings(max_examples=200, deadline=None)
+@given(bell_wigner_tallies())
+@example((BELL_WIGNER_TIE, "anti"))
+def test_bell_wigner_verdict_is_the_exact_comparison(case):
+    t, convention = case
+    cell = (1, -l_sign(convention))
+    q = {key: Fraction(c[cell], sum(c.values())) for key, c in t.counts.items()}
+    want = q[("a", "b")] > q[("a", "c")] + q[("c", "b")]
+    assert bell_wigner(t, ("a", "b", "c"), convention).violated == want
+
+
+def test_exact_ties_keep_their_float_values():
+    """The verdict is exact; the reported values are the float sums they always were."""
+    rep = chsh(CHSH_TIE)
+    assert (rep.s_value, rep.violated) == (2.0000000000000004, False)
+    rep = bell_wigner(BELL_WIGNER_TIE, ("a", "b", "c"), "anti")
+    assert (rep.lhs, rep.rhs, rep.violated) == (0.4, 0.39999999999999997, False)
 
 
 # ---------------------------------------------------------------------------
