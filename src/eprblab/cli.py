@@ -12,14 +12,15 @@ At start-up this module imports only ``errors``, ``_lazy`` and ``model``,
 so a command compiles and imports only the modules it runs: ``enumerate``
 loads ``counting``; ``feasibility`` loads ``feasibility``, which reads the
 tally and table files; ``inequalities`` loads ``feasibility`` for its
-tally and ``stats`` (with ``pairing``) for the inequality, and never the
-line formats of ``ioformats``.  Each function a command takes from another module is
-bound here as a ``_lazy.function`` forwarder, which imports the owning
-module on its first call.  A forwarder carries the owner function's
-``__module__``, ``__name__`` and ``__qualname__``: per-function tracing,
-such as the benchmark's, finds the functions ``cli`` calls by those names,
-and reads each one as a call into the owning layer.  The two classes
-``cli`` uses are imported in the functions that use them.
+tally and ``stats`` (with ``pairing``) for the inequality.  Neither exact
+command loads the line formats of ``ioformats``.  Each function a command
+takes from another module is bound here as a ``_lazy.function``
+forwarder, which imports the owning module on its first call.  A
+forwarder carries the owner function's ``__module__``, ``__name__`` and
+``__qualname__``: per-function tracing, such as the benchmark's, finds
+the functions ``cli`` calls by those names, and reads each one as a call
+into the owning layer.  The two classes ``cli`` uses are imported in the
+functions that use them.
 """
 
 from __future__ import annotations

@@ -308,14 +308,6 @@ def test_bell_wigner_verdict_is_the_exact_comparison(case):
     assert bell_wigner(t, ("a", "b", "c"), convention).violated == want
 
 
-def test_exact_ties_keep_their_float_values():
-    """The verdict is exact; the reported values are the float sums they always were."""
-    rep = chsh(CHSH_TIE)
-    assert (rep.s_value, rep.violated) == (2.0000000000000004, False)
-    rep = bell_wigner(BELL_WIGNER_TIE, ("a", "b", "c"), "anti")
-    assert (rep.lhs, rep.rhs, rep.violated) == (0.4, 0.39999999999999997, False)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
