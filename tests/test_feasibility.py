@@ -658,11 +658,12 @@ def test_a_distribution_refuses_a_missing_or_an_extra_key():
 
 @pytest.mark.parametrize("name", sorted(RECORDED_ANSWERS))
 def test_feasibility_prints_the_recorded_answer(tmp_path, capsys, name):
-    """The exact-menu tables (4 settings, 16 pairs: feasible, singlet
-    infeasible, identified) and the wrapped probability file of the CLI
-    tests give, byte for byte, the stdout recorded before the domain keys
-    were built once per setting count: status, LP sizes, witness and
-    certificate."""
+    """The exact-menu tables of seeds 1 to 3 (4 settings, 16 pairs:
+    feasible, singlet infeasible, identified) and the wrapped probability
+    file of the CLI tests give, byte for byte, the stdout recorded before
+    the domain keys were built once per setting count (seed 1) or before
+    the LP was kept in integers (seeds 2 and 3): status, LP sizes, witness
+    and certificate."""
     case = RECORDED_ANSWERS[name]
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(case["tables"]))
