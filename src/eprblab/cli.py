@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 configuration or usage problems (numpy missing
-for an array command among them), 3 malformed or inconsistent input data,
-4 violated internal invariants.  Every command that writes a file also
+for an array command, or a run that does not fit in memory, among them),
+3 malformed or inconsistent input data, 4 violated internal invariants.  Every command that writes a file also
 writes ``<file>.manifest.json`` (for simulate, ``<out>.manifest.json``
 covering both event files) recording input and output digests, the seed,
 and the tool version.  Results and summaries go to stdout as single JSON
@@ -318,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    except MemoryError as exc:  # a run too large for this machine, like one over a guard
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return USAGE_EXIT
     except (ConfigParseError, ConfigMismatchError, TooLargeError, ValueError, ModuleNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -9,14 +9,18 @@ distribution that is re-marginalized and compared exactly; infeasibility
 comes with a separating functional y such that y . b > 0 while y . A_d <= 0
 for every domain column d, verified before it is returned.
 
-An exact presolve (``_presolved_simplex``) first drops the domains that
-land in a zero cell, with the zero cells' rows, and one implied cell row
-per table.  One exact phase-1 simplex then decides the smaller system, in
-Python integers from the all-artificial basis: Dantzig's rule prices, and
-Bland's rule takes over on a run of degenerate pivots, so it terminates
-(``_exact_simplex``).  Its answer is mapped back to the full system, where
-the checks above run on every row and every domain column.  Every answer
-is exact; no tolerance ever decides one, and no array library is loaded.
+The LP is one integer system: ``_domain_lp`` scales b by the tables'
+least common denominator D.  An exact presolve (``_presolved_simplex``)
+drops the domains that land in a zero cell, with the zero cells' rows, and
+one implied cell row per table.  One exact phase-1 simplex then decides
+the smaller system from the all-artificial basis: Dantzig's rule prices,
+and Bland's rule takes over on a run of degenerate pivots, so it
+terminates (``_exact_simplex``).  It hands back x or y as integers over
+det B, which are mapped back to the full system, where the checks above
+run in the same integers on every row and every domain column.  Fractions
+are built only for the answer: weights x_j / (det D) and certificate
+entries y_i / det.  No tolerance ever decides an answer, and no array
+library is loaded.
 
 Tally files and feasibility table files (counts, or exact probabilities)
 are read here, by ``read_tally`` and ``read_tables``, so the exact commands
@@ -181,10 +185,10 @@ def _row_label(key: tuple[str, str], cell: tuple[int, int]) -> str:
     return f"{key[0]};{key[1]}:{CELL_NAMES[cell]}"
 
 
-def _over_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(d, d * values) for d the values' least common denominator: integers of the same signs and ratios."""
+def _over_common_denominator(values: list[Fraction]) -> list[int]:
+    """The values times their least common denominator: integers of the same signs and ratios."""
     d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    return [v.numerator * (d // v.denominator) for v in values]
 
 
 # Consecutive degenerate pivots after which Dantzig's rule gives way to Bland's
@@ -209,19 +213,19 @@ def _fraction_free_pivot(rows: list[list[int]], w: list[int], r: int, det: int) 
 
 
 def _exact_simplex(
-    support: list[tuple[int, ...]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[Fraction] | None, int]:
+    support: list[tuple[int, ...]], rhs: list[int]
+) -> tuple[dict[int, int] | None, list[int] | None, int, int]:
     """Exact phase-1 revised simplex for {A x = b, x >= 0} with b >= 0.
 
     ``joint_feasibility`` hands it the presolved system of
     ``_presolved_simplex``, in which every b_i > 0.  Domain column j of A
     holds a 1 on the rows in ``support[j]`` and 0 elsewhere; b is ``rhs``.
     Column n + i of [A | I] is the artificial of row i, and the simplex
-    starts from the all-artificial basis, with nothing but Python integers.
-    It keeps one table, with det = det B > 0: row i is det * B^-1 row i
-    followed by the basic value det * (B^-1 b)_i (b scaled to integers),
-    and the last row is the duals det * c_B B^-1 followed by det times the
-    phase-1 objective.  Each pivot updates it by ``_fraction_free_pivot``.
+    starts from the all-artificial basis.  It keeps one table, with
+    det = det B > 0: row i is det * B^-1 row i followed by the basic value
+    det * (B^-1 b)_i, and the last row is the duals det * c_B B^-1 followed
+    by det times the phase-1 objective.  Each pivot updates it by
+    ``_fraction_free_pivot``.
 
     Pricing (the entering column has y . A_j > 0, y the phase-1 duals;
     artificials never re-enter) follows Dantzig's rule, the largest
@@ -240,48 +244,45 @@ def _exact_simplex(
     artificial that leaves and never comes back lies on no cycle, so
     keeping artificials out does not touch that argument.
 
-    Returns (x, None, pivots) once no artificial carries weight, or
-    (None, y, pivots) once no column can enter, with y a separating
+    Returns (x, None, det, pivots) once no artificial carries weight, with
+    x the nonzero basic values det * x_j keyed by column; or (None, y, det,
+    pivots) once no column can enter, with det * y for y a separating
     functional: y . b > 0, and y . A_j <= 0 for every domain column j.
     """
     m, n = len(rhs), len(support)
-    scale, xb = _over_common_denominator(rhs)
     basis = list(range(n, n + m))  # the column basic in each row
-    table = [[int(i == k) for k in range(m)] + [xb[i]] for i in range(m)] + [[1] * m + [sum(xb)]]
+    table = [[int(i == k) for k in range(m)] + [rhs[i]] for i in range(m)] + [[1] * m + [sum(rhs)]]
     rows_b, y = table[:m], table[m]
     det, pivots, degenerate = 1, 0, 0
     while any(row[m] for row, j in zip(rows_b, basis) if j >= n):
-        prices = [sum(map(y.__getitem__, rows)) for rows in support]  # y . A_j
+        prices = [sum(map(y.__getitem__, rows)) for rows in support]  # det * y . A_j
         entering = [j for j in range(n) if prices[j] > 0]
         if not entering:
-            return None, [Fraction(v, det) for v in y[:m]], pivots
+            return None, y[:m], det, pivots
         enter = max(entering, key=prices.__getitem__) if degenerate < _DEGENERATE_RUN else entering[0]
         w = [sum(map(row.__getitem__, support[enter])) for row in rows_b]
-        ratios = [(Fraction(rows_b[i][m], w[i]), basis[i], i) for i in range(m) if w[i] > 0]
-        if not ratios:
+        live = [i for i in range(m) if w[i] > 0]
+        if not live:
             raise InternalInvariantError("phase-1 objective is bounded below by 0 and cannot be unbounded")
-        r = min(ratios)[2]
+        scale = math.lcm(*(w[i] for i in live))  # ranks the ratios rows_b[i][m] / w[i] in integers
+        r = min(live, key=lambda i: (rows_b[i][m] * (scale // w[i]), basis[i]))
         degenerate = degenerate + 1 if rows_b[r][m] == 0 else 0
         det = _fraction_free_pivot(table, w + [prices[enter]], r, det)
         rows_b, y = table[:m], table[m]
         basis[r] = enter
         pivots += 1
-    x = [Fraction(0)] * n
-    for row, j in zip(rows_b, basis):
-        if j < n:
-            x[j] = Fraction(row[m], det * scale)
-    return x, None, pivots
+    return {j: row[m] for row, j in zip(rows_b, basis) if j < n and row[m]}, None, det, pivots
 
 
 def _presolved_simplex(
-    support: list[tuple[int, ...]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[Fraction] | None, int, int, int]:
+    support: list[tuple[int, ...]], rhs: list[int]
+) -> tuple[dict[int, int] | None, list[int] | None, int, int, int, int]:
     """``_exact_simplex`` on the domain LP after an exact presolve, with its
-    answer mapped back to the full system: (x, y, rows solved, columns
-    solved, pivots).
+    answer mapped back to the full system: (x, y, det, rows solved,
+    columns solved, pivots), x keyed by full column.
 
     Rows 4p to 4p + 3 hold the cells of table p and the last row is
-    normalization, as ``joint_feasibility`` lays them out.  Two reductions
+    normalization, as ``_domain_lp`` lays them out.  Two reductions
     (Andersen & Andersen, Math. Programming 71, 221 (1995)) drop rows and
     columns without changing the answer:
 
@@ -292,65 +293,57 @@ def _presolved_simplex(
       row with b_i > 0 (every table has one) is implied by the rest and
       goes.
 
-    x gets 0 on every dropped column.  y gets 0 on each implied row, and
+    x is 0 on every dropped column.  y gets 0 on each implied row, and
     -K on each zero row, for K = max(0, y . A_j over the dropped columns
     j): each of those meets a zero row, so y . A_j <= 0 holds for it too,
-    and y . b does not change.  K is found in integers over y's common
-    denominator.
+    and y . b does not change.
     """
-    m, n = len(rhs), len(support)
+    m = len(rhs)
     zero = {i for i, b in enumerate(rhs) if b == 0}
     implied = {min(i for i in range(t, t + 4) if i not in zero) for t in range(0, m - 1, 4)}
     rows = [i for i in range(m) if i not in zero and i not in implied]
     cols = [j for j, hit in enumerate(support) if zero.isdisjoint(hit)]
     index = {i: k for k, i in enumerate(rows)}
-    kept, y_kept, pivots = _exact_simplex(
+    kept, y_kept, det, pivots = _exact_simplex(
         [tuple(index[i] for i in support[j] if i in index) for j in cols], [rhs[i] for i in rows]
     )
     x = y = None
     if kept is not None:
-        x = [Fraction(0)] * n
-        for j, w in zip(cols, kept):
-            x[j] = w
+        x = {cols[j]: v for j, v in kept.items()}
     else:
-        d, y_int = _over_common_denominator(y_kept)
-        full = [0] * m
-        for i, v in zip(rows, y_int):
-            full[i] = v
-        lift = max([0] + [sum(map(full.__getitem__, hit)) for hit in support if not zero.isdisjoint(hit)])
+        y = [0] * m
+        for i, v in zip(rows, y_kept):
+            y[i] = v
+        lift = max([0] + [sum(map(y.__getitem__, hit)) for hit in support if not zero.isdisjoint(hit)])
         for i in zero:
-            full[i] = -lift
-        y = [Fraction(v, d) for v in full]
-    return x, y, len(rows), len(cols), pivots
-
-
-def _domain_columns(setting_labels: tuple[str, ...], identify_equal_settings: bool) -> Sequence[DomainKey]:
-    n = len(setting_labels)
-    keys = _domain_keys(n)
-    if identify_equal_settings:
-        keys = [k for k in keys if k[:n] == k[n:]]
-    return keys
+            y[i] = -lift
+    return x, y, det, len(rows), len(cols), pivots
 
 
 def _domain_lp(
     tables: PairwiseTables, identify_equal_settings: bool, convention: str
-) -> tuple[Sequence[DomainKey], list[tuple[int, ...]], list[Fraction]]:
-    """The full LP {A x = b, x >= 0}: (domain columns, support, b).
+) -> tuple[Sequence[DomainKey], list[tuple[int, ...]], list[int]]:
+    """The full LP {A x = b, x >= 0} in integers: (domain columns, support, b).
 
     Row 4p + c holds cell CELLS[c] of measured pair p and the last row is
     normalization; ``support[j]`` lists the rows where domain column j
-    holds a 1, that is, for each pair (x, y) the cell (sigma_x, flip *
-    tau_y) it lands in, and normalization."""
+    holds a 1: for each pair (x, y) the cell (sigma_x, flip * tau_y) it
+    lands in, at row 4p + 2 [sigma_x = -1] + [flip * tau_y = -1] by the bit
+    order of CELLS, and normalization.  b is the tables' entries times
+    their least common denominator D, which is b's last entry."""
     labels, pairs = tables.setting_labels, tables.measured_pairs()
-    columns = _domain_columns(labels, identify_equal_settings)
     n, flip = len(labels), l_sign(convention)
+    columns = _domain_keys(n)
+    if identify_equal_settings:
+        columns = [k for k in columns if k[:n] == k[n:]]
     where = [(4 * p, labels.index(x), n + labels.index(y)) for p, (x, y) in enumerate(pairs)]
-    rhs = [tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)]
+    norm = 4 * len(pairs)
     support = [
-        tuple(row + CELLS.index((col[ix], flip * col[iy])) for row, ix, iy in where) + (len(rhs) - 1,)
+        tuple(row + 2 * (col[ix] < 0) + (flip * col[iy] < 0) for row, ix, iy in where) + (norm,)
         for col in columns
     ]
-    return columns, support, rhs
+    b = _over_common_denominator([tables.tables[key][cell] for key in pairs for cell in CELLS] + [Fraction(1)])
+    return columns, support, b
 
 
 def joint_feasibility(
@@ -369,29 +362,28 @@ def joint_feasibility(
     if isinstance(tables, TallyTable):
         tables = PairwiseTables.from_tally(tables)
     labels, pairs = tables.setting_labels, tables.measured_pairs()
-    columns, support, rhs = _domain_lp(tables, identify_equal_settings, convention)
+    columns, support, b = _domain_lp(tables, identify_equal_settings, convention)
     row_labels = [_row_label(key, cell) for key in pairs for cell in CELLS] + ["normalization"]
-    x, y, solved_rows, solved_cols, exact_pivots = _presolved_simplex(support, rhs)
+    x, y, det, solved_rows, solved_cols, exact_pivots = _presolved_simplex(support, b)
 
     witness = certificate = None
     if x is not None:
+        scale = det * b[-1]
         witness = WignerDomainDistribution.from_partial(
-            {col: w for col, w in zip(columns, x) if w != 0}, settings=labels
+            {columns[j]: Fraction(v, scale) for j, v in x.items()}, settings=labels
         )
         if marginalize(witness, pairs, identify_equal_settings, convention).tables != tables.tables:
             raise InternalInvariantError("witness distribution does not reproduce the tables")
     else:
-        # the checks on y and b scaled to integers by positive factors
-        (_, y_int), (_, b_int) = _over_common_denominator(y), _over_common_denominator(rhs)
-        if sum(map(operator.mul, y_int, b_int)) <= 0:
+        if sum(map(operator.mul, y, b)) <= 0:
             raise InternalInvariantError("separating functional does not separate the right-hand side")
-        failing = [j for j, rows in enumerate(support) if sum(y_int[i] for i in rows) > 0]
+        failing = [j for j, rows in enumerate(support) if sum(map(y.__getitem__, rows)) > 0]
         if failing:
             raise InternalInvariantError(f"separating functional fails on domain column {columns[failing[0]]!r}")
-        certificate = dict(zip(row_labels, y))
+        certificate = {label: Fraction(v, det) for label, v in zip(row_labels, y)}
     return FeasibilityResult(
         witness is not None, identify_equal_settings, convention, labels, witness, certificate,
-        tuple(row_labels), len(rhs), len(columns), solved_rows, solved_cols, exact_pivots,
+        tuple(row_labels), len(b), len(columns), solved_rows, solved_cols, exact_pivots,
     )
 
 

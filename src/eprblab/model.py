@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import numbers
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -148,9 +149,15 @@ def _q(tables: Mapping, x: str, y: str, convention: str) -> tuple:
     return Fraction(cells[cell], n), n, ((y, x) if transposed else (x, y))
 
 
+# Fraction builds 10^|e| for a decimal exponent e, so a string's exponent is
+# held to the most digits Python reads into an integer from text
+_MAX_EXPONENT = 4300
+
+
 def _as_fraction(value) -> Fraction:
     """An exact probability from a Fraction, an int (not a bool), a 'p/q'
-    or decimal string, or a float read as its shortest decimal."""
+    or decimal string (with a decimal exponent of at most 4300 in
+    magnitude), or a float read as its shortest decimal."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -158,6 +165,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = re.search(r"[eE][-+]?([\d_]+)", value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"not a probability: {value!r} has a decimal exponent over {_MAX_EXPONENT} in magnitude")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -413,6 +424,7 @@ class WignerDomainDistribution(Record):
 # tally tables
 
 Cell = tuple[int, int]
+# in bit order: cell (s, s') has index 2 * [s = -1] + [s' = -1]
 CELLS: tuple[Cell, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 CELL_NAMES: dict[Cell, str] = {(1, 1): "pp", (1, -1): "pm", (-1, 1): "mp", (-1, -1): "mm"}
 CELL_FROM_NAME: dict[str, Cell] = {v: k for k, v in CELL_NAMES.items()}

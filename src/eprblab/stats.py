@@ -65,16 +65,12 @@ def tally(
     """
     xi = left.setting_idx[left_idx].astype(np.int64)
     yi = right.setting_idx[right_idx].astype(np.int64)
-    so = (left.outcome[left_idx] > 0).astype(np.int64)
-    so2 = (right.outcome[right_idx] > 0).astype(np.int64)
     n_l, n_r = len(left.labels), len(right.labels)
-    code = ((xi * n_r + yi) * 2 + so) * 2 + so2
-    hist = np.bincount(code, minlength=n_l * n_r * 4).reshape(n_l, n_r, 2, 2)
-    counts: dict[tuple[str, str], dict[tuple[int, int], int]] = {}
-    for xi_, x in enumerate(left.labels):
-        for yi_, y in enumerate(right.labels):
-            if hist[xi_, yi_].any():
-                counts[(x, y)] = {(s, s2): int(hist[xi_, yi_, int(s > 0), int(s2 > 0)]) for s, s2 in CELLS}
+    # each pair's bin is its setting pair's four cells, in the bit order of CELLS
+    code = 4 * (xi * n_r + yi) + 2 * (left.outcome[left_idx] < 0) + (right.outcome[right_idx] < 0)
+    hist = np.bincount(code, minlength=n_l * n_r * 4).reshape(n_l * n_r, 4).tolist()
+    pairs = [(x, y) for x in left.labels for y in right.labels]
+    counts = {pair: dict(zip(CELLS, cells)) for pair, cells in zip(pairs, hist) if any(cells)}
     return TallyTable(counts, unmatched_left, unmatched_right)
 
 

@@ -773,6 +773,49 @@ def test_simulate_zero_denominator_weight_exits_2(tmp_path, capsys):
     assert "zero denominator" in err
 
 
+def test_feasibility_huge_decimal_exponent_exits_3_at_once(tmp_path):
+    """Fraction would build 10^99999999 for this 59-byte file; the exponent
+    is refused first, naming its table and cell."""
+    path = tmp_path / "tables.json"
+    path.write_text('{"a;b": {"pp": "1e-99999999", "pm": "1", "mp": 0, "mm": 0}}')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "eprblab.cli", "feasibility", "--tables", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == (f"error: {path}: table 'a;b' cell 'pp': not a probability: '1e-99999999' "
+                           "has a decimal exponent over 4300 in magnitude\n")
+
+
+def test_simulate_huge_decimal_exponent_weight_exits_2(tmp_path, capsys):
+    doc = json.loads((ROOT / "configs/wigner_uniform.json").read_text())
+    doc["domain_weights"]["+++;+++"] = "1e-3000000"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "x")], 2)
+    assert "domain_weights: not a probability: '1e-3000000' has a decimal exponent over 4300" in err
+
+
+ALLOCATION_FAILURE = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64"
+
+
+@pytest.mark.parametrize("message", [ALLOCATION_FAILURE, ""], ids=["numpy", "bare"])
+def test_simulate_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, message):
+    """A config whose arrays do not fit in memory passes the config checks;
+    the MemoryError is a usage error, reported without a traceback.
+    ``generate`` is replaced by one that raises, so nothing is allocated."""
+    doc = json.loads((ROOT / "configs/local_delay_chsh.json").read_text()) | {"total_pairs": 10**12}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+
+    def generate(config):
+        assert config.n_emissions() == 10**12
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", generate)
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "x")], 2)
+    assert err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
+
 # ---------------------------------------------------------------------------
 # bounded structured fuzz: every input exits 0, 2 or 3 without a traceback
 

@@ -97,11 +97,13 @@ def verify_certificate(tables: PairwiseTables, res: FeasibilityResult):
         assert total <= 0, f"functional fails on {key}"
 
 
-def assert_exact_answer(support, rhs, x, y):
-    """x >= 0 with A x = b, or y . b > 0 with y . A_j <= 0 on every column."""
+def assert_exact_answer(support, rhs, x, y, det):
+    """In integers over det > 0: x >= 0 with A x = det * b, or y . b > 0
+    with y . A_j <= 0 on every column."""
+    assert det > 0
     if x is not None:
-        assert y is None and min(x) >= 0
-        assert [sum(x[j] for j, rows in enumerate(support) if i in rows) for i in range(len(rhs))] == rhs
+        assert y is None and all(v > 0 for v in x.values())
+        assert [sum(v for j, v in x.items() if i in support[j]) for i in range(len(rhs))] == [det * b for b in rhs]
     else:
         assert sum(yi * bi for yi, bi in zip(y, rhs)) > 0
         assert all(sum(y[i] for i in rows) <= 0 for rows in support)
@@ -136,6 +138,20 @@ def test_pairwise_tables_validation():
 def test_pairwise_tables_accepts_floats_exactly():
     t = PairwiseTables({("a", "b"): cells(0.25, 0.25, 0.25, 0.25)})
     assert t.tables[("a", "b")][(1, -1)] == F(1, 4)
+
+
+@pytest.mark.parametrize("value", ["1e-99999999", "1E+4301", "2.5e-4_301", "1e" + "9" * 5000], ids=len)
+def test_pairwise_tables_refuse_a_decimal_exponent_over_4300(value):
+    """Fraction would build 10^|e|, which for the first value takes longer
+    than any run; the exponent is refused before any integer is built."""
+    table = {(1, 1): value, (1, -1): "1", (-1, 1): 0, (-1, -1): 0}
+    with pytest.raises(ValueError, match="has a decimal exponent over 4300 in magnitude$"):
+        PairwiseTables({("a", "b"): table})
+
+
+def test_pairwise_tables_read_a_decimal_exponent_of_4300():
+    t = PairwiseTables({("a", "b"): {(1, 1): "1e-4_300", (1, -1): "0." + "9" * 4300, (-1, 1): 0, (-1, -1): "0e-0004300"}})
+    assert t.tables[("a", "b")][(1, 1)] == F(1, 10**4300)
 
 
 def test_setting_labels_cover_prefix():
@@ -331,35 +347,36 @@ def verify_answer(tables: PairwiseTables, res: FeasibilityResult):
 
 
 # ---------------------------------------------------------------------------
-# the gates, each given an answer that misses it by the least amount
-
-TINY = F(1, 10**30)  # lost in a float sum of the other terms
+# the gates, each given an answer that misses it by the least amount: one
+# integer unit of the simplex's answer, which is x or y times det
 
 
 def _breaks_a_column(support, rhs, x, y):
     """Raise one cell row's weight so that the column nearest to failing
-    sums to TINY; y . b only grows."""
+    sums to 1; y . b only grows."""
     sums = [sum(y[i] for i in rows) for rows in support]
     j = max(range(len(sums)), key=sums.__getitem__)
     y = list(y)
-    y[support[j][0]] += TINY - sums[j]
+    y[support[j][0]] += 1 - sums[j]
     return x, y
 
 
 def _does_not_separate(support, rhs, x, y):
-    """Lower one row's weight until y . b is exactly 0; no column sum grows."""
+    """Scale y by one row's b_r > 0, then lower that row's weight until
+    y . b is exactly 0; no column sum grows."""
     r = next(i for i, b in enumerate(rhs) if b > 0)
-    y = list(y)
-    y[r] -= sum(yi * bi for yi, bi in zip(y, rhs)) / rhs[r]
+    separation = sum(yi * bi for yi, bi in zip(y, rhs))
+    y = [rhs[r] * v for v in y]
+    y[r] -= separation
     return x, y
 
 
 def _misses_a_cell(support, rhs, x, y):
-    """Move TINY of the first weighted domain column onto the next one."""
-    j = next(j for j, w in enumerate(x) if w > 0)
-    x = list(x)
-    x[j] -= TINY
-    x[(j + 1) % len(x)] += TINY
+    """Move one unit of the lowest weighted domain column onto the next one."""
+    j = min(x)
+    x = dict(x)
+    x[j] -= 1
+    x[(j + 1) % len(support)] = x.get((j + 1) % len(support), 0) + 1
     return x, y
 
 
@@ -373,14 +390,14 @@ GATE_BREAKS = {
 
 @pytest.mark.parametrize("name", sorted(GATE_BREAKS))
 def test_each_gate_refuses_an_answer_that_misses_it(tmp_path, capsys, name):
-    """An answer from the exact simplex that misses a gate by the least
-    amount raises InternalInvariantError, and ``feasibility`` exits 4."""
+    """An answer from the exact simplex that misses a gate by one integer
+    unit raises InternalInvariantError, and ``feasibility`` exits 4."""
     breaks, identified, message = GATE_BREAKS[name]
     solve = feasibility._exact_simplex
 
     def broken(support, rhs):
-        x, y, pivots = solve(support, rhs)
-        return (*breaks(support, rhs, x, y), pivots)
+        x, y, det, pivots = solve(support, rhs)
+        return (*breaks(support, rhs, x, y), det, pivots)
 
     tables = singlet_tables("anti")
     path = tmp_path / "tables.json"
@@ -424,10 +441,10 @@ def test_degenerate_menus_terminate_from_the_artificial_basis(monkeypatch, ident
     for run, tables, status in cases:
         monkeypatch.setattr(feasibility, "_DEGENERATE_RUN", run)
         _, support, rhs = feasibility._domain_lp(tables, identified, "equal")
-        x, y, pivots = feasibility._exact_simplex(support, rhs)
+        x, y, det, pivots = feasibility._exact_simplex(support, rhs)
         assert pivots >= 1
         assert (x is not None) == (status == "feasible")
-        assert_exact_answer(support, rhs, x, y)
+        assert_exact_answer(support, rhs, x, y, det)
         res = joint_feasibility(tables, identify_equal_settings=identified)
         assert res.status == status
         verify_answer(tables, res)
@@ -483,7 +500,7 @@ def test_presolve_keeps_the_status_of_the_full_lp(menu, identified):
     tables, convention = menu
     res = joint_feasibility(tables, identify_equal_settings=identified, convention=convention)
     _, support, rhs = feasibility._domain_lp(tables, identified, convention)
-    x, _, _ = feasibility._exact_simplex(support, rhs)
+    x = feasibility._exact_simplex(support, rhs)[0]
     assert res.status == ("feasible" if x is not None else "infeasible")
     assert (res.lp_rows, res.lp_cols) == (len(rhs), len(support))
     assert res.solved_rows < res.lp_rows and res.solved_cols <= res.lp_cols
@@ -586,14 +603,17 @@ def test_fraction_free_inverse(matrix):
 
 
 @pytest.mark.parametrize("support, rhs, want", [
-    ([(0,), (0, 1)], [F(0), F(0)], ([0, 0], None, 0)),
-    ([(0, 1)], [F(1, 2), F(1, 2)], ([F(1, 2)], None, 1)),
-    ([(0,)], [F(1), F(1)], (None, [0, 1], 1)),
-], ids=["zero-rhs", "one-column", "uncovered-row"])
+    ([(0,), (0, 1)], [0, 0], ({}, None, 1, 0)),
+    ([(0, 1)], [3, 3], ({0: 3}, None, 1, 1)),
+    ([(0, 1), (1,)], [2, 3], ({0: 2, 1: 1}, None, 1, 2)),
+    ([(0,)], [1, 1], (None, [0, 1], 1, 1)),
+], ids=["zero-rhs", "one-column", "two-columns", "uncovered-row"])
 def test_exact_simplex_small_systems(support, rhs, want):
-    """b = 0 is solved by the all-artificial basis with no pivot; one
-    column meeting both rows carries b in one pivot; a row that no column
-    meets is separated by its own dual once the column has entered."""
+    """(x, y, det, pivots), x and y in integers over det: b = 0 is solved
+    by the all-artificial basis with no pivot; one column meeting both rows
+    carries b in one pivot; a second column carries what the first leaves
+    of its row; a row that no column meets is separated by its own dual
+    once the column has entered."""
     assert feasibility._exact_simplex(support, rhs) == want
 
 
@@ -604,7 +624,7 @@ def zero_one_systems(draw):
     m = draw(st.integers(1, 6))
     rows = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True).map(lambda r: tuple(sorted(r)))
     support = draw(st.lists(rows, min_size=1, max_size=10))
-    rhs = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=7), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
     return support, rhs
 
 
@@ -614,7 +634,7 @@ def test_exact_simplex_answers_any_zero_one_system(system):
     """Every answer is exact: x >= 0 with A x = b, or y . b > 0 with
     y . A_j <= 0 on every column, so each fraction-free division was exact."""
     support, rhs = system
-    assert_exact_answer(support, rhs, *feasibility._exact_simplex(support, rhs)[:2])
+    assert_exact_answer(support, rhs, *feasibility._exact_simplex(support, rhs)[:3])
 
 
 # ---------------------------------------------------------------------------

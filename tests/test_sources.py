@@ -147,6 +147,14 @@ def test_config_angles_are_type_checked(angle):
         config_from_dict(doc)
 
 
+def test_config_refuses_a_domain_weight_with_a_huge_decimal_exponent():
+    doc = json.loads((ROOT / "configs/wigner_uniform.json").read_text())
+    doc["domain_weights"]["+++;+++"] = "1e-3000000"
+    message = r"^domain_weights: not a probability: '1e-3000000' has a decimal exponent over 4300 in magnitude$"
+    with pytest.raises(ConfigParseError, match=message):
+        config_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # determinism and stream validity
 
