@@ -374,9 +374,10 @@ def _does_not_separate(support, rhs, x, y):
 def _misses_a_cell(support, rhs, x, y):
     """Move one unit of the lowest weighted domain column onto the next one."""
     j = min(x)
+    k = (j + 1) % len(support)
     x = dict(x)
     x[j] -= 1
-    x[(j + 1) % len(support)] = x.get((j + 1) % len(support), 0) + 1
+    x[k] = x.get(k, 0) + 1
     return x, y
 
 
@@ -619,8 +620,8 @@ def test_exact_simplex_small_systems(support, rhs, want):
 
 @st.composite
 def zero_one_systems(draw):
-    """{A x = b, x >= 0} with A a 0/1 matrix of nonempty columns and b >= 0:
-    unlike the domain LPs, its bases can have any determinant."""
+    """{A x = b, x >= 0} with A a 0/1 matrix of nonempty columns and b >= 0
+    in integers: unlike the domain LPs, its bases can have any determinant."""
     m = draw(st.integers(1, 6))
     rows = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True).map(lambda r: tuple(sorted(r)))
     support = draw(st.lists(rows, min_size=1, max_size=10))
