@@ -4,9 +4,9 @@ on its first call.
 The exact commands (feasibility, enumerate, inequalities) never touch an
 array, so they never pay numpy's import, and they run where numpy is not
 installed.  Modules take ``np`` from here: an ``import numpy`` of their own
-would load it at once.  Where numpy is already imported, ``np`` is that
-module.  Otherwise ``np`` is a proxy that adds nothing to ``sys.modules``
-until an attribute is used; then it imports numpy and keeps the attribute.
+would load it at once.  ``np`` is a proxy, whichever module was imported
+first: it adds nothing to ``sys.modules`` until an attribute is used; then
+it imports numpy and keeps the attribute, so ``np.ndarray`` is numpy's own.
 Where numpy is not installed, that first use raises ModuleNotFoundError
 naming numpy.
 
@@ -14,7 +14,6 @@ naming numpy.
 call, so that a command compiles and imports only the modules it runs.
 """
 
-import sys
 from importlib import import_module
 
 
@@ -34,7 +33,7 @@ class _Numpy:
         return value
 
 
-np = sys.modules.get("numpy") or _Numpy()
+np = _Numpy()
 
 
 def function(module: str, name: str):

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 2 configuration or usage problems (numpy missing
 for an array command, or a run that does not fit in memory, among them),
-3 malformed or inconsistent input data, 4 violated internal invariants.  Every command that writes a file also
-writes ``<file>.manifest.json`` (for simulate, ``<out>.manifest.json``
-covering both event files) recording input and output digests, the seed,
-and the tool version.  Results and summaries go to stdout as single JSON
-objects; diagnostics go to stderr.
+3 malformed or inconsistent input data, 4 violated internal invariants.
+Every command that writes a file also writes ``<file>.manifest.json``
+(for simulate, ``<out>.manifest.json`` covering both event files), the
+document ``_manifest`` builds.  Results and summaries go to stdout as
+single JSON objects; diagnostics go to stderr.
 
 At start-up this module imports only ``errors``, ``_lazy`` and ``model``,
 so a command compiles and imports only the modules it runs: ``enumerate``
@@ -19,8 +19,8 @@ forwarder, which imports the owning module on its first call.  A
 forwarder carries the owner function's ``__module__``, ``__name__`` and
 ``__qualname__``: per-function tracing, such as the benchmark's, finds
 the functions ``cli`` calls by those names, and reads each one as a call
-into the owning layer.  The two classes ``cli`` uses are imported in the
-functions that use them.
+into the owning layer.  The one class ``cli`` uses, ``PairingConfig``, is
+imported in the function that uses it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import json
 import sys
 import time
 
-from . import _lazy
+from . import __version__, _lazy
 from .errors import ConfigMismatchError, ConfigParseError, EprbLabError, InternalInvariantError, TooLargeError
-from .model import CONVENTIONS, SETTING_LABELS, domain_key_to_string
+from .model import CONVENTIONS, SETTING_LABELS, _exact_text, domain_key_to_string
 
 count_triple_classes = _lazy.function("counting", "count_triple_classes")
 enumerate_eu_classes = _lazy.function("counting", "enumerate_eu_classes")
@@ -80,19 +80,20 @@ def _manifest(
     """Write ``<out>.manifest.json`` for a command started at t0: the digest
     of each input file (the config's is also the config digest), the output
     digests the writers returned for the bytes they wrote, and the wall
-    time.  No command reads back a file it wrote."""
-    from .ioformats import RunManifest
-
+    time.  No command reads back a file it wrote.  This is the one
+    statement of the manifest's keys and their order; each mapping in it
+    is sorted by key."""
     digests = {path: sha256_file(path) for path in inputs}
-    manifest = RunManifest(
-        command=command,
-        seed=seed,
-        config_digest=digests.get(config),
-        inputs=digests,
-        outputs=outputs,
-        parameters=parameters,
-        wall_time_s=round(time.monotonic() - t0, 6),
-    )
+    manifest = {
+        "command": command,
+        "seed": seed,
+        "config_digest": digests.get(config),
+        "inputs": dict(sorted(digests.items())),
+        "outputs": dict(sorted(outputs.items())),
+        "parameters": dict(sorted(parameters.items())),
+        "tool_version": __version__,
+        "wall_time_s": round(time.monotonic() - t0, 6),
+    }
     write_manifest(f"{out}.manifest.json", manifest)
 
 
@@ -224,10 +225,10 @@ def _cmd_feasibility(args) -> int:
     }
     if result.witness is not None:
         payload["witness"] = {
-            domain_key_to_string(k): str(w) for k, w in result.witness.weights.items() if w != 0
+            domain_key_to_string(k): _exact_text(w) for k, w in result.witness.weights.items() if w != 0
         }
     if result.certificate is not None:
-        payload["certificate"] = {label: str(v) for label, v in result.certificate.items()}
+        payload["certificate"] = {label: _exact_text(v) for label, v in result.certificate.items()}
     _emit(payload)
     return 0
 

@@ -52,6 +52,7 @@ from .model import (
     WignerDomainDistribution,
     _as_fraction,
     _domain_keys,
+    _exact_text,
     _q,
     domain_key_to_string,
     l_sign,
@@ -85,10 +86,10 @@ class PairwiseTables(Record):
             exact = {c: _as_fraction(cells[c]) for c in CELLS}
             for c, p in exact.items():
                 if p < 0:
-                    raise ValueError(f"table {key} cell {CELL_NAMES[c]} is negative: {p}")
+                    raise ValueError(f"table {key} cell {CELL_NAMES[c]} is negative: {_exact_text(p)}")
             total = sum(exact.values())
             if total != 1:
-                raise ValueError(f"table {key} sums to {total}, expected exactly 1")
+                raise ValueError(f"table {key} sums to {_exact_text(total)}, expected exactly 1")
             norm[key] = exact
         object.__setattr__(self, "tables", norm)
 

@@ -178,6 +178,28 @@ def _as_fraction(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as an exact probability")
 
 
+# str() refuses an int of more digits than sys.get_int_max_str_digits(), 640
+# at the least, so an exact value is printed 600 digits at a time
+_CHUNK = 10**600
+
+
+def _decimal(n: int) -> str:
+    """str(n), however many digits n has."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(600))
+    return str(n) + "".join(reversed(chunks))
+
+
+def _exact_text(value: Fraction) -> str:
+    """str(value) ("p/q", or "p" for an integer), however long p and q are."""
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+
+
 # ---------------------------------------------------------------------------
 # elementary records
 
@@ -383,7 +405,7 @@ class WignerDomainDistribution(Record):
             raise ValueError("domain weights must be nonnegative")
         total = sum(filter(None, got.values()))
         if total != 1:
-            raise ValueError(f"domain weights must sum to exactly 1, got {total}")
+            raise ValueError(f"domain weights must sum to exactly 1, got {_exact_text(total)}")
         object.__setattr__(self, "weights", dict(sorted(got.items())))
         object.__setattr__(self, "settings", tuple(self.settings))
 

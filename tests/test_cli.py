@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprblab import cli, errors, stats
+from eprblab import __version__, cli, errors, stats
 from eprblab.cli import main
 from conftest import read_manifest, read_sweep_csv, stream
 from eprblab.ioformats import read_events, read_pairs, sha256_file, write_events
@@ -415,15 +415,20 @@ print(json.dumps({"before": before, "after": "numpy._core" in sys.modules, "even
     assert _fresh_interpreter(tmp_path, script) == {"before": False, "after": True, "events": 2}
 
 
-def test_lazy_numpy_is_numpy_once_imported(tmp_path):
-    """Where numpy is already loaded, the package takes that module as it is."""
+def test_lazy_numpy_is_the_proxy_once_numpy_is_imported(tmp_path):
+    """Where numpy is already loaded, the package's np is still the proxy, and
+    every attribute it hands out is numpy's own, so isinstance checks hold."""
     script = """
-import json, sys
+import json
 import numpy
 from eprblab._lazy import np
-print(json.dumps({"same": np is numpy, "type": type(np).__name__}))
+same = [np.ndarray is numpy.ndarray, np.int64 is numpy.int64, np.random is numpy.random]
+kept = "ndarray" in vars(np)
+held = isinstance(np.zeros(2), numpy.ndarray) and isinstance(numpy.ones(2), np.ndarray)
+print(json.dumps({"type": type(np).__name__, "same": same, "kept": kept, "isinstance": held}))
 """
-    assert _fresh_interpreter(tmp_path, script) == {"same": True, "type": "module"}
+    assert _fresh_interpreter(tmp_path, script) == {
+        "type": "_Numpy", "same": [True, True, True], "kept": True, "isinstance": True}
 
 
 def test_lazy_numpy_registers_nothing_until_used(tmp_path):
@@ -741,6 +746,30 @@ def test_manifest_digests_match_golden(tmp_path, capsys, monkeypatch):
             assert sha256_file(path) == digest, path
 
 
+def test_manifest_keys_are_in_order_and_mappings_sorted(tmp_path, capsys, config_path):
+    """A manifest holds its keys in one order and each of its three mappings
+    sorted by key, whatever order the command gave them in."""
+    out = str(tmp_path / "run")
+    assert run(capsys, "simulate", "--config", config_path, "--out", out)[0] == 0
+    left, right = f"{out}.T.jsonl", f"{out}.L.jsonl"
+    pairs_path = str(tmp_path / "pairs.jsonl")
+    argv = ["pair", "--left", left, "--right", right, "--window-ns", "100", "--out", pairs_path]
+    assert run(capsys, *argv)[0] == 0
+    keys = ["command", "seed", "config_digest", "inputs", "outputs", "parameters", "tool_version", "wall_time_s"]
+    simulated, paired = read_manifest(f"{out}.manifest.json"), read_manifest(f"{pairs_path}.manifest.json")
+    for manifest in (simulated, paired):
+        assert list(manifest) == keys
+        assert manifest["tool_version"] == __version__
+    assert list(simulated["inputs"]) == [config_path]
+    assert simulated["config_digest"] == simulated["inputs"][config_path] == sha256_file(config_path)
+    assert list(simulated["outputs"]) == [right, left]
+    assert list(simulated["parameters"]) == ["emissions", "kind"]
+    assert (paired["seed"], paired["config_digest"]) == (None, None)
+    assert list(paired["inputs"]) == [right, left]
+    assert list(paired["parameters"]) == ["unmatched_left", "unmatched_right", "window_ns"]
+    assert Path(f"{pairs_path}.manifest.json").read_text() == json.dumps(paired, indent=2) + "\n"
+
+
 def test_config_integer_too_long_to_convert_exits_2_naming_config(tmp_path, capsys):
     doc = json.loads((ROOT / "configs/singlet_bell.json").read_text())
     path = tmp_path / "config.json"
@@ -784,6 +813,57 @@ def test_feasibility_huge_decimal_exponent_exits_3_at_once(tmp_path):
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == (f"error: {path}: table 'a;b' cell 'pp': not a probability: '1e-99999999' "
                            "has a decimal exponent over 4300 in magnitude\n")
+
+
+def _long_int(digits: str) -> int:
+    """int(digits) for any number of digits; int() refuses text of over 4300."""
+    value = 0
+    for k in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[k : k + 1000]) + int(digits[k : k + 1000])
+    return value
+
+
+NEAR_ONE = {"pp": "1e-4300", "pm": "0." + "9" * 4300, "mp": 0, "mm": 0}
+P, Q = 10**3000 + 19, 10**3000 + 41  # each table's entries are within the bounds; their product is not
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        {"a;b": NEAR_ONE},
+        {
+            "a;b": {"pp": f"1/{P}", "pm": f"{P - 1}/{P}", "mp": 0, "mm": 0},
+            "a;c": {"pp": f"1/{Q}", "pm": f"{Q - 1}/{Q}", "mp": 0, "mm": 0},
+        },
+    ],
+    ids=["one-table-4301-digit-denominator", "two-tables-6001-digit-denominator"],
+)
+def test_feasibility_prints_a_witness_of_any_length(tmp_path, capsys, tables):
+    """A feasible answer whose weights have more digits than Python prints
+    from an int prints in full, and the printed weights reproduce the tables."""
+    from eprblab.feasibility import marginalize, read_tables
+    from eprblab.model import WignerDomainDistribution, domain_key_from_string
+
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables))
+    code, payload = run(capsys, "feasibility", "--tables", str(path))
+    assert code == 0 and payload["status"] == "feasible"
+    weights = {}
+    for key, text in payload["witness"].items():
+        p, _, q = text.partition("/")
+        weights[domain_key_from_string(key)] = Fraction(_long_int(p), _long_int(q or "1"))
+    assert max(len(text) for text in payload["witness"].values()) > 4300
+    expected, _ = read_tables(str(path))
+    witness = WignerDomainDistribution.from_partial(weights, settings=tuple(payload["settings"]))
+    assert marginalize(witness, expected.measured_pairs()).tables == expected.tables
+
+
+def test_feasibility_table_off_by_a_4300_digit_sum_exits_3_naming_it(tmp_path, capsys):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"a;b": dict(NEAR_ONE, pm="1")}))
+    err = _assert_clean_exit(capsys, ["feasibility", "--tables", str(path)], 3)
+    total = "1" + "0" * 4299 + "1/1" + "0" * 4300  # 1 + 10^-4300
+    assert err == f"error: {path}: table ('a', 'b') sums to {total}, expected exactly 1\n"
 
 
 def test_simulate_huge_decimal_exponent_weight_exits_2(tmp_path, capsys):

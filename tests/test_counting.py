@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,12 @@ def test_topology_rejects_malformed_input():
     for window in (-1, True, 2.5, "5"):
         with pytest.raises(MalformedTupleError, match="window_ns must be"):
             validate_time_topology(good, window_ns=window)
+    for entry in ((1, "a", 100), (1, "a", 100, "T", 0), 5):
+        bad = list(good)
+        bad[0] = entry
+        message = rf"^entry 0 must be \(outcome, setting, time_ns, island\), got {re.escape(repr(entry))}$"
+        with pytest.raises(MalformedTupleError, match=message):
+            validate_time_topology(bad, window_ns=10)
     bad = list(good)
     bad[0] = (2, "a", 100, "T")
     with pytest.raises(MalformedTupleError):

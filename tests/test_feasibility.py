@@ -154,6 +154,21 @@ def test_pairwise_tables_read_a_decimal_exponent_of_4300():
     assert t.tables[("a", "b")][(1, 1)] == F(1, 10**4300)
 
 
+@pytest.mark.parametrize(
+    "pp, pm, message",
+    [
+        ("-1e-4300", "1", "cell pp is negative: -1/1" + "0" * 4300),
+        ("1e-4300", "1", "sums to 1" + "0" * 4299 + "1/1" + "0" * 4300 + ", expected exactly 1"),
+    ],
+    ids=["negative", "sum"],
+)
+def test_pairwise_tables_name_a_4301_digit_value_in_full(pp, pm, message):
+    """str() refuses an int of over 4300 digits; the message prints it anyway."""
+    with pytest.raises(ValueError) as caught:
+        PairwiseTables({("a", "b"): {(1, 1): pp, (1, -1): pm, (-1, 1): 0, (-1, -1): 0}})
+    assert str(caught.value) == f"table ('a', 'b') {message}"
+
+
 def test_setting_labels_cover_prefix():
     t = PairwiseTables({("a", "c"): cells(1, 0, 0, 0)})
     assert t.setting_labels == ("a", "b", "c")
@@ -702,6 +717,10 @@ def test_wigner_residual_exact_values():
     assert wigner_residual(singlet_tables("equal"), ("a", "b", "c"), "equal") == F(1, 8)
     flat = marginalize(uniform_identified(), BELL_PAIRS, True)
     assert wigner_residual(flat, ("a", "b", "c"), "equal") == F(-1, 4)
+    # a tally is normalized to its probability tables first
+    counts = {(1, 1): 1, (1, -1): 3, (-1, 1): 3, (-1, -1): 1}
+    tally = TallyTable({pair: counts for pair in (("a", "b"), ("a", "c"), ("c", "b"))})
+    assert wigner_residual(tally, ("a", "b", "c"), "anti") == F(1, 8) - F(1, 8) - F(1, 8)
 
 
 def test_wigner_residual_transposed_lookup():

@@ -22,7 +22,6 @@ from eprblab.feasibility import read_tables, read_tally
 from eprblab.ioformats import (
     EMPTY_CELL_MARKER,
     EVENT_KEYS,
-    RunManifest,
     atomic_write,
     load_config,
     read_events,
@@ -164,6 +163,9 @@ def test_raw_station_log_round_trip_and_rejections(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(FormatError, match="empty"):
         read_raw_station(str(path), "T")
+    path.write_text("5 a 1\n")
+    with pytest.raises(ValueError, match="^island must be 'T' or 'L', got 'X'$"):
+        read_raw_station(str(path), "X")
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +796,10 @@ def test_read_tally_rejects_bad_cells(tmp_path):
     path.write_text(json.dumps({"a;b": {"pp": 1.5, "pm": 0, "mp": 0, "mm": 0}}))
     with pytest.raises(FormatError, match="nonnegative integer"):
         read_tally(str(path))
+    for doc in ([], "a;b", 3):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="tally file must be a JSON object keyed by 'x;y'$"):
+            read_tally(str(path))
 
 
 def test_sweep_csv_round_trip(tmp_path):
@@ -955,17 +961,16 @@ def test_read_tables_wrapper_validation(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    m = RunManifest(
-        command="pair",
-        inputs={"a": "sha256:00"},
-        outputs={"b": "sha256:11"},
-        parameters={"window_ns": 5},
-        wall_time_s=0.125,
-    )
+    m = {
+        "command": "pair",
+        "inputs": {"a": "sha256:00"},
+        "outputs": {"b": "sha256:11"},
+        "parameters": {"window_ns": 5},
+        "wall_time_s": 0.125,
+    }
     path = str(tmp_path / "m.json")
-    write_manifest(path, m)
-    doc = read_manifest(path)
-    assert doc["command"] == "pair"
-    assert doc["inputs"] == {"a": "sha256:00"}
-    assert doc["parameters"] == {"window_ns": 5}
-    assert "tool_version" in doc
+    digest = write_manifest(path, m)
+    assert read_manifest(path) == m
+    text = Path(path).read_bytes()
+    assert text == (json.dumps(m, indent=2) + "\n").encode()
+    assert digest == "sha256:" + hashlib.sha256(text).hexdigest()

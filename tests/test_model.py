@@ -1,7 +1,6 @@
 import ast
 import importlib
 import re
-from collections.abc import MutableMapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +13,6 @@ import eprblab
 from conftest import ev, pair, stream, uniform_identified
 from eprblab.errors import ConfigParseError, FormatError, InvalidStreamError
 from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, read_tables, wigner_residual
-from eprblab.ioformats import RunManifest
 from eprblab.model import (
     CELLS,
     BellTriple,
@@ -28,6 +26,7 @@ from eprblab.model import (
     TallyTable,
     ViolationKind,
     WignerDomainDistribution,
+    _exact_text,
     all_domain_keys,
     domain_key_from_string,
     domain_key_to_string,
@@ -80,6 +79,8 @@ def test_pair_record_window():
         pair(100, 131, "a", "b", 1, -1, window=30)
     with pytest.raises(ValueError):
         PairRecord(ev("L", 0, "a", 1), ev("L", 0, "b", 1), 10)
+    with pytest.raises(ValueError, match="^right event of a pair must come from island L$"):
+        PairRecord(ev("T", 0, "a", 1), ev("T", 0, "b", 1), 10)
     with pytest.raises(ValueError):
         pair(0, 0, "a", "b", 1, 1, window=-1)
 
@@ -137,6 +138,8 @@ def test_bell_triple_index_ranges():
     for bad in [dict(k=2, l=2, m=3), dict(k=1, l=4, m=5), dict(k=1, l=2, m=2)]:
         with pytest.raises(ValueError):
             _triple(M=1, **bad)
+    with pytest.raises(ValueError, match="^M must be positive$"):
+        _triple(M=0)
 
 
 def test_correlation_class():
@@ -183,6 +186,29 @@ def test_domain_distribution_validation():
         WignerDomainDistribution({key: Fraction(1)})  # missing the other 63 keys
     with pytest.raises(ValueError):
         WignerDomainDistribution.from_partial({(1, 1): 1}, settings=("a", "b", "c"))
+    with pytest.raises(ValueError, match=r"^settings must be a prefix of .*, got \('a', 'c'\)$"):
+        WignerDomainDistribution.from_partial({(1, 1, 1, 1): 1}, settings=("a", "c"))
+    # str() refuses an int of over 4300 digits; the message prints the sum in full
+    with pytest.raises(ValueError) as err:
+        WignerDomainDistribution.from_partial({key: 1 + Fraction(1, 10**4300)})
+    assert str(err.value) == "domain weights must sum to exactly 1, got 1" + "0" * 4299 + "1/1" + "0" * 4300
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(0), "0"),
+        (Fraction(-7, 3), "-7/3"),
+        (Fraction(10**600 - 1), "9" * 600),
+        (Fraction(10**600), "1" + "0" * 600),
+        (Fraction(-(2 * 10**1300 + 1), 10**4400), "-2" + "0" * 1299 + "1/1" + "0" * 4400),
+    ],
+    ids=["zero", "small", "one-chunk", "two-chunks", "over-the-limit"],
+)
+def test_exact_text_is_str_of_any_length(value, text):
+    assert _exact_text(value) == text
+    if len(text) < 4300:
+        assert str(value) == text
 
 
 def test_domain_distribution_accessors():
@@ -342,6 +368,24 @@ def test_event_stream_reports_setting_index_outside_menu():
     violations = err.value.violations
     assert [(v.kind, v.index) for v in violations] == [(ViolationKind.BAD_SETTING, 1), (ViolationKind.BAD_SETTING, 2)]
     assert "BadSetting at index 1: setting index 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "island, labels, columns, message",
+    [
+        ("X", ("a",), ([1], [0], [1]), "island must be 'T' or 'L', got 'X'"),
+        ("T", ("a", "e"), ([1], [0], [1]), "labels must be drawn from ('a', 'b', 'c', 'd'), got ('a', 'e')"),
+        ("T", (), ([1], [0], [1]), "labels must be drawn from ('a', 'b', 'c', 'd'), got ()"),
+        ("T", ("a", "a"), ([1], [0], [1]), "setting labels must be distinct"),
+        ("T", ("a",), ([1, 2], [0], [1, 1]), "t_ns, setting_idx and outcome must be 1-d arrays of equal length"),
+        ("T", ("a",), ([[1]], [[0]], [[1]]), "t_ns, setting_idx and outcome must be 1-d arrays of equal length"),
+    ],
+    ids=["island", "label-off-menu", "no-labels", "duplicate-labels", "unequal-columns", "2-d-columns"],
+)
+def test_event_stream_refuses_a_bad_island_menu_or_shape(island, labels, columns, message):
+    with pytest.raises(ValueError) as err:
+        EventStream(island, labels, *map(np.array, columns))
+    assert str(err.value) == message
 
 
 def test_empty_stream_keeps_its_island():
@@ -593,13 +637,3 @@ def test_record_defaults_apply_before_post_init():
     match Checked(4, "x"):
         case Checked(a, b):
             assert (a, b) == (4, "x")
-
-
-def test_run_manifests_share_no_mutable_mapping():
-    first, second = RunManifest("pair"), RunManifest("tally")
-    for name in ("inputs", "outputs", "parameters"):
-        mapping = getattr(first, name)
-        assert not isinstance(mapping, MutableMapping) or mapping is not getattr(second, name)
-        with pytest.raises(TypeError):
-            mapping["key"] = "value"
-        assert first.to_dict()[name] == {} == dict(getattr(second, name))

@@ -61,6 +61,9 @@ def test_config_field_validation():
         singlet_config(station_t_labels=("a", "z"))
     with pytest.raises(ConfigParseError):
         singlet_config(station_t_labels=())
+    for count in ({"total_pairs": 0}, {"total_pairs": None, "pairs_per_combination": -1}):
+        with pytest.raises(ConfigParseError, match="^the pair count must be positive$"):
+            singlet_config(**count)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +99,8 @@ def test_config_integer_fields_are_type_checked(field, value):
         pytest.param("delay_exponent", 10**400, id="delay_exponent-10**400"),
         ("delay_exponent", True),
         ("delay_exponent", "2"),
+        ("max_delay_ns", -1),
+        ("delay_exponent", -0.5),
     ],
 )
 def test_config_delay_fields_are_type_checked(field, value):
@@ -145,6 +150,44 @@ def test_config_angles_are_type_checked(angle):
     doc["settings"][1]["angle_deg"] = angle
     with pytest.raises(ConfigParseError, match=r"^settings\[1\]: angle_deg must be a finite number"):
         config_from_dict(doc)
+
+
+def _config_doc(name: str, **fields) -> dict:
+    """A config file of the repo, with the given top-level fields replaced."""
+    return json.loads((ROOT / "configs" / name).read_text()) | fields
+
+
+def _bad_label() -> dict:
+    doc = _config_doc("singlet_bell.json")
+    doc["settings"][1]["label"] = "z"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "config must be a JSON object"),
+        (_config_doc("singlet_bell.json", settings=[]), "settings must be a nonempty list of {label, angle_deg} objects"),
+        (_config_doc("singlet_bell.json", settings={"label": "a", "angle_deg": 0}),
+         "settings must be a nonempty list of {label, angle_deg} objects"),
+        (_bad_label(), "settings[1]: setting label must be one of ('a', 'b', 'c', 'd'), got 'z'"),
+        (_config_doc("singlet_bell.json", station_t_labels="ab"), "station_t_labels must be a list of setting labels"),
+        (_config_doc("singlet_bell.json", station_l_labels=["a", 1]), "station_l_labels must be a list of setting labels"),
+        (_config_doc("wigner_uniform.json", domain_weights={}), "domain_weights must be a nonempty object of 'sss;ttt' keys"),
+        (_config_doc("wigner_uniform.json", domain_weights=["+++;+++"]),
+         "domain_weights must be a nonempty object of 'sss;ttt' keys"),
+        (_config_doc("wigner_uniform.json", domain_weights={"+++;+++": "1/2", "++;++": "1/2"}),
+         "domain_weights keys must all describe the same number of settings"),
+        (_config_doc("wigner_uniform.json", domain_weights={"++;++": 1}),
+         "settings ['c'] have no column in the domain distribution over ('a', 'b')"),
+    ],
+    ids=["not-an-object", "no-settings", "settings-an-object", "bad-label", "menu-a-string", "menu-not-strings",
+         "no-domain-weights", "domain-weights-a-list", "mixed-key-lengths", "setting-without-column"],
+)
+def test_config_documents_are_refused_naming_the_fault(doc, message):
+    with pytest.raises(ConfigParseError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_config_refuses_a_domain_weight_with_a_huge_decimal_exponent():
