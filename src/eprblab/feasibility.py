@@ -22,9 +22,9 @@ are built only for the answer: weights x_j / (det D) and certificate
 entries y_i / det.  No tolerance ever decides an answer, and no array
 library is loaded.
 
-Tally files and feasibility table files (counts, or exact probabilities)
-are read here, by ``read_tally`` and ``read_tables``, so the exact commands
-load no line format; ``ioformats.write_tally`` writes tally files.
+Tally files and feasibility table files (counts below 2^63, or exact
+probabilities) are read here with ``model._json_document``, so the exact
+commands load no line format; ``ioformats.write_tally`` writes tally files.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.
@@ -34,13 +34,13 @@ space to tau = sigma.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import JSON_TOO_DEEP, EmptyCellError, FormatError, InternalInvariantError, SupportViolationError
+from .errors import EmptyCellError, FormatError, InternalInvariantError, SupportViolationError
 from .model import (
     CELL_FROM_NAME,
     CELLS,
@@ -53,6 +53,7 @@ from .model import (
     _as_fraction,
     _domain_keys,
     _exact_text,
+    _json_document,
     _q,
     domain_key_to_string,
     l_sign,
@@ -419,23 +420,17 @@ def wigner_residual(
 
 
 def _read_json(path: str):
-    """Parse a whole-file JSON document.  Any ValueError from the parser,
-    including an integer too long to convert, and nesting deeper than the
-    recursion limit become a FormatError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path)
-        except ValueError as exc:
-            raise FormatError(f"invalid JSON: {exc}", path=path)
-        except RecursionError:
-            raise FormatError(JSON_TOO_DEEP, path=path) from None
+    """A whole file's JSON document; a fault is a FormatError naming the file."""
+    try:
+        return _json_document(Path(path).read_bytes())
+    except ValueError as exc:
+        raise FormatError(str(exc), line=exc.line, path=path) from None
 
 
 def _count(value) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"must be a nonnegative integer, got {value!r}")
+    """A count of pairs, so below 2^63: no pairs file holds more rows."""
+    if type(value) is not int or not 0 <= value < 1 << 63:
+        raise ValueError(f"must be a nonnegative integer below 2^63, got {value!r}")
     return value
 
 

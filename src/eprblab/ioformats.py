@@ -32,8 +32,8 @@ has one reader: ``_rows`` takes the bytes in runs of whole lines (about
 line's separators.  Any other run (other key order or whitespace, CRLF
 line ends, blank or comment lines, escapes, a missing final newline,
 leading zeros, or a bad line) is parsed line by line into the same
-columns, so one odd line costs only its own run.  A JSON line may not
-repeat a key.  Line numbers count newlines only.
+columns, so one odd line costs only its own run.  ``model._json_document``
+reads each JSON line and config.  Line numbers count newlines only.
 
 The checks that span rows run once over the columns: for event files and
 raw logs one island and t_ns strictly increasing and below 2^63; for pair
@@ -59,13 +59,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ._lazy import np
-from .errors import JSON_TOO_DEEP, ConfigParseError, FormatError
+from .errors import ConfigParseError, FormatError
 from .model import (
     CELL_NAMES,
     CELLS,
@@ -75,6 +74,7 @@ from .model import (
     SETTING_LABELS,
     EventStream,
     TallyTable,
+    _json_document,
     check_window,
 )
 
@@ -125,11 +125,8 @@ def atomic_write(path: str, chunks: Iterable[bytes]) -> str:
 def sha256_file(path: str) -> str:
     import hashlib
 
-    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
+        return "sha256:" + hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +167,6 @@ _KINDS = {
 }
 
 
-# Any number of whole lines.  A possessive repeat (Python 3.11 on) keeps no
-# backtracking state per line; no line could be matched another way anyway.
-# On Python 3.11.7 the plain repeat adds 2 MB (events) and 12 MB (raw log) to
-# the peak of reading a 100k-line file, and 0.3 and 1.7 ms to the check of
-# each 1 MB run, a small share of a read.
-_REPEAT = b"*+" if sys.version_info >= (3, 11) else b"*"
-
-
 class _LineFormat(NamedTuple):
     """A line format: fields joined by a one-byte separator, then a newline.
     Each field is a literal prefix, a value of a kind in _KINDS and a literal
@@ -186,7 +175,7 @@ class _LineFormat(NamedTuple):
 
     sep: int
     fields: tuple[tuple[bytes, str, bytes], ...]
-    lines: re.Pattern  # any run of whole lines in this format
+    lines: re.Pattern  # any run of whole lines in this format, repeated possessively
     template: str  # one line, with %s for each field's value
 
 
@@ -194,7 +183,7 @@ def _line_format(sep: bytes, *fields: tuple[bytes, str, bytes]) -> _LineFormat:
     assert not any(sep in prefix + suffix or b"%" in prefix + suffix for prefix, _, suffix in fields)
     line = sep.join(re.escape(prefix) + _KINDS[kind][0] + re.escape(suffix) for prefix, kind, suffix in fields)
     template = sep.join(prefix + b"%s" + suffix for prefix, _, suffix in fields) + b"\n"
-    return _LineFormat(sep[0], fields, re.compile(b"(?:" + line + rb"\n)" + _REPEAT), template.decode())
+    return _LineFormat(sep[0], fields, re.compile(b"(?:" + line + rb"\n)*+"), template.decode())
 
 
 def _json_format(keys: tuple[str, ...], kinds: tuple[str, ...]) -> _LineFormat:
@@ -212,11 +201,9 @@ def _json_format(keys: tuple[str, ...], kinds: tuple[str, ...]) -> _LineFormat:
 _EVENT_LINE = _json_format(EVENT_KEYS, ("island", "decimal", "setting", "sign"))
 _PAIR_LINE = _json_format(PAIR_KEYS, ("decimal", "decimal", "setting", "setting", "sign", "sign", "decimal"))
 _RAW_LINE = _line_format(b" ", (b"", "decimal", b""), (b"", "setting", b""), (b"", "sign+", b""))
-# Whole lines per fullmatch call and per column build.  With the plain
-# repeat, a single call over the file would grow the pattern engine's
-# backtracking stack by about 240 bytes per event line and 270 per raw log
-# line (the tracemalloc peak of one call over a 1 MB run, Python 3.11.7);
-# field offsets take eight bytes per field.
+# Whole lines per fullmatch call and per column build: a run bounds the field
+# offsets held at once (eight bytes per field), and a line that fails the
+# pattern sends only its own run line by line.
 _STRICT_RUN_BYTES = 1 << 20
 _MINUS, _NEWLINE, _ZERO = ord("-"), ord("\n"), ord("0")
 # Rows per chunk a writer formats: it holds one chunk's values and text, a
@@ -334,24 +321,9 @@ def _raise_first_fault(path: str, lines: list, fault, checks) -> None:
         raise FormatError(fault[1], line=fault[0], path=path)
 
 
-def _unique_keys(pairs: list[tuple]) -> dict:
-    """A JSON object's (key, value) pairs as a dict; a key may not repeat."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
-
-
 def _json_line(text: str, keys: tuple[str, ...], what: str) -> dict:
     """The JSON object on one line, having each of the given keys once."""
-    try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-    except RecursionError:
-        raise ValueError(JSON_TOO_DEEP) from None
+    obj = _json_document(text.encode())
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         raise ValueError(f"{what} must have exactly the keys {list(keys)}")
     return obj
@@ -528,16 +500,10 @@ def write_sweep_csv(path: str, rows: Iterable) -> str:
 
 def load_config(path: str, seed_override: int | None = None) -> SourceConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    except UnicodeDecodeError:
-        raise ConfigParseError(f"config {path}: not valid UTF-8")
-    except ValueError as exc:  # e.g. an integer too long for the parser to convert
-        raise ConfigParseError(f"config {path}: invalid JSON: {exc}")
-    except RecursionError:
-        raise ConfigParseError(f"config {path}: {JSON_TOO_DEEP}") from None
+        doc = _json_document(Path(path).read_bytes())
+    except ValueError as exc:
+        where = path if exc.line is None else f"{path}:{exc.line}"
+        raise ConfigParseError(f"config {where}: {exc}") from None
     from .sources import config_from_dict
 
     return config_from_dict(doc, seed_override)

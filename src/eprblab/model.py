@@ -1,5 +1,5 @@
 """Shared data vocabulary: settings, detection events, pairs, triples,
-domain distributions, and tally tables.
+domain distributions and tally tables; and the one JSON reader.
 
 All types validate their invariants at construction time and are immutable
 afterwards, so any instance reachable from user code is internally
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import numbers
 import re
@@ -198,6 +199,44 @@ def _exact_text(value: Fraction) -> str:
     """str(value) ("p/q", or "p" for an integer), however long p and q are."""
     text = _decimal(value.numerator)
     return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+class _JSONError(ValueError):
+    """A fault of a JSON document, at ``line`` where the parser gives one."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+
+
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key may not repeat."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _json_document(data: bytes):
+    """The JSON document in data, which must be UTF-8, repeat no key in an
+    object, hold no integer of over 4300 digits (the interpreter's limit on
+    reading one from text) and nest within the recursion limit."""
+    try:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError:
+        raise _JSONError("not valid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise _JSONError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except ValueError as exc:  # a repeated key, or an integer too long to convert
+        raise _JSONError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise _JSONError("invalid JSON: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
