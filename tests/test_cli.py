@@ -174,6 +174,41 @@ def test_inequalities_reads_an_exact_tie_as_no_violation(tmp_path, capsys, kind,
     assert {key: payload[key] for key in printed} == printed
 
 
+@pytest.mark.parametrize(
+    "kind, ordering, tables",
+    [
+        ("chsh", "a,b,c,d",
+         {"a;b": {**ZERO, "pp": 10**309, "pm": 2}, "a;d": {**ZERO, "pm": 7}, "c;b": {**ZERO, "pp": 7},
+          "c;d": {**ZERO, "pp": 2, "pm": 5}}),
+        ("bell-wigner", "a,b,c",
+         {"a;b": {**ZERO, "pp": 10**4298, "pm": 3 * 10**4298}, "a;c": {**ZERO, "pp": 1, "pm": 2},
+          "c;b": {**ZERO, "pp": 1, "pm": 14}}),
+        ("chsh", "a,b,c,d",
+         {"a;b": {**ZERO, "pp": 2**63, "pm": 2}, "a;d": {**ZERO, "pm": 7}, "c;b": {**ZERO, "pp": 7},
+          "c;d": {**ZERO, "pp": 2, "pm": 5}}),
+    ],
+    ids=["chsh-10^309", "bell-wigner-4299-digits", "chsh-2^63"],
+)
+def test_inequalities_refuses_a_count_of_2_to_the_63_naming_it(tmp_path, capsys, kind, ordering, tables):
+    """A count is a number of pairs, and no pairs file holds 2^63 rows.  A
+    count past the float range would end in an OverflowError in stats."""
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps(tables))
+    err = _assert_clean_exit(capsys, ["inequalities", "--tally", str(path), "--kind", kind, "--ordering", ordering,
+                                      "--convention", "anti"], 3)
+    assert f"{path}: table 'a;b' cell 'pp': must be a nonnegative integer below 2^63, got " in err
+
+
+def test_inequalities_reads_a_count_of_2_to_the_63_minus_1(tmp_path, capsys):
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps({"a;b": {**ZERO, "pp": 2**63 - 1, "pm": 2}, "a;d": {**ZERO, "pm": 7},
+                                "c;b": {**ZERO, "pp": 7}, "c;d": {**ZERO, "pp": 2, "pm": 5}}))
+    code, payload = run(capsys, "inequalities", "--tally", str(path), "--kind", "chsh", "--ordering", "a,b,c,d",
+                        "--convention", "anti")
+    assert code == 0
+    assert payload["pair_counts"]["a;b"] == 2**63 + 1
+
+
 def test_feasibility_counts_file(tmp_path, capsys):
     path = tmp_path / "tables.json"
     flat = {"pp": 5, "pm": 5, "mp": 5, "mm": 5}
@@ -1010,7 +1045,8 @@ def test_fuzz_enumerate(M, model):
 @given(
     tables=st.dictionaries(
         st.sampled_from(["a;b", "a;c", "c;b", "b;c", "b;a", "d;a", "c;d", "b;b", "x;y", "a;b;c", "ab", ""]),
-        st.fixed_dictionaries({c: _maybe(st.integers(0, 20)) for c in ("pp", "pm", "mp", "mm")}),
+        st.fixed_dictionaries({c: _maybe(st.one_of(st.integers(0, 20), st.sampled_from([2**63 - 1, 2**63, 10**309])))
+                               for c in ("pp", "pm", "mp", "mm")}),
         max_size=5,
     ),
     wrap=st.sampled_from([None, "equal", "anti"]),
@@ -1123,6 +1159,35 @@ def test_json_nested_past_the_recursion_limit_exits_cleanly(tmp_path, capsys, co
     path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
     err = _assert_clean_exit(capsys, FILE_COMMANDS[command](str(path), tmp_path), code)
     assert "invalid JSON: nested too deeply" in err
+
+
+# a tally whose a;b table holds 12 pairs, or 7 if read with pp's last value
+DUPLICATE_PP_TALLY = ('{"a;b": {"pp": 5, "pm": 2, "mp": 1, "mm": 4, "pp": 0}, "a;d": {"pp": 1, "pm": 7, "mp": 2, "mm": 1}, '
+                      '"c;b": {"pp": 7, "pm": 1, "mp": 2, "mm": 3}, "c;d": {"pp": 2, "pm": 5, "mp": 3, "mm": 2}}')
+DUPLICATE_SETTING_EVENT = '{"island":"T","t_ns":5,"setting":"a","setting":"a","outcome":1}\n'
+# per JSON-reading command, a document whose one fault is a repeated key, and the key
+REPEATED_KEY = {
+    "simulate": ((ROOT / "configs/singlet_bell.json").read_text().replace("{", '{"seed": 1,', 1), "seed"),
+    "pair": (DUPLICATE_SETTING_EVENT, "setting"),
+    "sweep": (DUPLICATE_SETTING_EVENT, "setting"),
+    "tally": ('{"t_left_ns":5,"t_right_ns":6,"setting_left":"a","setting_right":"b",'
+              '"outcome_left":1,"outcome_right":1,"window_ns":3,"window_ns":3}\n', "window_ns"),
+    "inequalities": (DUPLICATE_PP_TALLY, "pp"),
+    "feasibility": (DUPLICATE_PP_TALLY, "pp"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPEATED_KEY))
+def test_a_repeated_json_key_exits_cleanly_naming_it(tmp_path, capsys, command):
+    """RFC 8259 leaves the meaning of a repeated key open, so every JSON
+    document is refused for one, naming its file, rather than read with the
+    key's last value."""
+    text, key = REPEATED_KEY[command]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    err = _assert_clean_exit(capsys, FILE_COMMANDS[command](str(path), tmp_path), 2 if command == "simulate" else 3)
+    assert str(path) in err
+    assert f"invalid JSON: duplicate key '{key}'" in err
 
 
 @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))

@@ -800,6 +800,18 @@ def test_read_tally_rejects_bad_cells(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="tally file must be a JSON object keyed by 'x;y'$"):
             read_tally(str(path))
+    path.write_text('{"a;b": {"pp": 1, "pm": 0, "mp": 0, "mm": 0, "pp": 2}}')
+    with pytest.raises(FormatError, match="t.json: invalid JSON: duplicate key 'pp'$"):
+        read_tally(str(path))
+    path.write_text(json.dumps({"a;b": {"pp": 2**63, "pm": 0, "mp": 0, "mm": 0}}))
+    with pytest.raises(FormatError, match=r"cell 'pp': must be a nonnegative integer below 2\^63, got 9223372036854775808$"):
+        read_tally(str(path))
+    path.write_bytes(b'{"a;b": {"pp": 1, "pm": 0, "mp": 0, "mm": 0}, "\xff": 1}')
+    with pytest.raises(FormatError, match="t.json: not valid UTF-8$"):
+        read_tally(str(path))
+    path.write_text('{"a;b": {"pp": 1,\n"pm": 0,,')
+    with pytest.raises(FormatError, match="t.json:2: invalid JSON: Expecting property name enclosed in double quotes$"):
+        read_tally(str(path))
 
 
 def test_sweep_csv_round_trip(tmp_path):
@@ -846,7 +858,16 @@ def test_config_seed_override():
     assert config_from_dict(BASE, seed_override=99).seed == 99
 
 
-def test_config_rejections():
+def test_config_rejections(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"seed": 5, ' + json.dumps(BASE)[1:])
+    with pytest.raises(ConfigParseError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"config {path}: invalid JSON: duplicate key 'seed'"
+    path.write_text('{"seed": 5,\n"kind": "singlet",,\n}')
+    with pytest.raises(ConfigParseError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"config {path}:2: invalid JSON: Expecting property name enclosed in double quotes"
     with pytest.raises(ConfigParseError, match="unknown"):
         config_from_dict({**BASE, "speed": 3})
     with pytest.raises(ConfigParseError, match="missing"):
