@@ -32,7 +32,7 @@ _EXPORTS = {
     "model": (
         "BellTriple", "CorrelationClass", "DetectionEvent", "EventStream", "PairRecord", "Setting",
         "StreamViolation", "TallyTable", "ViolationKind", "WignerDomainDistribution", "all_domain_keys",
-        "domain_key_from_string", "domain_key_to_string", "l_sign", "require_valid_stream", "validate_stream",
+        "domain_key_from_string", "domain_key_to_string", "l_sign", "require_valid_stream",
     ),
     "pairing": ("PairingConfig", "match_pairs_indexed"),
     "sources": ("SourceConfig", "generate"),

@@ -23,9 +23,9 @@ class ConfigParseError(EprbLabError):
 
 
 class InvalidStreamError(EprbLabError):
-    """An event stream failed validation.
+    """An EventStream's columns failed validation when it was built.
 
-    Carries the full violation list produced by ``validate_stream``.
+    Carries the full violation list, ordered by (index, kind).
     """
 
     def __init__(self, violations):

@@ -22,8 +22,8 @@ are built only for the answer: weights x_j / (det D) and certificate
 entries y_i / det.  No tolerance ever decides an answer, and no array
 library is loaded.
 
-Tally files and feasibility table files (counts below 2^63, or exact
-probabilities) are read here with ``model._json_document``, so the exact
+Tally files and feasibility table files (counts, which ``model.TallyTable``
+holds below 2^63, or exact probabilities) are read here with ``model._json_document``, so the exact
 commands load no line format; ``ioformats.write_tally`` writes tally files.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
@@ -427,17 +427,11 @@ def _read_json(path: str):
         raise FormatError(str(exc), line=exc.line, path=path) from None
 
 
-def _count(value) -> int:
-    """A count of pairs, so below 2^63: no pairs file holds more rows."""
-    if type(value) is not int or not 0 <= value < 1 << 63:
-        raise ValueError(f"must be a nonnegative integer below 2^63, got {value!r}")
-    return value
-
-
-def _parse_tables(doc, path: str, cell) -> dict[tuple[str, str], dict[tuple[int, int], object]]:
+def _parse_tables(doc, path: str, cell=lambda value: value) -> dict[tuple[str, str], dict[tuple[int, int], object]]:
     """The tables of a JSON object keyed by 'x;y', each holding exactly the
-    four named cells, every value converted by ``cell``; a ValueError from
-    it becomes a FormatError naming the table and cell."""
+    four named cells, every value converted by ``cell`` (kept as it is by
+    default); a ValueError from it becomes a FormatError naming the table
+    and cell."""
     if not isinstance(doc, dict):
         raise FormatError("tally file must be a JSON object keyed by 'x;y'", path=path)
     tables = {}
@@ -457,8 +451,13 @@ def _parse_tables(doc, path: str, cell) -> dict[tuple[str, str], dict[tuple[int,
 
 
 def read_tally(path: str) -> TallyTable:
-    """Read a tally file, as ``ioformats.write_tally`` writes it."""
-    return TallyTable(_parse_tables(_read_json(path), path, _count))
+    """Read a tally file, as ``ioformats.write_tally`` writes it; a count
+    that ``TallyTable`` refuses is a FormatError naming the file."""
+    tables = _parse_tables(_read_json(path), path)
+    try:
+        return TallyTable(tables)
+    except ValueError as exc:
+        raise FormatError(str(exc), path=path) from None
 
 
 def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
@@ -489,7 +488,7 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
     counts = all(type(v) is int for cells in doc.values() if isinstance(cells, dict) for v in cells.values())
     try:
         if counts:
-            tally = TallyTable(_parse_tables(doc, path, _count))
+            tally = TallyTable(_parse_tables(doc, path))
             tables = PairwiseTables.from_tally(tally, pairs=sorted(tally.counts))
         else:
             tables = PairwiseTables(_parse_tables(doc, path, _as_fraction))

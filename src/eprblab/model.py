@@ -16,8 +16,9 @@ Conventions fixed here and relied on everywhere else:
   matching exactly deterministic.
 * Outcomes are the integers +1 and -1 so that products and correlations
   are plain arithmetic.
-* The two stations are named by their islands, "T" and "L".  Within a
-  stream all events share one island and times are strictly increasing.
+* The two stations are named by their islands, "T" and "L".  A stream
+  (``EventStream``) is built from columns: its island is one field, and
+  its times are strictly increasing.
 * A hidden domain gives T a sigma and L a tau per setting; T reports
   sigma, L reports l_sign(convention) * tau.
 * Domain weights are exact rationals (``fractions.Fraction``); samplers
@@ -34,7 +35,7 @@ import numbers
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from ._lazy import np
 from .errors import EmptyCellError, InvalidStreamError
@@ -493,7 +494,11 @@ CELL_FROM_NAME: dict[str, Cell] = {v: k for k, v in CELL_NAMES.items()}
 
 class TallyTable(Record):
     """Outcome counts N(s, s') per measured setting pair, with the counts of
-    events that the matcher left unpaired."""
+    events that the matcher left unpaired.
+
+    A cell count is a number of pairs, so a nonnegative integer (not a
+    bool) below 2^63: no pairs file holds more rows, and every statistic
+    of such counts is a finite float."""
 
     counts: Mapping[tuple[str, str], Mapping[Cell, int]]
     unmatched_left: int = 0
@@ -511,8 +516,10 @@ class TallyTable(Record):
             for cell, count in cells.items():
                 if cell not in full:
                     raise ValueError(f"bad outcome cell {cell!r} for pair {pair!r}")
-                if not isinstance(count, numbers.Integral) or count < 0:
-                    raise ValueError(f"cell counts must be nonnegative integers, got {count!r}")
+                if isinstance(count, bool) or not isinstance(count, numbers.Integral) or not 0 <= count < 1 << 63:
+                    raise ValueError(
+                        f"table '{x};{y}' cell {CELL_NAMES[cell]!r}: must be a nonnegative integer below 2^63, got {count!r}"
+                    )
                 full[cell] = int(count)
             norm[(x, y)] = full
         object.__setattr__(self, "counts", norm)
@@ -537,10 +544,9 @@ class EventStream(Record):
     EventStream in hand is always valid.  Each column is checked as given
     and only then stored narrowed (int64, int16, int8): a value that is not
     an integer raises ValueError naming its column, and an integer outside
-    its range is a violation, never wrapped.  Iteration yields
-    DetectionEvent records.  ``from_events`` builds the same columns from
-    records, with one island per event, and ``validate_stream`` reports
-    what it raises.
+    its range is a violation, never wrapped.  Columns are the one way to
+    build a stream; ``event`` and iteration give the DetectionEvent record
+    view of it.
     """
 
     island: str
@@ -559,7 +565,7 @@ class EventStream(Record):
         columns = [_integer_column(getattr(self, name), name) for name in _COLUMNS]
         if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
             raise ValueError("t_ns, setting_idx and outcome must be 1-d arrays of equal length")
-        violations = _validate_columns(self.island, *columns, len(self.labels))
+        violations = _validate_columns(*columns, len(self.labels))
         if violations:
             raise InvalidStreamError(violations)
         for (name, dtype), column in zip(_COLUMNS.items(), columns):
@@ -567,35 +573,6 @@ class EventStream(Record):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "labels", tuple(self.labels))
-
-    @classmethod
-    def from_events(
-        cls,
-        events: Sequence[DetectionEvent],
-        labels: tuple[str, ...] | None = None,
-        island: str | None = None,
-    ) -> "EventStream":
-        """Build a stream from records.  ``island`` names the station; it
-        defaults to the first event's island, or "T" when there is none."""
-        if labels is None:
-            labels = tuple(l for l in SETTING_LABELS if any(e.setting_label == l for e in events))
-            if not labels:
-                labels = ("a",)
-        index = {l: i for i, l in enumerate(labels)}
-        if island is None:
-            island = events[0].island if events else "T"
-        elif events and events[0].island != island:
-            raise ValueError(f"events are from island {events[0].island!r}, not {island!r}")
-        missing = [e.setting_label for e in events if e.setting_label not in index]
-        if missing:
-            raise ValueError(f"event setting {missing[0]!r} is not in the label menu {labels}")
-        t = _integer_column([e.time_ns for e in events], "t_ns")
-        si = np.array([index[e.setting_label] for e in events], dtype=np.int16)
-        oc = np.array([e.outcome for e in events], dtype=np.int8)
-        violations = _validate_columns([e.island for e in events], t, si, oc, len(labels))
-        if violations:
-            raise InvalidStreamError(violations)
-        return cls(island, labels, t, si, oc)
 
     def __len__(self) -> int:
         return int(self.t_ns.shape[0])
@@ -616,7 +593,6 @@ class EventStream(Record):
 class ViolationKind(Enum):
     NON_MONOTONIC_TIME = "NonMonotonicTime"
     TIME_OUT_OF_RANGE = "TimeOutOfRange"
-    MIXED_ISLAND = "MixedIsland"
     BAD_OUTCOME = "BadOutcome"
     BAD_SETTING = "BadSetting"
 
@@ -650,16 +626,9 @@ def _integer_column(values, name: str) -> np.ndarray:
     return column
 
 
-def _validate_columns(islands, t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_labels: int) -> list[StreamViolation]:
-    """Every violation in a stream's columns, ordered by (index, kind).
-    ``islands`` is the island of each event, or one island for all of them."""
-    if len(t) == 0:
-        return []
-    islands = np.asarray(islands)
-    ref = str(islands.flat[0])
+def _validate_columns(t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_labels: int) -> list[StreamViolation]:
+    """Every violation in a stream's columns, ordered by (index, kind)."""
     checks = (  # kind, the rows that break the rule, the message for row i
-        (ViolationKind.MIXED_ISLAND, np.flatnonzero(islands != ref),
-         lambda i: f"island {str(islands[i])!r} differs from {ref!r}"),
         (ViolationKind.BAD_OUTCOME, np.flatnonzero(np.abs(oc) != 1), lambda i: f"outcome {int(oc[i])} is not +1/-1"),
         (ViolationKind.BAD_SETTING, np.flatnonzero((si < 0) | (si >= n_labels)),
          lambda i: f"setting index {int(si[i])} is outside the {n_labels}-label menu"),
@@ -672,25 +641,10 @@ def _validate_columns(islands, t: np.ndarray, si: np.ndarray, oc: np.ndarray, n_
     return sorted(out, key=lambda v: (v.index, v.kind.value))
 
 
-def validate_stream(events: EventStream | Sequence[DetectionEvent]) -> list[StreamViolation]:
-    """Check one station's stream and return the complete violation list.
-
-    An empty list means the stream is valid.  Accepts an EventStream
-    (always valid by construction) or a DetectionEvent sequence, whose
-    violations are the ones ``EventStream.from_events`` raises.
-    """
-    if isinstance(events, EventStream):
-        return []
-    try:
-        EventStream.from_events(list(events))
-    except InvalidStreamError as exc:
-        return exc.violations
-    return []
-
-
-def require_valid_stream(events) -> EventStream:
-    """Return the stream as an EventStream, raising InvalidStreamError with the
-    full violation list if any invariant fails."""
-    if isinstance(events, EventStream):
-        return events
-    return EventStream.from_events(list(events))
+def require_valid_stream(stream) -> EventStream:
+    """The input check of the functions that take streams: an EventStream,
+    valid by construction, is returned unchanged; anything else raises
+    TypeError naming its type."""
+    if not isinstance(stream, EventStream):
+        raise TypeError(f"expected an EventStream, got {type(stream).__name__}")
+    return stream

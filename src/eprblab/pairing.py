@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 
 from ._lazy import np
-from .model import Record, check_window, require_valid_stream
+from .model import EventStream, Record, check_window, require_valid_stream
 
 # A round that accepts fewer than this share of the live events that still
 # have a candidate hands the rest to the merged-order walk.  Every other
@@ -146,13 +146,13 @@ def _match_arrays(tl: np.ndarray, tr: np.ndarray, window: int) -> tuple[np.ndarr
 
 
 def match_pairs_indexed(
-    left, right, config: PairingConfig
+    left: EventStream, right: EventStream, config: PairingConfig
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Match the two streams under ``config.window_ns``.
 
     Returns (left_indices, right_indices, unmatched_left, unmatched_right):
     index arrays into the two streams, with the matches sorted by T event
-    time.  Raises InvalidStreamError when either stream fails validation.
+    time.  Both sides must be EventStreams (TypeError otherwise).
     """
     left = require_valid_stream(left)
     right = require_valid_stream(right)

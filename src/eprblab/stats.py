@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from ._lazy import np
 from .errors import EmptyCellError
-from .model import CELLS, EventStream, Record, TallyTable, _cells_for, _q, check_window, require_valid_stream
+from .model import CELLS, EventStream, Record, TallyTable, _cells_for, _q, check_window
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -178,8 +178,8 @@ class SweepRow(Record):
 
 
 def sweep_window(
-    left,
-    right,
+    left: EventStream,
+    right: EventStream,
     windows: Sequence[int],
     kind: str,
     ordering: tuple[str, ...] | None = None,
@@ -189,8 +189,8 @@ def sweep_window(
 
     The streams are matched once, at the largest window; each row keeps the
     pairs with |dt| <= W, which is exactly the matching at W (see the prefix
-    property in ``pairing``).  Either side may be an EventStream or a
-    DetectionEvent sequence, as for the matcher.
+    property in ``pairing``).  Both sides must be EventStreams, as for the
+    matcher.
     """
     windows = list(windows)
     if not windows:
@@ -205,7 +205,6 @@ def sweep_window(
     if ordering is None:
         ordering = ("a", "b", "c") if kind == "bell-wigner" else ("a", "b", "c", "d")
 
-    left, right = require_valid_stream(left), require_valid_stream(right)
     all_i, all_j, _, _ = match_pairs_indexed(left, right, PairingConfig(windows[-1]))
     dt = np.abs(left.t_ns[all_i] - right.t_ns[all_j])
     rows: list[SweepRow] = []

@@ -9,6 +9,7 @@ import pytest
 
 from eprblab.ioformats import EMPTY_CELL_MARKER, SWEEP_HEADER
 from eprblab.model import (
+    SETTING_LABELS,
     CorrelationClass,
     DetectionEvent,
     EventStream,
@@ -36,15 +37,27 @@ def ev(island: str, t: int, setting: str, outcome: int) -> DetectionEvent:
 
 
 def stream(island: str, rows) -> EventStream:
-    """Build an EventStream from (t, setting, outcome) rows."""
-    return EventStream.from_events([DetectionEvent(island, t, s, o) for t, s, o in rows], island=island)
+    """Build an EventStream from (t, setting, outcome) rows.  Its menu is
+    the labels present, in menu order, or ("a",) when there are none."""
+    labels = tuple(label for label in SETTING_LABELS if any(s == label for _, s, _ in rows)) or ("a",)
+    return EventStream(
+        island,
+        labels,
+        [t for t, _, _ in rows],
+        [labels.index(s) for _, s, _ in rows],
+        [o for _, _, o in rows],
+    )
+
+
+def _rows(events) -> list[tuple]:
+    return [(e.time_ns, e.setting_label, e.outcome) for e in events]
 
 
 def pair_columns(records):
     """The matcher's pair form (left, right, left_idx, right_idx) of
     PairRecords listed in increasing T and L time."""
-    left = EventStream.from_events([p.left for p in records], island="T")
-    right = EventStream.from_events([p.right for p in records], island="L")
+    left = stream("T", _rows(p.left for p in records))
+    right = stream("L", _rows(p.right for p in records))
     idx = np.arange(len(records))
     return left, right, idx, idx
 

@@ -559,7 +559,7 @@ def test_package_exports_resolve_to_their_defining_modules():
     import eprblab
 
     names = [name for name in eprblab.__all__ if name != "__version__"]
-    assert len(set(names)) == len(names) == 60
+    assert len(set(names)) == len(names) == 59
     for name in names:
         obj = getattr(eprblab, name)
         assert obj is getattr(sys.modules[obj.__module__], name)

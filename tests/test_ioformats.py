@@ -279,7 +279,8 @@ def test_writers_match_the_per_line_writers(tmp_path_factory, left, right, windo
 
 def test_write_events_holds_one_chunk_at_a_time(tmp_path):
     """300k events of a 100 us emission period: the whole file's lines would
-    take about 70 MB."""
+    take about 70 MB.  The times run from 1 to 11 digits across the chunk
+    edges, and the file is the per-line writer's bytes."""
     n = 300_000
     s = EventStream(
         "T",
@@ -288,13 +289,15 @@ def test_write_events_holds_one_chunk_at_a_time(tmp_path):
         np.arange(n) % 2,
         np.where(np.arange(n) % 3, 1, -1).astype(np.int8),
     )
+    path = tmp_path / "ev.jsonl"
     tracemalloc.start()
     try:
-        write_events(str(tmp_path / "ev.jsonl"), s)
+        write_events(str(path), s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20, peak
+    assert peak < 8 * 2**20, peak
+    assert path.read_bytes() == per_line_writer.event_bytes(s)
 
 
 def _event_variants(objects: list[dict], order: list[str], blank_at: int) -> dict[str, str]:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -31,11 +32,9 @@ from eprblab.model import (
     domain_key_from_string,
     domain_key_to_string,
     l_sign,
-    require_valid_stream,
-    validate_stream,
 )
 from eprblab.sources import SourceConfig
-from eprblab.stats import bell_wigner
+from eprblab.stats import bell_wigner, chsh
 
 
 def test_setting_validation():
@@ -237,64 +236,63 @@ def test_tally_table():
         TallyTable({}, unmatched_left=-1)
 
 
-def test_validate_stream_catches_each_violation():
-    assert validate_stream([]) == []
-    good = [ev("T", 1, "a", 1), ev("T", 5, "b", -1)]
-    assert validate_stream(good) == []
+INT64_MAX = 2**63 - 1
+CHSH_PAIRS = [("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")]
 
-    v = validate_stream([ev("T", 5, "a", 1), ev("T", 5, "a", 1)])
+
+@pytest.mark.parametrize(
+    "count", [10**309, 2**63, -1, True, False, 3.0, "3", None], ids=["1e309", "2^63", "-1", "true", "false", "3.0", "str", "none"]
+)
+def test_tally_table_refuses_a_count_outside_the_count_rule(count):
+    """A count is a nonnegative integer below 2^63, never a bool, so every
+    statistic of a table is a finite float: a CHSH tally whose a;b pp is
+    10^309 is refused when it is built, not by an OverflowError in chsh."""
+    tables = {pair: {(1, 1): 5, (1, -1): 2, (-1, 1): 1, (-1, -1): 4} for pair in CHSH_PAIRS}
+    tables[("a", "b")] = {(1, 1): count, (1, -1): 2, (-1, 1): 1, (-1, -1): 4}
+    with pytest.raises(ValueError) as err:
+        TallyTable(tables)
+    assert str(err.value) == f"table 'a;b' cell 'pp': must be a nonnegative integer below 2^63, got {count!r}"
+    with pytest.raises(ValueError, match="table 'a;b' cell 'pp'"):
+        TallyTable({("a", "b"): {(1, 1): count}})
+
+
+def test_tally_table_holds_a_count_of_2_to_the_63_minus_1():
+    tables = {pair: {(1, 1): INT64_MAX, (1, -1): 1} for pair in CHSH_PAIRS}
+    tables[("a", "b")][(-1, -1)] = np.int64(2)
+    t = TallyTable(tables)
+    assert t.count("a", "b", 1, 1) == INT64_MAX and type(t.count("a", "b", -1, -1)) is int
+    report = chsh(t)
+    assert report.s_value == pytest.approx(2.0) and math.isfinite(report.standard_error)
+
+
+def test_event_stream_reports_each_violation():
+    with pytest.raises(InvalidStreamError) as err:
+        stream("T", [(5, "a", 1), (5, "a", 1)])
+    v = err.value.violations
     assert [x.kind for x in v] == [ViolationKind.NON_MONOTONIC_TIME]
     assert v[0].index == 1
     assert v[0].message == "time 5 does not increase past 5"
 
-    v = validate_stream([ev("T", 1, "a", 1), ev("L", 2, "a", 1), ev("T", 3, "a", 1)])
-    assert [x.kind for x in v] == [ViolationKind.MIXED_ISLAND]
-    assert v[0].index == 1
-    assert v[0].message == "island 'L' differs from 'T'"
-
-    v = validate_stream([ev("L", 1, "a", 1), ev("T", 2, "a", 1), ev("T", 3, "a", 1)])
-    assert [x.kind for x in v] == [ViolationKind.MIXED_ISLAND, ViolationKind.MIXED_ISLAND]
-
-    # an outcome other than +1/-1 cannot be a DetectionEvent; the stream
-    # constructor reports it
     with pytest.raises(InvalidStreamError) as err:
         EventStream("T", ("a",), np.array([1, 2]), np.array([0, 0]), np.array([0, 2]))
     v = err.value.violations
     assert [x.kind for x in v] == [ViolationKind.BAD_OUTCOME, ViolationKind.BAD_OUTCOME]
 
     # one pass reports everything at once
-    v = validate_stream([ev("T", 3, "a", 1), ev("L", 2, "a", 1)])
-    assert [(x.kind, x.index) for x in v] == [(ViolationKind.MIXED_ISLAND, 1), (ViolationKind.NON_MONOTONIC_TIME, 1)]
     with pytest.raises(InvalidStreamError) as err:
         EventStream("T", ("a",), np.array([3, 2]), np.array([0, 0]), np.array([0, 1]))
     kinds = {x.kind for x in err.value.violations}
     assert kinds == {ViolationKind.BAD_OUTCOME, ViolationKind.NON_MONOTONIC_TIME}
 
 
-def test_require_valid_stream():
-    s = require_valid_stream([ev("L", 3, "c", -1), ev("L", 9, "a", 1)])
-    assert isinstance(s, EventStream)
-    assert s.island == "L"
-    with pytest.raises(InvalidStreamError) as err:
-        require_valid_stream([ev("T", 5, "a", 1), ev("T", 4, "a", 1)])
-    assert "NonMonotonicTime" in str(err.value)
-
-
-INT64_MAX = 2**63 - 1
-
-
 @pytest.mark.parametrize("bad", [-1, -(2**63), 2**63, 2**64, -(2**64), 10**30])
 def test_time_outside_int64_range_is_a_violation(bad):
-    events = [ev("T", 1, "a", 1), ev("T", bad, "a", 1)]
-    v = validate_stream(events)
+    with pytest.raises(InvalidStreamError) as err:
+        EventStream("T", ("a",), [1, bad], [0, 0], [1, 1])
     # a negative time also fails to increase past 1
-    assert [x for x in v if x.kind is ViolationKind.TIME_OUT_OF_RANGE] == [
+    assert [x for x in err.value.violations if x.kind is ViolationKind.TIME_OUT_OF_RANGE] == [
         StreamViolation(ViolationKind.TIME_OUT_OF_RANGE, 1, f"time {bad} lies outside [0, 2^63 - 1]")
     ]
-    for build in (require_valid_stream, EventStream.from_events):
-        with pytest.raises(InvalidStreamError) as err:
-            build(events)
-        assert err.value.violations == v
 
 
 def test_event_stream_rejects_times_outside_int64_range():
@@ -305,7 +303,7 @@ def test_event_stream_rejects_times_outside_int64_range():
         assert ViolationKind.TIME_OUT_OF_RANGE in {v.kind for v in err.value.violations}
     s = EventStream("T", ("a",), np.array([0, INT64_MAX], dtype=np.uint64), np.zeros(2), np.ones(2))
     assert s.t_ns.dtype == np.int64 and s.t_ns.tolist() == [0, INT64_MAX]
-    assert validate_stream([ev("T", 0, "a", 1), ev("T", INT64_MAX, "a", 1)]) == []
+    assert EventStream("T", ("a",), [0, INT64_MAX], [0, 0], [1, 1]).t_ns.tolist() == [0, INT64_MAX]
 
 
 @pytest.mark.parametrize(
@@ -352,16 +350,6 @@ def test_event_stream_arrays_are_frozen():
         s.t_ns[0] = 5
 
 
-def test_event_stream_rejects_mixed_islands():
-    with pytest.raises(InvalidStreamError):
-        EventStream.from_events([ev("T", 1, "a", 1), ev("L", 2, "a", 1)])
-
-
-def test_event_stream_rejects_label_outside_menu():
-    with pytest.raises(ValueError):
-        EventStream.from_events([ev("T", 1, "c", 1)], labels=("a", "b"))
-
-
 def test_event_stream_reports_setting_index_outside_menu():
     with pytest.raises(InvalidStreamError) as err:
         EventStream("T", ("a", "b"), np.array([1, 2, 3]), np.array([0, 2, -1]), np.array([1, 1, -1]))
@@ -391,9 +379,6 @@ def test_event_stream_refuses_a_bad_island_menu_or_shape(island, labels, columns
 def test_empty_stream_keeps_its_island():
     assert stream("L", []).island == "L"
     assert stream("T", []).island == "T"
-    assert EventStream.from_events([]).island == "T"
-    with pytest.raises(ValueError, match="island"):
-        EventStream.from_events([ev("T", 1, "a", 1)], island="L")
 
 
 @given(
@@ -409,8 +394,7 @@ def test_streams_round_trip_any_valid_run(rows):
     for dt, setting, outcome in rows:
         t += dt
         events.append(ev("T", t, setting, outcome))
-    s = require_valid_stream(events)
-    assert validate_stream(s) == []
+    s = stream("T", [(e.time_ns, e.setting_label, e.outcome) for e in events])
     assert list(s) == events
 
 

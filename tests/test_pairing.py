@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ev, stream
 from eprblab import pairing
-from eprblab.errors import InvalidStreamError
-from eprblab.model import EventStream
+from eprblab.model import EventStream, require_valid_stream
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.stats import sweep_window
 
@@ -98,14 +97,20 @@ def test_empty_streams():
         assert ul == len(a) and ur == len(b)
 
 
-def test_invalid_stream_rejected():
-    with pytest.raises(InvalidStreamError):
-        match_pairs_indexed([ev("T", 5, "a", 1), ev("T", 4, "a", 1)], l_stream([5]), PairingConfig(1))
-    # the int64 difference of these two times would wrap to within the window
-    with pytest.raises(InvalidStreamError, match="TimeOutOfRange"):
-        match_pairs_indexed([ev("T", -(2**63) + 1, "a", 1)], [ev("L", 2**63 - 1, "a", 1)], PairingConfig(10))
-    with pytest.raises(InvalidStreamError, match="TimeOutOfRange"):
-        match_pairs_indexed([ev("T", 5, "a", 1)], [ev("L", 2**64, "a", 1)], PairingConfig(10))
+def test_a_detection_event_list_is_not_a_stream():
+    """Columns are the one way to build a stream: the matcher, the sweep
+    and their input check refuse a DetectionEvent list, naming its type."""
+    events = [ev("T", 4, "a", 1), ev("T", 5, "a", 1)]
+    calls = [
+        lambda: require_valid_stream(events),
+        lambda: match_pairs_indexed(events, l_stream([5]), PairingConfig(1)),
+        lambda: match_pairs_indexed(t_stream([5]), [ev("L", 5, "a", 1)], PairingConfig(1)),
+        lambda: sweep_window(events, l_stream([5]), [1], kind="chsh"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected an EventStream, got list"):
+            call()
+    assert require_valid_stream(t_stream([4, 5])).t_ns.tolist() == [4, 5]
 
 
 def test_negative_window_rejected():

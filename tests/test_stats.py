@@ -356,15 +356,6 @@ def test_sweep_validates_inputs():
             sweep_window(left, right, windows, kind="chsh")
 
 
-def test_sweep_accepts_detection_event_sequences():
-    """Like the matcher, a sweep takes DetectionEvent sequences as well as
-    EventStreams, with the same rows."""
-    left, right = _singlet_streams(n=200)
-    want = sweep_window(left, right, [0, 20, 400], kind="bell-wigner")
-    assert want[-1].pairs == 200
-    assert sweep_window(list(left), list(right), [0, 20, 400], kind="bell-wigner") == want
-
-
 def per_window_sweep(left, right, windows, kind, ordering, convention):
     """Reference sweep: a fresh matching and tally at every window."""
     rows = []
