@@ -23,8 +23,9 @@ entries y_i / det.  No tolerance ever decides an answer, and no array
 library is loaded.
 
 Tally files and feasibility table files (counts, which ``model.TallyTable``
-holds below 2^63, or exact probabilities) are read here with ``model._json_document``, so the exact
-commands load no line format; ``ioformats.write_tally`` writes tally files.
+holds below 2^63, or exact probabilities) are read here with
+``model._json_document``, so the exact commands load no line format;
+``ioformats.write_tally`` writes tally files.
 
 A domain assigns sigma outcomes to the T island and tau outcomes to the L
 island; T reports sigma and L reports ``model.l_sign(convention) * tau``.

@@ -26,8 +26,7 @@ prefix, a kind (decimal, island letter, setting letter, sign) and a
 literal suffix.  The spec gives the writers' ``%`` template and the
 readers' compiled pattern.  A writer formats 16k rows at a time with one
 ``%`` of the repeated template and streams each chunk into the temp file
-and the digest, so its tracemalloc peak is about 4.5 MB however long the
-file.  Each format
+and the digest, so it holds about 4.5 MB however long the file.  Each format
 has one reader: ``_rows`` takes the bytes in runs of whole lines (about
 1 MB), and numpy builds the columns of a run the pattern takes, from each
 line's separators.  Any other run (other key order or whitespace, CRLF

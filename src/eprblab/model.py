@@ -518,7 +518,8 @@ class TallyTable(Record):
                     raise ValueError(f"bad outcome cell {cell!r} for pair {pair!r}")
                 if isinstance(count, bool) or not isinstance(count, numbers.Integral) or not 0 <= count < 1 << 63:
                     raise ValueError(
-                        f"table '{x};{y}' cell {CELL_NAMES[cell]!r}: must be a nonnegative integer below 2^63, got {count!r}"
+                        f"table '{x};{y}' cell {CELL_NAMES[cell]!r}: must be a nonnegative integer below 2^63, "
+                        f"got {_decimal(count) if type(count) is int else repr(count)}"
                     )
                 full[cell] = int(count)
             norm[(x, y)] = full
