@@ -152,7 +152,7 @@ def _cmd_inequalities(args) -> int:
     table = read_tally(args.tally)
     ordering = _parse_ordering(args.ordering, args.kind)
     if args.kind == "bell-wigner":
-        report = bell_wigner(table, ordering, args.convention)  # type: ignore[arg-type]
+        report = bell_wigner(table, ordering, convention=args.convention)  # type: ignore[arg-type]
     else:
         report = chsh(table, ordering)  # type: ignore[arg-type]
     payload = {

@@ -64,9 +64,9 @@ from .model import (
 class PairwiseTables(Record):
     """Exact 2x2 outcome tables keyed by ordered measured setting pair.
 
-    The key (x, y) means the T station measured x and the L station
-    measured y; the cell (s, s') holds the probability of T reporting s
-    and L reporting s'.  Every table must sum to exactly 1.
+    The key (x, y), named 'x;y' in messages, means the T station measured x
+    and the L station measured y; the cell (s, s') holds the probability of
+    T reporting s and L reporting s'.  Every table must sum to exactly 1.
     """
 
     tables: Mapping[tuple[str, str], Mapping[tuple[int, int], Fraction]]
@@ -83,28 +83,28 @@ class PairwiseTables(Record):
                 or key[1] not in SETTING_LABELS
             ):
                 raise ValueError(f"table key must be an ordered pair of setting labels, got {key!r}")
+            name = f"'{key[0]};{key[1]}'"
             if set(cells) != set(CELLS):
-                raise ValueError(f"table {key} must carry exactly the four cells {list(CELL_NAMES.values())}")
+                raise ValueError(f"table {name} must carry exactly the four cells {list(CELL_NAMES.values())}")
             exact = {c: _as_fraction(cells[c]) for c in CELLS}
             for c, p in exact.items():
                 if p < 0:
-                    raise ValueError(f"table {key} cell {CELL_NAMES[c]} is negative: {_exact_text(p)}")
+                    raise ValueError(f"table {name} cell {CELL_NAMES[c]} is negative: {_exact_text(p)}")
             total = sum(exact.values())
             if total != 1:
-                raise ValueError(f"table {key} sums to {_exact_text(total)}, expected exactly 1")
+                raise ValueError(f"table {name} sums to {_exact_text(total)}, expected exactly 1")
             norm[key] = exact
         object.__setattr__(self, "tables", norm)
 
     @classmethod
-    def from_tally(cls, tally: TallyTable, pairs: Sequence[tuple[str, str]] | None = None) -> "PairwiseTables":
+    def from_tally(cls, tally: TallyTable) -> "PairwiseTables":
         """Normalize tally counts into exact per-pair probability tables.
 
-        By default every nonempty pair in the tally is included; passing
-        ``pairs`` selects (and requires) specific ones.
+        Every table the tally lists is kept, so one with no counts raises
+        EmptyCellError naming it, as an all-zero probability table errs.
         """
-        wanted = list(pairs) if pairs is not None else sorted(k for k in tally.counts if tally.total(*k) > 0)
         out = {}
-        for key in wanted:
+        for key in sorted(tally.counts):
             n = tally.total(*key)
             if n == 0:
                 raise EmptyCellError(f"no counts for measured pair {key[0]};{key[1]}")
@@ -124,8 +124,8 @@ class PairwiseTables(Record):
 def marginalize(
     dist: WignerDomainDistribution,
     measured_pairs: Sequence[tuple[str, str]],
-    identify_equal_settings: bool = False,
-    convention: str = "equal",
+    identify_equal_settings: bool,
+    convention: str,
 ) -> PairwiseTables:
     """Exact per-pair outcome tables induced by a domain distribution.
 
@@ -350,9 +350,7 @@ def _domain_lp(
 
 
 def joint_feasibility(
-    tables: PairwiseTables | TallyTable,
-    identify_equal_settings: bool = False,
-    convention: str = "equal",
+    tables: PairwiseTables | TallyTable, identify_equal_settings: bool = False, *, convention: str
 ) -> FeasibilityResult:
     """Decide exactly whether a domain distribution reproduces the tables.
 
@@ -391,9 +389,7 @@ def joint_feasibility(
 
 
 def wigner_residual(
-    tables: PairwiseTables | TallyTable,
-    ordering: Sequence[str] = ("a", "b", "c"),
-    convention: str = "equal",
+    tables: PairwiseTables | TallyTable, ordering: Sequence[str] = ("a", "b", "c"), *, convention: str
 ) -> Fraction:
     """Exact q(x1,x2) - q(x1,x3) - q(x3,x2) for ordering (x1, x2, x3).
 
@@ -464,12 +460,14 @@ def read_tally(path: str) -> TallyTable:
 def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
     """Read pairwise tables for the feasibility decision.
 
-    Two layouts are accepted: a tally file (integer counts, normalized
-    here; a listed table with no count is an EmptyCellError, as an all-zero
-    probability table is an error), or exact probabilities given as 'p/q' strings, integers, or
-    decimal numbers.  Either layout may be wrapped in an object
+    Two layouts are accepted: integer counts in every cell, normalized by
+    ``PairwiseTables.from_tally``, or exact probabilities given as 'p/q'
+    strings, integers, or decimal numbers.  A cell that is not a JSON
+    integer makes the file probabilities, and a fault in it names that
+    cell.  Either layout may be wrapped in an object
     {"convention": ..., "tables": {...}} to pin the reporting convention;
     the returned convention is None when the file does not state one.
+    Every fault is a FormatError naming the file.
     """
     doc = _read_json(path)
     convention = None
@@ -486,13 +484,16 @@ def read_tables(path: str) -> tuple[PairwiseTables, str | None]:
         doc = doc["tables"]
     if not isinstance(doc, dict) or not doc:
         raise FormatError("tables must be a nonempty JSON object keyed by 'x;y'", path=path)
-    counts = all(type(v) is int for cells in doc.values() if isinstance(cells, dict) for v in cells.values())
+    fractional = [(k, c) for k, t in doc.items() if isinstance(t, dict) for c, v in t.items() if type(v) is not int]
     try:
-        if counts:
-            tally = TallyTable(_parse_tables(doc, path))
-            tables = PairwiseTables.from_tally(tally, pairs=sorted(tally.counts))
+        if not fractional:
+            tables = PairwiseTables.from_tally(TallyTable(_parse_tables(doc, path)))
         else:
             tables = PairwiseTables(_parse_tables(doc, path, _as_fraction))
-    except ValueError as exc:
-        raise FormatError(str(exc), path=path)
+    except (ValueError, EmptyCellError) as exc:
+        message = str(exc)
+        if fractional:
+            key, name = fractional[0]
+            message = f"table {key!r} cell {name!r} is not an integer count, so the file holds probabilities: {message}"
+        raise FormatError(message, path=path) from None
     return tables, convention

@@ -493,20 +493,16 @@ CELL_FROM_NAME: dict[str, Cell] = {v: k for k, v in CELL_NAMES.items()}
 
 
 class TallyTable(Record):
-    """Outcome counts N(s, s') per measured setting pair, with the counts of
-    events that the matcher left unpaired.
+    """Outcome counts N(s, s') per measured setting pair, and nothing else.
 
     A cell count is a number of pairs, so a nonnegative integer (not a
     bool) below 2^63: no pairs file holds more rows, and every statistic
-    of such counts is a finite float."""
+    of such counts is a finite float.  A listed pair may hold no counts;
+    ``feasibility.PairwiseTables.from_tally`` refuses such a table."""
 
     counts: Mapping[tuple[str, str], Mapping[Cell, int]]
-    unmatched_left: int = 0
-    unmatched_right: int = 0
 
     def __post_init__(self) -> None:
-        if self.unmatched_left < 0 or self.unmatched_right < 0:
-            raise ValueError("unmatched counts must be nonnegative")
         norm: dict[tuple[str, str], dict[Cell, int]] = {}
         for pair, cells in self.counts.items():
             x, y = pair

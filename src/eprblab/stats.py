@@ -14,16 +14,16 @@ single-probability form
 where q(x, y) is the probability, among pairs measured with setting x on
 one island and y on the other, of the event "the x measurement would show
 + while the hidden value at y is -".  L reports s * tau with
-s = ``model.l_sign(convention)``, so in a table tallied as (x; y) that
-event is the observed cell (+, -s); tallied the other way round, (y; x),
-it is the cell (-, s).  Under "anti" (s = -1, equal settings
-anticorrelate, the singlet case) these are (+, +) and (-, -).  Any
-distribution over identified outcome domains obeys the bound in either
-convention; sampled singlet data violates it.  Reading
-all three terms naively from the (+, +) cell regardless of table
-orientation looks simpler but is not a valid bound (a deterministic
-identified assignment already breaks it), which is why the lookup
-(``model._q``) is orientation- and convention-aware.
+s = ``model.l_sign(convention)``, and the caller always names the
+convention.  So in a table tallied as (x; y) that event is the observed
+cell (+, -s); tallied the other way round, (y; x), it is the cell
+(-, s).  Under "anti" (s = -1, equal settings anticorrelate, the singlet
+case) these are (+, +) and (-, -).  Any distribution over identified
+outcome domains obeys the bound in either convention; sampled singlet
+data violates it.  Reading all three terms naively from the (+, +) cell
+regardless of table orientation looks simpler but is not a valid bound
+(a deterministic identified assignment already breaks it), which is why
+the lookup (``model._q``) is orientation- and convention-aware.
 
 Statistical errors are binomial standard errors on fractions, propagated
 in quadrature; adequate at desk scale and reported next to every point
@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from ._lazy import np
 from .errors import EmptyCellError
-from .model import CELLS, EventStream, Record, TallyTable, _cells_for, _q, check_window
+from .model import CELLS, EventStream, Record, TallyTable, _cells_for, _q, check_window, l_sign
 from .pairing import PairingConfig, match_pairs_indexed
 
 # ---------------------------------------------------------------------------
@@ -52,8 +52,6 @@ def tally(
     right: EventStream,
     left_idx: np.ndarray,
     right_idx: np.ndarray,
-    unmatched_left: int = 0,
-    unmatched_right: int = 0,
 ) -> TallyTable:
     """Count outcomes per measured setting pair over the pairs
     (left.event(i), right.event(j)) for i, j in zip(left_idx, right_idx).
@@ -61,7 +59,8 @@ def tally(
     Every counted outcome is a detection in an EventStream, so a tally
     holds measured outcomes only: an imagined entry, such as the third
     slot of a counterfactually augmented triple, has no time and no
-    outcome and cannot become a stream event.
+    outcome and cannot become a stream event.  Only setting pairs with a
+    pair are listed; unpaired events are not counted.
     """
     xi = left.setting_idx[left_idx].astype(np.int64)
     yi = right.setting_idx[right_idx].astype(np.int64)
@@ -71,7 +70,7 @@ def tally(
     hist = np.bincount(code, minlength=n_l * n_r * 4).reshape(n_l * n_r, 4).tolist()
     pairs = [(x, y) for x in left.labels for y in right.labels]
     counts = {pair: dict(zip(CELLS, cells)) for pair, cells in zip(pairs, hist) if any(cells)}
-    return TallyTable(counts, unmatched_left, unmatched_right)
+    return TallyTable(counts)
 
 
 def correlation(t: TallyTable, x: str, y: str) -> float:
@@ -115,7 +114,7 @@ class InequalityReport(Record):
         return self.s_value if self.s_value is not None else self.lhs - self.rhs
 
 
-def bell_wigner(t: TallyTable, ordering: tuple[str, str, str] = ("a", "b", "c"), convention: str = "anti") -> InequalityReport:
+def bell_wigner(t: TallyTable, ordering: tuple[str, str, str] = ("a", "b", "c"), *, convention: str) -> InequalityReport:
     """Evaluate q(a,b) <= q(a,c) + q(c,b) on tallied data."""
     a, b, c = ordering
     exact_ab, n_ab, k_ab = _q(t.counts, a, b, convention)
@@ -183,14 +182,15 @@ def sweep_window(
     windows: Sequence[int],
     kind: str,
     ordering: tuple[str, ...] | None = None,
-    convention: str = "anti",
+    convention: str | None = None,
 ) -> list[SweepRow]:
     """Evaluate the named inequality at every window of a sorted sweep.
 
     The streams are matched once, at the largest window; each row keeps the
     pairs with |dt| <= W, which is exactly the matching at W (see the prefix
     property in ``pairing``).  Both sides must be EventStreams, as for the
-    matcher.
+    matcher.  A bell-wigner sweep needs a ``convention``, checked before
+    the match; chsh rows read none.
     """
     windows = list(windows)
     if not windows:
@@ -202,6 +202,8 @@ def sweep_window(
         raise ValueError("windows must be sorted ascending")
     if kind not in ("bell-wigner", "chsh"):
         raise ValueError(f"kind must be 'bell-wigner' or 'chsh', got {kind!r}")
+    if kind == "bell-wigner":
+        l_sign(convention)  # refuses a missing or unknown convention before the match
     if ordering is None:
         ordering = ("a", "b", "c") if kind == "bell-wigner" else ("a", "b", "c", "d")
 
@@ -211,12 +213,12 @@ def sweep_window(
     for w in windows:
         keep = dt <= w
         mi, mj = all_i[keep], all_j[keep]
-        t = tally(left, right, mi, mj, len(left) - len(mi), len(right) - len(mj))
+        t = tally(left, right, mi, mj)
         try:
             if kind == "chsh":
                 rep = chsh(t, ordering)  # type: ignore[arg-type]
             else:
-                rep = bell_wigner(t, ordering, convention)  # type: ignore[arg-type]
+                rep = bell_wigner(t, ordering, convention=convention)  # type: ignore[arg-type]
             rows.append(SweepRow(w, len(mi), rep.statistic, rep.standard_error, rep.violated))
         except EmptyCellError:
             rows.append(SweepRow(w, len(mi), None, None, None))

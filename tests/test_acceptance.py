@@ -44,8 +44,8 @@ def run_cli(capsys, *argv):
 
 def pipeline(config: SourceConfig, window_ns: int):
     left, right = generate(config)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(window_ns))
-    return tally(left, right, mi, mj, ul, ur)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(window_ns))
+    return tally(left, right, mi, mj)
 
 
 def test_criterion_01_single_pair_classes(capsys):
@@ -142,12 +142,12 @@ def test_criterion_07_wigner_bound_and_violation():
         convention="anti",
     )
     table = pipeline(config, window_ns=0)
-    report = bell_wigner(table, ("a", "b", "c"), "anti")
+    report = bell_wigner(table, ("a", "b", "c"), convention="anti")
     assert report.violated
     assert abs(report.statistic - 0.125) <= 3 * report.standard_error
 
     exact = exact_singlet_tables()
-    assert wigner_residual(exact, ("a", "b", "c"), "anti") == Fraction(1, 8)
+    assert wigner_residual(exact, ("a", "b", "c"), convention="anti") == Fraction(1, 8)
     identified = joint_feasibility(exact, identify_equal_settings=True, convention="anti")
     assert not identified.feasible
     assert identified.certificate is not None  # verified against every column internally
@@ -168,8 +168,8 @@ def test_criterion_08_identified_sources_never_violate():
         dist = WignerDomainDistribution.from_partial(
             {k: Fraction(int(w), total) for k, w in zip(keys, weights) if w}
         )
-        exact = marginalize(dist, BELL_PAIRS, identify_equal_settings=True)
-        assert wigner_residual(exact, ("a", "b", "c"), "equal") <= 0
+        exact = marginalize(dist, BELL_PAIRS, True, "equal")
+        assert wigner_residual(exact, ("a", "b", "c"), convention="equal") <= 0
         config = SourceConfig(
             kind="wigner-domain",
             settings=BELL_SETTINGS,
@@ -182,7 +182,7 @@ def test_criterion_08_identified_sources_never_violate():
             station_t_labels=("a", "c"),
             station_l_labels=("b", "c"),
         )
-        report = bell_wigner(pipeline(config, window_ns=0), ("a", "b", "c"), "equal")
+        report = bell_wigner(pipeline(config, window_ns=0), ("a", "b", "c"), convention="equal")
         assert report.lhs <= report.rhs + 4 * report.standard_error
     assert time.monotonic() - t0 < 300.0
 

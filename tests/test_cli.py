@@ -229,6 +229,23 @@ def test_feasibility_counts_file_with_an_all_zero_table_exits_3(tmp_path, capsys
     path.write_text(json.dumps({"a;b": ones, "c;d": zeros}))
     err = _assert_clean_exit(capsys, ["feasibility", "--tables", str(path)], 3)
     assert "no counts for measured pair c;d" in err
+    assert err == f"error: {path}: no counts for measured pair c;d\n"
+
+
+def test_a_count_that_is_not_an_integer_is_named_by_both_exact_commands(tmp_path, capsys):
+    """One count of 1.5 makes ``feasibility`` read the file as probability
+    tables, so its message names that cell before the sum it then fails;
+    ``inequalities`` reads every file as counts and names the count rule."""
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps({"a;b": {"pp": 1.5, "pm": 1, "mp": 3, "mm": 3}}))
+    err = _assert_clean_exit(capsys, ["feasibility", "--tables", str(path)], 3)
+    assert err == (
+        f"error: {path}: table 'a;b' cell 'pp' is not an integer count, so the file holds probabilities: "
+        "table 'a;b' sums to 17/2, expected exactly 1\n"
+    )
+    argv = ["inequalities", "--tally", str(path), "--kind", "chsh", "--ordering", "a,b,c,d", "--convention", "anti"]
+    err = _assert_clean_exit(capsys, argv, 3)
+    assert err == f"error: {path}: table 'a;b' cell 'pp': must be a nonnegative integer below 2^63, got 1.5\n"
 
 
 def test_feasibility_wrapped_probability_file(tmp_path, capsys):
@@ -890,7 +907,7 @@ def test_feasibility_prints_a_witness_of_any_length(tmp_path, capsys, tables):
     assert max(len(text) for text in payload["witness"].values()) > 4300
     expected, _ = read_tables(str(path))
     witness = WignerDomainDistribution.from_partial(weights, settings=tuple(payload["settings"]))
-    assert marginalize(witness, expected.measured_pairs()).tables == expected.tables
+    assert marginalize(witness, expected.measured_pairs(), False, "equal").tables == expected.tables
 
 
 def test_feasibility_table_off_by_a_4300_digit_sum_exits_3_naming_it(tmp_path, capsys):
@@ -898,7 +915,10 @@ def test_feasibility_table_off_by_a_4300_digit_sum_exits_3_naming_it(tmp_path, c
     path.write_text(json.dumps({"a;b": dict(NEAR_ONE, pm="1")}))
     err = _assert_clean_exit(capsys, ["feasibility", "--tables", str(path)], 3)
     total = "1" + "0" * 4299 + "1/1" + "0" * 4300  # 1 + 10^-4300
-    assert err == f"error: {path}: table ('a', 'b') sums to {total}, expected exactly 1\n"
+    assert err == (
+        f"error: {path}: table 'a;b' cell 'pp' is not an integer count, so the file holds probabilities: "
+        f"table 'a;b' sums to {total}, expected exactly 1\n"
+    )
 
 
 def test_simulate_huge_decimal_exponent_weight_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from conftest import uniform_identified
 from eprblab import feasibility
 from eprblab.cli import main
-from eprblab.errors import EmptyCellError, InternalInvariantError, SupportViolationError
+from eprblab.errors import EmptyCellError, FormatError, InternalInvariantError, SupportViolationError
 from eprblab.feasibility import (
     FeasibilityResult,
     PairwiseTables,
     joint_feasibility,
     marginalize,
+    read_tables,
+    read_tally,
     wigner_residual,
 )
 from eprblab.model import CELL_NAMES, CELLS, TallyTable, WignerDomainDistribution, all_domain_keys
@@ -166,7 +169,7 @@ def test_pairwise_tables_name_a_4301_digit_value_in_full(pp, pm, message):
     """str() refuses an int of over 4300 digits; the message prints it anyway."""
     with pytest.raises(ValueError) as caught:
         PairwiseTables({("a", "b"): {(1, 1): pp, (1, -1): pm, (-1, 1): 0, (-1, -1): 0}})
-    assert str(caught.value) == f"table ('a', 'b') {message}"
+    assert str(caught.value) == f"table 'a;b' {message}"
 
 
 def test_setting_labels_cover_prefix():
@@ -180,8 +183,8 @@ def test_from_tally():
     tal = TallyTable({("a", "b"): {(1, 1): 3, (1, -1): 1, (-1, 1): 1, (-1, -1): 3}})
     t = PairwiseTables.from_tally(tal)
     assert t.tables[("a", "b")][(1, 1)] == F(3, 8)
-    with pytest.raises(EmptyCellError):
-        PairwiseTables.from_tally(tal, pairs=[("a", "c")])
+    with pytest.raises(EmptyCellError, match="no counts for measured pair a;c$"):
+        PairwiseTables.from_tally(TallyTable({**tal.counts, ("a", "c"): {}}))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,7 @@ def test_from_tally():
 def test_marginalize_uniform_is_flat():
     dist = WignerDomainDistribution.uniform()
     for convention in ("equal", "anti"):
-        t = marginalize(dist, BELL_PAIRS, convention=convention)
+        t = marginalize(dist, BELL_PAIRS, False, convention)
         for key in BELL_PAIRS:
             assert all(v == F(1, 4) for v in t.tables[key].values())
 
@@ -206,7 +209,7 @@ def test_marginalize_against_accessor_oracle():
         }
     )
     for convention, flip in (("equal", 1), ("anti", -1)):
-        t = marginalize(dist, BELL_PAIRS, convention=convention)
+        t = marginalize(dist, BELL_PAIRS, False, convention)
         for x, y in BELL_PAIRS:
             for cell in CELLS:
                 want = sum(
@@ -220,24 +223,24 @@ def test_marginalize_against_accessor_oracle():
 def test_marginalize_point_mass():
     key = (1, -1, 1, -1, 1, -1)
     dist = WignerDomainDistribution.from_partial({key: 1})
-    t = marginalize(dist, [("a", "b")], convention="equal")
+    t = marginalize(dist, [("a", "b")], False, "equal")
     assert t.tables[("a", "b")][(1, 1)] == 1
-    t = marginalize(dist, [("a", "b")], convention="anti")
+    t = marginalize(dist, [("a", "b")], False, "anti")
     assert t.tables[("a", "b")][(1, -1)] == 1
 
 
 def test_marginalize_guards():
     dist = WignerDomainDistribution.uniform()
     with pytest.raises(ValueError):
-        marginalize(dist, BELL_PAIRS, convention="sideways")
+        marginalize(dist, BELL_PAIRS, False, "sideways")
     with pytest.raises(ValueError):
-        marginalize(dist, [])
+        marginalize(dist, [], False, "equal")
     with pytest.raises(ValueError):
-        marginalize(dist, [("a", "d")])
+        marginalize(dist, [("a", "d")], False, "equal")
     with pytest.raises(SupportViolationError):
-        marginalize(dist, BELL_PAIRS, identify_equal_settings=True)
+        marginalize(dist, BELL_PAIRS, True, "equal")
     ok = uniform_identified()
-    t = marginalize(ok, BELL_PAIRS, identify_equal_settings=True)
+    t = marginalize(ok, BELL_PAIRS, True, "equal")
     assert sum(t.tables[("a", "b")].values()) == 1
 
 
@@ -269,7 +272,7 @@ def test_singlet_tables_are_unidentified_feasible(convention):
 def test_uniform_tables_are_feasible_both_ways():
     flat = PairwiseTables({k: cells("1/4", "1/4", "1/4", "1/4") for k in BELL_PAIRS})
     for identified in (False, True):
-        res = joint_feasibility(flat, identify_equal_settings=identified)
+        res = joint_feasibility(flat, identify_equal_settings=identified, convention="equal")
         assert res.feasible
         verify_witness(flat, res)
 
@@ -306,7 +309,7 @@ def test_tree_shaped_menus_always_feasible_when_marginals_agree(rng):
                 ("c", "b"): table_for(lambda k: (k[1], k[2])),
             }
         )
-        res = joint_feasibility(tables)
+        res = joint_feasibility(tables, convention="equal")
         assert res.feasible
         verify_witness(tables, res)
 
@@ -321,17 +324,33 @@ def test_disagreeing_station_marginals_are_infeasible():
             ("c", "b"): cells("1/4", "1/4", "1/4", "1/4"),
         }
     )
-    res = joint_feasibility(tables)
+    res = joint_feasibility(tables, convention="equal")
     assert not res.feasible
     verify_certificate(tables, res)
 
 
 def test_joint_feasibility_accepts_tally_input():
     tal = TallyTable({k: {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1} for k in BELL_PAIRS})
-    res = joint_feasibility(tal, identify_equal_settings=True)
+    res = joint_feasibility(tal, identify_equal_settings=True, convention="equal")
     assert res.feasible
     with pytest.raises(ValueError):
         joint_feasibility(tal, convention="upside-down")
+
+
+def test_a_tally_that_lists_an_empty_table_is_refused(tmp_path):
+    """Every table a tally lists is required, in the library as in the
+    ``feasibility`` command: an all-zero a;c is an error, not a table the
+    LP drops."""
+    ones, zeros = {"pp": 1, "pm": 1, "mp": 1, "mm": 1}, {"pp": 0, "pm": 0, "mp": 0, "mm": 0}
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps({"a;b": ones, "a;c": zeros, "c;b": ones}))
+    for identified in (False, True):
+        with pytest.raises(EmptyCellError, match="^no counts for measured pair a;c$"):
+            joint_feasibility(read_tally(str(path)), identified, convention="equal")
+    with pytest.raises(EmptyCellError, match="a;c"):
+        wigner_residual(read_tally(str(path)), convention="equal")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: no counts for measured pair a;c$"):
+        read_tables(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +359,7 @@ def test_joint_feasibility_accepts_tally_input():
 
 def test_chsh_cycle_infeasible_even_unidentified():
     tables = chsh_tables("-7/10", "7/10", "-7/10", "-7/10")  # S = -2.8
-    res = joint_feasibility(tables, identify_equal_settings=False)
+    res = joint_feasibility(tables, identify_equal_settings=False, convention="equal")
     assert not res.feasible
     assert res.setting_labels == ("a", "b", "c", "d")
     verify_certificate(tables, res)
@@ -349,7 +368,7 @@ def test_chsh_cycle_infeasible_even_unidentified():
 def test_chsh_within_bound_feasible():
     tables = chsh_tables("-2/5", "2/5", "-2/5", "-2/5")  # S = -1.6
     for identified in (False, True):
-        res = joint_feasibility(tables, identify_equal_settings=identified)
+        res = joint_feasibility(tables, identify_equal_settings=identified, convention="equal")
         assert res.feasible
         verify_witness(tables, res)
 
@@ -432,7 +451,7 @@ def _point_mass_tables(sigma, tau, pairs) -> PairwiseTables:
     convention); every table has three zero cells."""
     key = tuple(sigma) + tuple(tau)
     labels = "abcd"[: len(sigma)]
-    return marginalize(WignerDomainDistribution.from_partial({key: 1}, settings=labels), pairs)
+    return marginalize(WignerDomainDistribution.from_partial({key: 1}, settings=labels), pairs, False, "equal")
 
 
 ALL_PAIRS = [(x, y) for x in "abcd" for y in "abcd"]
@@ -461,7 +480,7 @@ def test_degenerate_menus_terminate_from_the_artificial_basis(monkeypatch, ident
         assert pivots >= 1
         assert (x is not None) == (status == "feasible")
         assert_exact_answer(support, rhs, x, y, det)
-        res = joint_feasibility(tables, identify_equal_settings=identified)
+        res = joint_feasibility(tables, identify_equal_settings=identified, convention="equal")
         assert res.status == status
         verify_answer(tables, res)
 
@@ -473,7 +492,7 @@ def test_a_certificate_is_lifted_onto_the_columns_through_zero_cells():
     a;c:mm; the printed certificate puts -K on each zero cell's row, which
     separates, and keeps a key for every row."""
     tables = PairwiseTables({("a", "b"): cells(1, 0, 0, 0), ("a", "c"): cells(0, 0, "1/2", "1/2")})
-    res = joint_feasibility(tables)
+    res = joint_feasibility(tables, convention="equal")
     assert (res.status, res.lp_rows, res.lp_cols, res.solved_rows, res.solved_cols, res.exact_pivots) == (
         "infeasible", 9, 64, 2, 0, 0)
     assert list(res.certificate) == list(res.row_labels)
@@ -713,34 +732,34 @@ def test_feasibility_prints_the_recorded_answer(tmp_path, capsys, name):
 
 
 def test_wigner_residual_exact_values():
-    assert wigner_residual(singlet_tables("anti"), ("a", "b", "c"), "anti") == F(1, 8)
-    assert wigner_residual(singlet_tables("equal"), ("a", "b", "c"), "equal") == F(1, 8)
-    flat = marginalize(uniform_identified(), BELL_PAIRS, True)
-    assert wigner_residual(flat, ("a", "b", "c"), "equal") == F(-1, 4)
+    assert wigner_residual(singlet_tables("anti"), ("a", "b", "c"), convention="anti") == F(1, 8)
+    assert wigner_residual(singlet_tables("equal"), ("a", "b", "c"), convention="equal") == F(1, 8)
+    flat = marginalize(uniform_identified(), BELL_PAIRS, True, "equal")
+    assert wigner_residual(flat, ("a", "b", "c"), convention="equal") == F(-1, 4)
     # a tally is normalized to its probability tables first
     counts = {(1, 1): 1, (1, -1): 3, (-1, 1): 3, (-1, -1): 1}
     tally = TallyTable({pair: counts for pair in (("a", "b"), ("a", "c"), ("c", "b"))})
-    assert wigner_residual(tally, ("a", "b", "c"), "anti") == F(1, 8) - F(1, 8) - F(1, 8)
+    assert wigner_residual(tally, ("a", "b", "c"), convention="anti") == F(1, 8) - F(1, 8) - F(1, 8)
 
 
 def test_wigner_residual_transposed_lookup():
     t = singlet_tables("anti")
     # q(b,a) falls back to the (a,b) table's transposed cell
-    assert wigner_residual(t, ("b", "a", "c"), "anti") == F(3, 8) - F(1, 8) - F(1, 8)
+    assert wigner_residual(t, ("b", "a", "c"), convention="anti") == F(3, 8) - F(1, 8) - F(1, 8)
 
 
 def test_wigner_residual_guards():
     t = singlet_tables("anti")
     with pytest.raises(ValueError):
-        wigner_residual(t, ("a", "b"), "anti")
+        wigner_residual(t, ("a", "b"), convention="anti")
     with pytest.raises(ValueError):
-        wigner_residual(t, ("a", "a", "b"), "anti")
+        wigner_residual(t, ("a", "a", "b"), convention="anti")
     with pytest.raises(ValueError):
-        wigner_residual(t, ("a", "b", "z"), "anti")
+        wigner_residual(t, ("a", "b", "z"), convention="anti")
     with pytest.raises(ValueError):
-        wigner_residual(t, ("a", "b", "c"), "diagonal")
+        wigner_residual(t, ("a", "b", "c"), convention="diagonal")
     with pytest.raises(EmptyCellError):
-        wigner_residual(t, ("a", "b", "d"), "anti")
+        wigner_residual(t, ("a", "b", "d"), convention="anti")
 
 
 @settings(max_examples=60, deadline=None)
@@ -762,4 +781,4 @@ def test_identified_distributions_never_show_positive_residual(weights):
             ("c", "a", "b"),
             ("c", "b", "a"),
         ):
-            assert wigner_residual(tables, ordering, convention) <= 0
+            assert wigner_residual(tables, ordering, convention=convention) <= 0

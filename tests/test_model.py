@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -34,7 +35,7 @@ from eprblab.model import (
     l_sign,
 )
 from eprblab.sources import SourceConfig
-from eprblab.stats import bell_wigner, chsh
+from eprblab.stats import bell_wigner, chsh, tally
 
 
 def test_setting_validation():
@@ -232,8 +233,6 @@ def test_tally_table():
         TallyTable({("a", "b"): {(1, 1): -1}})
     with pytest.raises(ValueError):
         TallyTable({("a", "b"): {(2, 1): 1}})
-    with pytest.raises(ValueError):
-        TallyTable({}, unmatched_left=-1)
 
 
 INT64_MAX = 2**63 - 1
@@ -257,6 +256,16 @@ def test_tally_table_refuses_a_count_outside_the_count_rule(count):
     assert str(err.value) == f"table 'a;b' cell 'pp': must be a nonnegative integer below 2^63, got {got}"
     with pytest.raises(ValueError, match="table 'a;b' cell 'pp'"):
         TallyTable({("a", "b"): {(1, 1): count}})
+
+
+def test_a_tally_table_holds_only_counts():
+    """The matcher returns the unmatched counts and ``pair`` prints them; a
+    tally holds no unchecked copy that no file stores and no code reads."""
+    assert TallyTable._fields == ("counts",)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'unmatched_left'"):
+        TallyTable({}, unmatched_left=True, unmatched_right=2.5)
+    assert list(inspect.signature(tally).parameters) == ["left", "right", "left_idx", "right_idx"]
+    assert list(inspect.signature(PairwiseTables.from_tally).parameters) == ["tally"]
 
 
 def test_tally_table_holds_a_count_of_2_to_the_63_minus_1():
@@ -521,6 +530,25 @@ def test_unknown_convention_is_rejected_with_one_message(call):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == SIDEWAYS
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_wigner(TallyTable({k: {c: 1 for c in CELLS} for k in _bell_tables().tables})),
+        lambda: bell_wigner(TallyTable({k: {c: 1 for c in CELLS} for k in _bell_tables().tables}), ("a", "b", "c")),
+        lambda: marginalize(WignerDomainDistribution.uniform(), [("a", "b")], False),
+        lambda: marginalize(WignerDomainDistribution.uniform(), [("a", "b")]),
+        lambda: joint_feasibility(_bell_tables(), True),
+        lambda: wigner_residual(_bell_tables(), ("a", "b", "c")),
+    ],
+    ids=["bell_wigner", "bell_wigner_ordering", "marginalize", "marginalize_two", "joint_feasibility", "wigner_residual"],
+)
+def test_a_missing_convention_is_refused(call):
+    """No library function picks a convention for its caller (the old
+    defaults were anti in ``stats`` and equal in ``feasibility``)."""
+    with pytest.raises(TypeError, match="'convention'"):
+        call()
 
 
 def test_config_and_table_files_reuse_the_convention_message(tmp_path):

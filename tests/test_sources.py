@@ -266,8 +266,8 @@ def test_singlet_equal_same_setting_is_perfectly_correlated():
 
 def _paired_equal_fraction(cfg, x, y):
     left, right = generate(cfg)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(cfg.emission_period_ns // 2))
-    t = tally(left, right, mi, mj, ul, ur)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(cfg.emission_period_ns // 2))
+    t = tally(left, right, mi, mj)
     return equal_fraction(t, x, y), t.total(x, y)
 
 
@@ -352,8 +352,8 @@ def test_wigner_identified_equal_settings_agree():
         domain_weights=uniform_identified(),
     )
     left, right = generate(cfg)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
-    t = tally(left, right, mi, mj, ul, ur)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(0))
+    t = tally(left, right, mi, mj)
     for x in "abc":
         assert t.count(x, x, 1, -1) == 0
         assert t.count(x, x, -1, 1) == 0
@@ -374,11 +374,9 @@ def test_wigner_uniform_matches_exact_marginals():
         domain_weights=WignerDomainDistribution.uniform(),
     )
     left, right = generate(cfg)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
-    t = tally(left, right, mi, mj, ul, ur)
-    exact = marginalize(
-        WignerDomainDistribution.uniform(), [("a", "b"), ("a", "c"), ("c", "b")], convention="equal"
-    )
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(0))
+    t = tally(left, right, mi, mj)
+    exact = marginalize(WignerDomainDistribution.uniform(), [("a", "b"), ("a", "c"), ("c", "b")], False, "equal")
     for key, cells in exact.tables.items():
         n = t.total(*key)
         assert n > 8000
@@ -437,9 +435,9 @@ def test_local_delay_without_delays_respects_chsh():
     every emission pairs up and |S| stays within the classical bound."""
     cfg = _delay_config(max_delay_ns=0, delay_exponent=0.0, total_pairs=100_000, seed=77)
     left, right = generate(cfg)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(cfg.emission_period_ns // 2))
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(cfg.emission_period_ns // 2))
     assert len(mi) == 100_000
-    rep = chsh(tally(left, right, mi, mj, ul, ur))
+    rep = chsh(tally(left, right, mi, mj))
     assert abs(rep.s_value) <= 2.0 + 4 * rep.standard_error
 
 

@@ -10,9 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pair, pair_columns, stream, uniform_identified
+from eprblab import stats
 from eprblab.counting import augment_triple
 from eprblab.errors import EmptyCellError
-from eprblab.model import CELLS, DetectionEvent, Setting, TallyTable, l_sign
+from eprblab.feasibility import PairwiseTables, joint_feasibility, marginalize, wigner_residual
+from eprblab.model import CELLS, CONVENTIONS, DetectionEvent, Setting, TallyTable, l_sign
 from eprblab.pairing import PairingConfig, match_pairs_indexed
 from eprblab.sources import SourceConfig, generate
 from eprblab.stats import (
@@ -42,11 +44,10 @@ def test_tally_counts_cells():
         pair(20, 20, "a", "b", 1, 1),
         pair(30, 30, "c", "b", -1, -1),
     ]
-    t = tally(*pair_columns(pairs), unmatched_left=2, unmatched_right=0)
+    t = tally(*pair_columns(pairs))
     assert t.count("a", "b", 1, 1) == 2
     assert t.count("a", "b", 1, -1) == 1
     assert t.total("c", "b") == 1
-    assert t.unmatched_left == 2
 
 
 def _assert_slot_is_no_event(fake):
@@ -73,14 +74,13 @@ def test_tally_agrees_with_event_counter(rng):
         total_pairs=3000,
     )
     left, right = generate(cfg)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(150))
-    fast = tally(left, right, mi, mj, ul, ur)
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(150))
+    fast = tally(left, right, mi, mj)
     slow = Counter()
     for i, j in zip(mi.tolist(), mj.tolist()):
         a, b = left.event(i), right.event(j)
         slow[(a.setting_label, b.setting_label), (a.outcome, b.outcome)] += 1
     assert {(key, cell): n for key, cells in fast.counts.items() for cell, n in cells.items() if n} == dict(slow)
-    assert (fast.unmatched_left, fast.unmatched_right) == (len(left) - len(mi), len(right) - len(mj))
 
 
 def test_correlation_and_equal_fraction():
@@ -176,15 +176,15 @@ def test_bell_wigner_identified_source_not_violated():
         domain_weights=uniform_identified(),
     )
     left, right = generate(cfg)
-    mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(0))
-    rep = bell_wigner(tally(left, right, mi, mj, ul, ur), ("a", "b", "c"), "equal")
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(0))
+    rep = bell_wigner(tally(left, right, mi, mj), ("a", "b", "c"), convention="equal")
     assert rep.lhs <= rep.rhs + 4 * rep.standard_error
 
 
 def test_bell_wigner_missing_pair_is_empty_cell():
     t = table(ab={"pp": 1, "pm": 1, "mp": 1, "mm": 1})
     with pytest.raises(EmptyCellError):
-        bell_wigner(t, ("a", "b", "c"))
+        bell_wigner(t, ("a", "b", "c"), convention="anti")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,32 @@ def test_bell_wigner_verdict_is_the_exact_comparison(case):
     cell = (1, -l_sign(convention))
     q = {key: Fraction(c[cell], sum(c.values())) for key, c in t.counts.items()}
     want = q[("a", "b")] > q[("a", "c")] + q[("c", "b")]
-    assert bell_wigner(t, ("a", "b", "c"), convention).violated == want
+    assert bell_wigner(t, ("a", "b", "c"), convention=convention).violated == want
+
+
+# one tally on which the old defaults (anti in bell_wigner, equal in
+# wigner_residual) gave +0.125 "violated" and a residual of -5/8
+DEFAULTS_DISAGREED = table(
+    ab={"pp": 3, "pm": 1, "mp": 1, "mm": 3}, ac={"pp": 1, "pm": 3, "mp": 3, "mm": 1}, cb={"pp": 1, "pm": 3, "mp": 3, "mm": 1}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bell_wigner_tallies())
+@example((DEFAULTS_DISAGREED, "anti"))
+def test_bell_wigner_and_the_exact_residual_agree_in_each_convention(case):
+    """The float statistic and ``wigner_residual`` read q in the convention
+    their caller names, so they agree in both; neither answers without one."""
+    t, _ = case
+    for convention in CONVENTIONS:
+        report = bell_wigner(t, ("a", "b", "c"), convention=convention)
+        residual = wigner_residual(t, ("a", "b", "c"), convention=convention)
+        assert report.violated == (residual > 0)
+        assert report.lhs - report.rhs == pytest.approx(float(residual), rel=1e-12, abs=1e-15)
+    with pytest.raises(TypeError, match="'convention'"):
+        bell_wigner(t, ("a", "b", "c"))
+    with pytest.raises(TypeError, match="'convention'"):
+        wigner_residual(t, ("a", "b", "c"))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +351,7 @@ def _singlet_streams(jitter=0, n=400, seed=19):
 
 def test_sweep_zero_jitter_statistic_is_window_independent():
     left, right = _singlet_streams(jitter=0, n=2000)
-    rows = sweep_window(left, right, [0, 10, 400], kind="bell-wigner")
+    rows = sweep_window(left, right, [0, 10, 400], kind="bell-wigner", convention="anti")
     assert rows[0].pairs == rows[1].pairs == rows[2].pairs == 2000
     assert rows[0].statistic == rows[1].statistic == rows[2].statistic
     assert all(r.violated is not None for r in rows)
@@ -334,11 +359,26 @@ def test_sweep_zero_jitter_statistic_is_window_independent():
 
 def test_sweep_reports_empty_cells_as_none():
     left, right = stream("T", [(5, "a", 1)]), stream("L", [(6, "b", 1)])
-    rows = sweep_window(left, right, [0, 10], kind="bell-wigner")
+    rows = sweep_window(left, right, [0, 10], kind="bell-wigner", convention="anti")
     assert rows[0].pairs == 0
     assert rows[0].statistic is None and rows[0].stderr is None and rows[0].violated is None
     assert rows[1].pairs == 1
     assert rows[1].statistic is None  # still missing the other setting pairs
+
+
+def test_a_bell_wigner_sweep_needs_a_convention_before_it_matches(monkeypatch):
+    left, right = _singlet_streams(n=10)
+    chsh_rows = sweep_window(left, right, [5], kind="chsh")  # chsh rows read no convention
+
+    def no_match(*args):
+        raise AssertionError("matched before the convention was checked")
+
+    monkeypatch.setattr(stats, "match_pairs_indexed", no_match)
+    for convention in (None, "sideways"):
+        with pytest.raises(ValueError, match=f"^convention must be one of .*, got {convention!r}$"):
+            sweep_window(left, right, [5], kind="bell-wigner", convention=convention)
+    monkeypatch.undo()
+    assert sweep_window(left, right, [5], kind="chsh", convention=None) == chsh_rows
 
 
 def test_sweep_validates_inputs():
@@ -360,10 +400,10 @@ def per_window_sweep(left, right, windows, kind, ordering, convention):
     """Reference sweep: a fresh matching and tally at every window."""
     rows = []
     for w in windows:
-        mi, mj, ul, ur = match_pairs_indexed(left, right, PairingConfig(w))
-        t = tally(left, right, mi, mj, ul, ur)
+        mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(w))
+        t = tally(left, right, mi, mj)
         try:
-            rep = chsh(t, ordering) if kind == "chsh" else bell_wigner(t, ordering, convention)
+            rep = chsh(t, ordering) if kind == "chsh" else bell_wigner(t, ordering, convention=convention)
             rows.append(SweepRow(w, len(mi), rep.statistic, rep.standard_error, rep.violated))
         except EmptyCellError:
             rows.append(SweepRow(w, len(mi), None, None, None))
@@ -398,6 +438,53 @@ def test_sweep_rows_equal_per_window_rematch(data, inner, kind, convention):
     windows = sorted({0, *inner, 10**6, 2**63 - 1})
     got = sweep_window(left, right, windows, kind, ordering, convention)
     assert got == per_window_sweep(left, right, windows, kind, ordering, convention)
+
+
+OTHER_CONVENTION = {"anti": "equal", "equal": "anti"}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    inner=st.lists(st.integers(0, 200), max_size=3),
+    kind=st.sampled_from(sorted(SWEEP_MENUS)),
+    convention=st.sampled_from(CONVENTIONS),
+)
+def test_flipping_the_convention_and_every_l_outcome_changes_no_answer(data, inner, kind, convention):
+    """L reports l_sign(convention) * tau, so negating every L outcome and
+    naming the other convention describe the same hidden values.  Every
+    bell-wigner row is the same; every chsh row keeps its verdict, with S
+    negated.  The feasibility LP has the same status and sizes, with and
+    without identification, and the witness found for one side reproduces
+    the other's tables.  The pivot count and the witness itself may
+    differ: the presolve drops each table's first nonzero cell row, and
+    the flip reorders each table's cells."""
+    t_labels, l_labels, ordering = SWEEP_MENUS[kind]
+    left = stream("T", data.draw(event_rows(t_labels), label="tl"))
+    rows = data.draw(event_rows(l_labels), label="tr")
+    right, flipped = stream("L", rows), stream("L", [(t, s, -o) for t, s, o in rows])
+    other = OTHER_CONVENTION[convention]
+    windows = sorted({0, *inner, 10**6})
+    got = sweep_window(left, right, windows, kind, ordering, convention)
+    back = sweep_window(left, flipped, windows, kind, ordering, other)
+    if kind == "bell-wigner":
+        assert back == got
+    else:
+        for row, mirror in zip(got, back, strict=True):
+            negated = None if row.statistic is None else -row.statistic
+            assert mirror == SweepRow(row.window_ns, row.pairs, negated, row.stderr, row.violated)
+
+    mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(windows[-1]))
+    assume(len(mi) > 0)
+    tables = PairwiseTables.from_tally(tally(left, right, mi, mj))
+    mirrored = PairwiseTables.from_tally(tally(left, flipped, mi, mj))
+    for identified in (False, True):
+        res = joint_feasibility(tables, identified, convention=convention)
+        mirror = joint_feasibility(mirrored, identified, convention=other)
+        sizes = ("status", "lp_rows", "lp_cols", "solved_rows", "solved_cols")
+        assert [getattr(mirror, f) for f in sizes] == [getattr(res, f) for f in sizes]
+        if mirror.witness is not None:
+            assert marginalize(mirror.witness, tables.measured_pairs(), identified, convention) == tables
 
 
 def test_sweep_rejects_negative_window():
