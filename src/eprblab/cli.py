@@ -8,6 +8,11 @@ Every command that writes a file also writes ``<file>.manifest.json``
 document ``_manifest`` builds.  Results and summaries go to stdout as
 single JSON objects; diagnostics go to stderr.
 
+No command assumes a reporting convention.  A config states it;
+``inequalities`` and ``sweep`` take ``--convention``, which bell-wigner
+needs and chsh does not read; ``feasibility`` reads it from the tables
+file.  A missing one reaches ``model.l_sign``, which refuses it (exit 2).
+
 At start-up this module imports only ``errors``, ``_lazy`` and ``model``,
 so a command compiles and imports only the modules it runs: ``enumerate``
 loads ``counting``; ``feasibility`` loads ``feasibility``, which reads the
@@ -114,7 +119,7 @@ def _cmd_simulate(args) -> int:
     left, right = generate(config)
     t_path, l_path = f"{args.out}.T.jsonl", f"{args.out}.L.jsonl"
     outputs = {t_path: write_events(t_path, left), l_path: write_events(l_path, right)}
-    parameters = {"kind": config.kind, "emissions": config.n_emissions()}
+    parameters = {"kind": config.kind, "emissions": config.n_emissions(), "convention": config.convention}
     _manifest(t0, "simulate", args.out, [args.config], outputs, parameters, seed=int(config.seed), config=args.config)
     _emit({"t_events": len(left), "l_events": len(right), "t_file": t_path, "l_file": l_path})
     return 0
@@ -153,24 +158,19 @@ def _cmd_inequalities(args) -> int:
     ordering = _parse_ordering(args.ordering, args.kind)
     if args.kind == "bell-wigner":
         report = bell_wigner(table, ordering, convention=args.convention)  # type: ignore[arg-type]
+        fields = {"lhs": report.lhs, "rhs": report.rhs, "convention": args.convention}
     else:
         report = chsh(table, ordering)  # type: ignore[arg-type]
-    payload = {
+        fields = {"s_value": report.s_value, "bound": 2.0}
+    _emit({
         "kind": report.name,
         "violated": report.violated,
         "statistic": report.statistic,
         "standard_error": report.standard_error,
         "pair_counts": {f"{x};{y}": n for (x, y), n in sorted(report.pair_counts.items())},
         "ordering": list(ordering),
-    }
-    if args.kind == "bell-wigner":
-        payload["lhs"] = report.lhs
-        payload["rhs"] = report.rhs
-        payload["convention"] = args.convention
-    else:
-        payload["s_value"] = report.s_value
-        payload["bound"] = 2.0
-    _emit(payload)
+        **fields,
+    })
     return 0
 
 
@@ -211,7 +211,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     tables, convention = read_tables(args.tables)
-    convention = convention or "equal"
     result = joint_feasibility(tables, identify_equal_settings=args.identify_equal_settings, convention=convention)
     payload = {
         "status": result.status,
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tally", required=True, help="tally JSON")
     p.add_argument("--kind", required=True, choices=["bell-wigner", "chsh"])
     p.add_argument("--ordering", required=True, help="comma-separated setting labels, e.g. a,b,c")
-    p.add_argument("--convention", required=True, choices=CONVENTIONS)
+    p.add_argument("--convention", choices=CONVENTIONS, help="bell-wigner reporting convention")
     p.set_defaults(func=_cmd_inequalities)
 
     p = sub.add_parser("sweep", help="evaluate an inequality across coincidence windows")
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True, help="L-island event file")
     p.add_argument("--windows", required=True, help="comma-separated windows in ns, ascending")
     p.add_argument("--kind", required=True, choices=["bell-wigner", "chsh"])
-    p.add_argument("--convention", default="anti", choices=CONVENTIONS, help="bell-wigner reporting convention")
+    p.add_argument("--convention", choices=CONVENTIONS, help="bell-wigner reporting convention")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_sweep)
 

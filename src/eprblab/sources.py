@@ -56,7 +56,8 @@ class SourceConfig(Record):
     ``station_t_labels`` / ``station_l_labels`` restrict each island's menu
     to a subset of ``settings``; by default both islands draw from the full
     list.  Restricting the menus is how a CHSH run measures only the four
-    counted setting pairs.
+    counted setting pairs.  ``convention``, how L reports its hidden value,
+    has no default: every run states it.
     """
 
     kind: str
@@ -66,7 +67,7 @@ class SourceConfig(Record):
     jitter_ns: int = 0
     total_pairs: int | None = None
     pairs_per_combination: int | None = None
-    convention: str = "anti"
+    convention: str
     max_delay_ns: int | None = None
     delay_exponent: float | None = None
     domain_weights: WignerDomainDistribution | None = None
@@ -273,7 +274,7 @@ def _wigner_domain(config: SourceConfig, rng: np.random.Generator, it: np.ndarra
     the config's explicit distribution over joint outcome domains."""
     dist = config.domain_weights
     nset = dist.n_settings
-    keys = list(dist.weights)
+    keys = [k for k, w in dist.weights.items() if w > 0]  # no draw can land on a domain of weight 0
     cum = np.cumsum([float(dist.weights[k]) for k in keys])
     cum[-1] = 1.0
     domain_idx = np.searchsorted(cum, rng.random(len(it)), side="right")

@@ -269,7 +269,7 @@ def test_criterion_12_pipeline_determinism(tmp_path, capsys):
         assert main(["tally", "--pairs", pairs, "--out", tally_path]) == 0
         sweep = str(directory / "sweep.csv")
         assert main(["sweep", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl",
-                     "--windows", "0,40,120", "--kind", "bell-wigner", "--out", sweep]) == 0
+                     "--windows", "0,40,120", "--kind", "bell-wigner", "--convention", "anti", "--out", sweep]) == 0
         capsys.readouterr()
         artifacts = [f"{out}.T.jsonl", f"{out}.L.jsonl", pairs, tally_path, sweep]
         return {Path(a).name: sha256_file(a) for a in artifacts}

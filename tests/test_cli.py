@@ -114,7 +114,7 @@ def test_sweep_writes_csv(tmp_path, capsys, config_path):
     csv_path = str(tmp_path / "sweep.csv")
     code, summary = run(
         capsys, "sweep", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl",
-        "--windows", "0,50,200", "--kind", "bell-wigner", "--out", csv_path,
+        "--windows", "0,50,200", "--kind", "bell-wigner", "--convention", "anti", "--out", csv_path,
     )
     assert code == 0
     assert summary["rows"] == 3
@@ -212,7 +212,7 @@ def test_inequalities_reads_a_count_of_2_to_the_63_minus_1(tmp_path, capsys):
 def test_feasibility_counts_file(tmp_path, capsys):
     path = tmp_path / "tables.json"
     flat = {"pp": 5, "pm": 5, "mp": 5, "mm": 5}
-    path.write_text(json.dumps({"a;b": flat, "a;c": flat, "c;b": flat}))
+    path.write_text(json.dumps({"convention": "equal", "tables": {"a;b": flat, "a;c": flat, "c;b": flat}}))
     code, payload = run(capsys, "feasibility", "--tables", str(path), "--identify-equal-settings")
     assert code == 0
     assert payload["status"] == "feasible"
@@ -334,7 +334,7 @@ def test_pair_window_at_int64_max_matches_every_emission(tmp_path, capsys, confi
 def test_sweep_last_window_int64_max_leaves_smaller_rows_alone(tmp_path, capsys, config_path):
     out = str(tmp_path / "run")
     run(capsys, "simulate", "--config", config_path, "--out", out)
-    args = ["--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--kind", "bell-wigner"]
+    args = ["--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--kind", "bell-wigner", "--convention", "anti"]
     wide, narrow = str(tmp_path / "wide.csv"), str(tmp_path / "narrow.csv")
     assert main(["sweep", *args, "--windows", f"0,20,{INT64_MAX}", "--out", wide]) == 0
     assert main(["sweep", *args, "--windows", "0,20", "--out", narrow]) == 0
@@ -345,8 +345,8 @@ def test_sweep_last_window_int64_max_leaves_smaller_rows_alone(tmp_path, capsys,
 
 def test_sweep_reads_an_equal_convention_run_with_its_convention(tmp_path, capsys):
     """A local wigner-domain run reported in the equal convention sweeps as
-    the library sweeps it under that convention; the default (anti) reading
-    of the same files shows a violation that is not there."""
+    the library sweeps it under that convention; an anti reading of the
+    same files shows a violation that is not there."""
     doc = json.loads((ROOT / "configs/wigner_uniform.json").read_text())
     doc.update(total_pairs=600, domain_weights={"++-;++-": "1/2", "+-+;+-+": "1/4", "-++;-++": "1/4"})
     config = tmp_path / "config.json"
@@ -356,14 +356,139 @@ def test_sweep_reads_an_equal_convention_run_with_its_convention(tmp_path, capsy
     left, right = read_events(f"{out}.T.jsonl"), read_events(f"{out}.L.jsonl")
     args = ["sweep", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--windows", "0,1000", "--kind", "bell-wigner"]
     csv_path = str(tmp_path / "sweep.csv")
-    for extra, convention in [([], "anti"), (["--convention", "equal"], "equal")]:
-        assert main([*args, *extra, "--out", csv_path]) == 0
+    for convention in ("anti", "equal"):
+        assert main([*args, "--convention", convention, "--out", csv_path]) == 0
         rows = read_sweep_csv(csv_path)
         assert rows == stats.sweep_window(left, right, [0, 1000], "bell-wigner", convention=convention)
         assert [row.violated for row in rows] == [convention == "anti"] * 2
         assert read_manifest(csv_path + ".manifest.json")["parameters"]["convention"] == convention
     capsys.readouterr()
     assert main([*args, "--convention", "same", "--out", csv_path]) == 2
+
+
+NO_CONVENTION = "error: convention must be one of ('equal', 'anti'), got None\n"
+# the tables of a bell-wigner (a,b,c) and a chsh (a,b,c,d) evaluation
+FIVE_TABLES = {key: {"pp": 3, "pm": 1 + i, "mp": 2, "mm": 4} for i, key in enumerate(["a;b", "a;c", "c;b", "a;d", "c;d"])}
+
+
+def test_a_config_without_a_convention_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: v for k, v in SMALL_CONFIG.items() if k != "convention"}))
+    err = _assert_clean_exit(capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")], 2)
+    assert err == "error: missing required config field(s): ['convention']\n"
+    assert not (tmp_path / "run.T.jsonl").exists()
+
+
+def test_a_bell_wigner_sweep_without_a_convention_exits_2(tmp_path, capsys, config_path):
+    out = str(tmp_path / "run")
+    run(capsys, "simulate", "--config", config_path, "--out", out)
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--windows", "0,50",
+            "--kind", "bell-wigner", "--out", str(csv_path)]
+    assert _assert_clean_exit(capsys, argv, 2) == NO_CONVENTION
+    assert not csv_path.exists()
+
+
+def test_a_bell_wigner_inequality_without_a_convention_exits_2(tmp_path, capsys):
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps(FIVE_TABLES))
+    argv = ["inequalities", "--tally", str(path), "--kind", "bell-wigner", "--ordering", "a,b,c"]
+    assert _assert_clean_exit(capsys, argv, 2) == NO_CONVENTION
+
+
+def test_chsh_commands_read_no_convention(tmp_path, capsys, config_path):
+    """A chsh evaluation counts agreements, which no convention enters, so it
+    runs without --convention and answers as it does with either one."""
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps(FIVE_TABLES))
+    argv = ["inequalities", "--tally", str(path), "--kind", "chsh", "--ordering", "a,b,c,d"]
+    code, payload = run(capsys, *argv)
+    assert code == 0 and "convention" not in payload
+    out = str(tmp_path / "run")
+    run(capsys, "simulate", "--config", config_path, "--out", out)
+    sweep = ["sweep", "--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl", "--windows", "0,50", "--kind", "chsh"]
+    assert run(capsys, *sweep, "--out", str(tmp_path / "bare.csv"))[0] == 0
+    for convention in ("equal", "anti"):
+        assert run(capsys, *argv, "--convention", convention) == (0, payload)
+        csv_path = tmp_path / f"{convention}.csv"
+        assert run(capsys, *sweep, "--convention", convention, "--out", str(csv_path))[0] == 0
+        assert csv_path.read_bytes() == (tmp_path / "bare.csv").read_bytes()
+
+
+@pytest.mark.parametrize("tables", [FIVE_TABLES, {"a;b": {"pp": "1/2", "pm": 0, "mp": 0, "mm": "1/2"}}],
+                         ids=["counts", "probabilities"])
+def test_feasibility_on_a_file_without_a_convention_exits_2(tmp_path, capsys, tables):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables))
+    for extra in ([], ["--identify-equal-settings"]):
+        assert _assert_clean_exit(capsys, ["feasibility", "--tables", str(path), *extra], 2) == NO_CONVENTION
+
+
+# per config: the inequality its tables measure, its ordering, and the sweep windows
+FLIP_RUNS = {"singlet_bell": ("bell-wigner", "a,b,c", "0,100,1000"),
+             "local_delay_chsh": ("chsh", "a,b,c,d", "100,1000,30000")}
+
+
+def _answers_under(capsys, directory: Path, doc: dict, kind: str, ordering: str, windows: str) -> dict:
+    """Run doc through simulate, pair (W = 1000), tally and a sweep of each
+    kind in directory, each command under the run's own convention; return
+    the stdout of the inequality and of feasibility without and with
+    identification."""
+    convention = doc["convention"]
+    directory.mkdir()
+    (directory / "config.json").write_text(json.dumps(doc))
+    out = str(directory / "run")
+    assert main(["simulate", "--config", str(directory / "config.json"), "--out", out]) == 0
+    streams = ["--left", f"{out}.T.jsonl", "--right", f"{out}.L.jsonl"]
+    assert main(["pair", *streams, "--window-ns", "1000", "--out", str(directory / "pairs.jsonl")]) == 0
+    assert main(["tally", "--pairs", str(directory / "pairs.jsonl"), "--out", str(directory / "tally.json")]) == 0
+    for sweep_kind in ("bell-wigner", "chsh"):
+        assert main(["sweep", *streams, "--windows", windows, "--kind", sweep_kind, "--convention", convention,
+                     "--out", str(directory / f"{sweep_kind}.csv")]) == 0
+    tally = json.loads((directory / "tally.json").read_text())
+    (directory / "tables.json").write_text(json.dumps({"convention": convention, "tables": tally}))
+    capsys.readouterr()
+    feasibility = ["feasibility", "--tables", str(directory / "tables.json")]
+    return {
+        "inequality": run(capsys, "inequalities", "--tally", str(directory / "tally.json"), "--kind", kind,
+                          "--ordering", ordering, "--convention", convention),
+        "feasibility": [run(capsys, *feasibility, *extra) for extra in ([], ["--identify-equal-settings"])],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_RUNS))
+def test_flipping_the_convention_with_every_l_outcome_changes_no_answer(tmp_path, capsys, name):
+    """One run simulated under each convention from the same seed: the event
+    files differ only in L's outcomes, and every command that reads the
+    run under its own convention gives the same answer.  CHSH reads no
+    convention, so S changes sign; feasibility is compared on its status and
+    LP size, since the presolve may take another path."""
+    kind, ordering, windows = FLIP_RUNS[name]
+    doc = json.loads((ROOT / f"configs/{name}.json").read_text())
+    anti, equal = (_answers_under(capsys, tmp_path / c, dict(doc, convention=c), kind, ordering, windows)
+                   for c in ("anti", "equal"))
+    runs = [tmp_path / "anti", tmp_path / "equal"]
+    assert len({(d / "run.T.jsonl").read_bytes() for d in runs}) == 1
+    left, right = (read_events(str(d / "run.L.jsonl")) for d in runs)
+    assert (left.t_ns.tolist(), left.setting_idx.tolist()) == (right.t_ns.tolist(), right.setting_idx.tolist())
+    assert (-left.outcome).tolist() == right.outcome.tolist()
+
+    assert len({(d / "bell-wigner.csv").read_bytes() for d in runs}) == 1
+    chsh_a, chsh_e = (read_sweep_csv(str(d / "chsh.csv")) for d in runs)
+    assert chsh_a == [stats.SweepRow(r.window_ns, r.pairs, r.statistic and -r.statistic, r.stderr, r.violated)
+                      for r in chsh_e]
+
+    (code_a, answer_a), (code_e, answer_e) = anti["inequality"], equal["inequality"]
+    assert code_a == code_e == 0
+    if kind == "chsh":
+        answer_e.update(s_value=-answer_e["s_value"], statistic=-answer_e["statistic"])
+    else:
+        answer_e["convention"] = "anti"
+    assert answer_a == answer_e
+    for (code_a, a), (code_e, e) in zip(anti["feasibility"], equal["feasibility"]):
+        assert code_a == code_e == 0
+        assert (a["status"], a["lp"]["rows"], a["lp"]["cols"]) == (e["status"], e["lp"]["rows"], e["lp"]["cols"])
+        assert (a["convention"], e["convention"]) == ("anti", "equal")
 
 
 def test_commands_do_not_import_numpy_ma(tmp_path, capsys, config_path):
@@ -398,24 +523,25 @@ def _fresh_interpreter(tmp_path, script: str):
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
-    """feasibility on each tables layout (tally counts, probabilities, and
-    either wrapped with a convention), enumerate, inequalities and a usage
-    error run in a fresh interpreter without loading numpy, which is about
+    """feasibility on each tables layout (tally counts or probabilities,
+    each wrapped with its convention, and a bare tally it refuses),
+    enumerate, inequalities and a usage error run in a fresh interpreter without loading numpy, which is about
     half of a command's start-up, dataclasses and the inspect module it
     imports, or hashlib and the OpenSSL module behind it, which only the
     commands that write or digest a file use."""
     ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
     (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
-    (tmp_path / "probs.json").write_text(json.dumps({"a;b": {"pp": "1/2", "pm": 0, "mp": 0, "mm": "1/2"}}))
+    probs = {"convention": "equal", "tables": {"a;b": {"pp": "1/2", "pm": 0, "mp": 0, "mm": "1/2"}}}
+    (tmp_path / "probs.json").write_text(json.dumps(probs))
     wrapped = {"convention": "anti", "tables": {"a;b": ones, "c;d": ones}}
     (tmp_path / "wrapped.json").write_text(json.dumps(wrapped))
     script = """
 import json, sys
 from eprblab.cli import main
 codes = [
-    main(["feasibility", "--tables", "tally.json", "--identify-equal-settings"]),
+    main(["feasibility", "--tables", "wrapped.json", "--identify-equal-settings"]),
     main(["feasibility", "--tables", "probs.json"]),
-    main(["feasibility", "--tables", "wrapped.json"]),
+    main(["feasibility", "--tables", "tally.json"]),
     main(["enumerate", "--M", "9", "--model", "shared-identified"]),
     main(["enumerate", "--M", "9"]),
     main(["inequalities", "--tally", "tally.json", "--kind", "bell-wigner", "--ordering", "a,b,c",
@@ -425,7 +551,7 @@ codes = [
 loaded = sorted(m for m in ("numpy._core", "dataclasses", "inspect", "hashlib", "_hashlib") if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
-    assert _fresh_interpreter(tmp_path, script) == {"codes": [0, 0, 0, 0, 0, 0, 2], "loaded": []}
+    assert _fresh_interpreter(tmp_path, script) == {"codes": [0, 0, 2, 0, 0, 0, 2], "loaded": []}
 
 
 def test_exact_commands_run_without_numpy(tmp_path, config_path):
@@ -434,12 +560,13 @@ def test_exact_commands_run_without_numpy(tmp_path, config_path):
     an array command exits 2 with one line that names numpy."""
     ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
     (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
+    (tmp_path / "tables.json").write_text(json.dumps({"convention": "anti", "tables": {"a;b": ones, "a;c": ones}}))
     script = f"""
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 from eprblab.cli import main
 codes = [
-    main(["feasibility", "--tables", "tally.json"]),
+    main(["feasibility", "--tables", "tables.json"]),
     main(["enumerate", "--M", "9", "--model", "shared-identified"]),
     main(["inequalities", "--tally", "tally.json", "--kind", "bell-wigner", "--ordering", "a,b,c",
           "--convention", "anti"]),
@@ -538,7 +665,7 @@ def test_an_import_loads_only_the_modules_it_uses(tmp_path, module, want):
     [
         (None, set()),
         (["enumerate", "--M", "9", "--model", "shared-identified"], {"counting"}),
-        (["feasibility", "--tables", "tally.json"], {"feasibility"}),
+        (["feasibility", "--tables", "tables.json"], {"feasibility"}),
         (["inequalities", "--tally", "tally.json", "--kind", "bell-wigner", "--ordering", "a,b,c",
           "--convention", "anti"], {"feasibility", "stats", "pairing"}),
         (["ingest", "--raw", "raw.log", "--island", "T", "--out", "events.jsonl"], {"ioformats"}),
@@ -551,6 +678,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, want):
     tally and table files in feasibility, so they never load ioformats."""
     ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
     (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
+    (tmp_path / "tables.json").write_text(json.dumps({"convention": "equal", "tables": {"a;b": ones}}))
     (tmp_path / "raw.log").write_text("5 a 1\n9 b -1\n")
     script = f"""
 import json, sys
@@ -815,7 +943,8 @@ def test_manifest_keys_are_in_order_and_mappings_sorted(tmp_path, capsys, config
     assert list(simulated["inputs"]) == [config_path]
     assert simulated["config_digest"] == simulated["inputs"][config_path] == sha256_file(config_path)
     assert list(simulated["outputs"]) == [right, left]
-    assert list(simulated["parameters"]) == ["emissions", "kind"]
+    assert list(simulated["parameters"]) == ["convention", "emissions", "kind"]
+    assert simulated["parameters"]["convention"] == SMALL_CONFIG["convention"]
     assert (paired["seed"], paired["config_digest"]) == (None, None)
     assert list(paired["inputs"]) == [right, left]
     assert list(paired["parameters"]) == ["unmatched_left", "unmatched_right", "window_ns"]
@@ -897,7 +1026,7 @@ def test_feasibility_prints_a_witness_of_any_length(tmp_path, capsys, tables):
     from eprblab.model import WignerDomainDistribution, domain_key_from_string
 
     path = tmp_path / "tables.json"
-    path.write_text(json.dumps(tables))
+    path.write_text(json.dumps({"convention": "equal", "tables": tables}))
     code, payload = run(capsys, "feasibility", "--tables", str(path))
     assert code == 0 and payload["status"] == "feasible"
     weights = {}
@@ -1073,14 +1202,14 @@ def test_fuzz_enumerate(M, model):
     kind=st.sampled_from(["bell-wigner", "chsh"]),
     ordering=st.one_of(st.lists(st.sampled_from(["a", "b", "c", "d", "x", " a", ""]), max_size=5).map(",".join),
                        st.sampled_from(["a,b,c", "c,b,a", "a,b,c,d", "d,c,b,a", "a,a,b", ",,,"])),
-    convention=st.sampled_from(["equal", "anti", "sideways"]),
+    convention=st.sampled_from([None, "equal", "anti", "sideways"]),
 )
 def test_fuzz_inequalities(tables, wrap, kind, ordering, convention):
     def argv_for(tmp):
         doc = tables if wrap is None else {"convention": wrap, "tables": tables}
         (tmp / "tally.json").write_text(json.dumps(doc))
         return ["inequalities", "--tally", str(tmp / "tally.json"), "--kind", kind,
-                "--ordering", ordering, "--convention", convention]
+                "--ordering", ordering] + ([] if convention is None else ["--convention", convention])
 
     _fuzz_main(argv_for)
 
@@ -1089,13 +1218,14 @@ def test_fuzz_inequalities(tables, wrap, kind, ordering, convention):
 @given(t_rows=_event_lines("T"), l_rows=_event_lines("L"),
        windows=st.lists(st.one_of(st.integers(-5, 100), st.sampled_from([INT64_MAX, 2**64, 10**30, -(2**64)])),
                         max_size=5),
-       kind=st.sampled_from(["bell-wigner", "chsh"]))
-def test_fuzz_sweep(t_rows, l_rows, windows, kind):
+       kind=st.sampled_from(["bell-wigner", "chsh"]), convention=st.sampled_from([None, "equal", "anti"]))
+def test_fuzz_sweep(t_rows, l_rows, windows, kind, convention):
     def argv_for(tmp):
         (tmp / "t.jsonl").write_text(_jsonl(t_rows))
         (tmp / "l.jsonl").write_text(_jsonl(l_rows))
         return ["sweep", "--left", str(tmp / "t.jsonl"), "--right", str(tmp / "l.jsonl"),
-                "--windows", ",".join(map(str, windows)), "--kind", kind, "--out", str(tmp / "sweep.csv")]
+                "--windows", ",".join(map(str, windows)), "--kind", kind, "--out", str(tmp / "sweep.csv")] + (
+                    [] if convention is None else ["--convention", convention])
 
     _fuzz_main(argv_for)
 

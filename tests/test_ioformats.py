@@ -923,7 +923,10 @@ def test_an_omitted_config_field_takes_its_default(field):
 
 @pytest.mark.parametrize(
     "doc, missing",
-    [({}, ["kind", "settings", "seed", "emission_period_ns"]), ({"seed": 1, "settings": []}, ["kind", "emission_period_ns"])],
+    [
+        ({}, ["kind", "settings", "seed", "emission_period_ns", "convention"]),
+        ({"seed": 1, "settings": []}, ["kind", "emission_period_ns", "convention"]),
+    ],
 )
 def test_missing_config_fields_are_listed_in_schema_order(doc, missing):
     with pytest.raises(ConfigParseError) as err:

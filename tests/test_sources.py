@@ -14,7 +14,7 @@ from eprblab.feasibility import marginalize
 from eprblab.ioformats import sha256_file, write_events
 from eprblab.model import Setting, WignerDomainDistribution, domain_key_from_string
 from eprblab.pairing import PairingConfig, match_pairs_indexed
-from eprblab.sources import SourceConfig, config_from_dict, generate
+from eprblab.sources import SourceConfig, _wigner_domain, config_from_dict, generate
 from eprblab.stats import chsh, equal_fraction, tally
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,7 +22,7 @@ ABC = (Setting("a", 0.0), Setting("b", 120.0), Setting("c", 60.0))
 
 
 def singlet_config(**kw):
-    base = dict(kind="singlet", settings=ABC, seed=3, emission_period_ns=1000, total_pairs=100)
+    base = dict(kind="singlet", settings=ABC, seed=3, emission_period_ns=1000, total_pairs=100, convention="anti")
     base.update(kw)
     return SourceConfig(**base)
 
@@ -126,6 +126,7 @@ def test_config_kind_parameter_coupling():
             seed=1,
             emission_period_ns=1000,
             total_pairs=10,
+            convention="anti",
         )
     with pytest.raises(ConfigParseError):
         SourceConfig(
@@ -134,7 +135,15 @@ def test_config_kind_parameter_coupling():
             seed=1,
             emission_period_ns=1000,
             total_pairs=10,
+            convention="anti",
         )
+
+
+def test_a_config_states_its_convention():
+    """No reporting convention is assumed: a SourceConfig built without one
+    is refused (a config document without one, in ``test_ioformats``)."""
+    with pytest.raises(TypeError, match="^SourceConfig\\(\\) missing required argument\\(s\\): 'convention'$"):
+        SourceConfig(kind="singlet", settings=ABC, seed=3, emission_period_ns=1000, total_pairs=100)
 
 
 def test_config_overflow_guard():
@@ -283,6 +292,7 @@ def test_singlet_matches_independent_sampler_oracle(rng):
             seed=1000 + k,
             emission_period_ns=10,
             total_pairs=n,
+            convention="anti",
             station_t_labels=("a",),
             station_l_labels=("b",),
         )
@@ -386,6 +396,29 @@ def test_wigner_uniform_matches_exact_marginals():
             assert abs(phat - float(p)) <= 4 * math.sqrt(float(p) * (1 - float(p)) / n)
 
 
+class _TopDraw:
+    """A source generator whose every uniform draw is 1 - 2^-53, the largest
+    value ``Generator.random`` returns."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+def test_wigner_sampler_never_draws_a_domain_of_weight_0():
+    """Weight 1/10 on each of the first ten sorted domains sums to 1 - 2^-53
+    in floats, so the top draw lies at that sum.  It lands on the tenth
+    domain, not on a later one of weight 0 such as the last, whose sigma_a
+    is +1."""
+    keys = sorted(WignerDomainDistribution.uniform().weights)[:10]
+    assert all(key[0] == -1 for key in keys)
+    dist = WignerDomainDistribution.from_partial(dict.fromkeys(keys, Fraction(1, 10)))
+    cfg = SourceConfig(kind="wigner-domain", settings=ABC, seed=1, emission_period_ns=1000, total_pairs=3,
+                       convention="equal", domain_weights=dist)
+    it = il = np.arange(3, dtype=np.int16)
+    sigma, tau, _, _ = _wigner_domain(cfg, _TopDraw(), it, il)
+    assert (sigma.tolist(), tau.tolist()) == (list(keys[-1][:3]), list(keys[-1][3:]))
+
+
 # ---------------------------------------------------------------------------
 # local-delay source
 
@@ -400,6 +433,7 @@ def _delay_config(**kw):
         total_pairs=20_000,
         max_delay_ns=10_000,
         delay_exponent=4.0,
+        convention="anti",
         station_t_labels=("a", "c"),
         station_l_labels=("b", "d"),
     )

@@ -72,6 +72,7 @@ def test_tally_agrees_with_event_counter(rng):
         emission_period_ns=1000,
         jitter_ns=100,
         total_pairs=3000,
+        convention="anti",
     )
     left, right = generate(cfg)
     mi, mj, _, _ = match_pairs_indexed(left, right, PairingConfig(150))
@@ -345,6 +346,7 @@ def _singlet_streams(jitter=0, n=400, seed=19):
         emission_period_ns=1000,
         jitter_ns=jitter,
         total_pairs=n,
+        convention="anti",
     )
     return generate(cfg)
 
