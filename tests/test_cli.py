@@ -525,10 +525,11 @@ def _fresh_interpreter(tmp_path, script: str):
 def test_exact_commands_do_not_load_numpy(tmp_path):
     """feasibility on each tables layout (tally counts or probabilities,
     each wrapped with its convention, and a bare tally it refuses),
-    enumerate, inequalities and a usage error run in a fresh interpreter without loading numpy, which is about
-    half of a command's start-up, dataclasses and the inspect module it
-    imports, or hashlib and the OpenSSL module behind it, which only the
-    commands that write or digest a file use."""
+    enumerate, inequalities and a usage error run in a fresh interpreter
+    without loading numpy, which is about half of a command's start-up,
+    dataclasses and the inspect module it imports, or hashlib and the
+    OpenSSL module behind it, which only the commands that write or digest
+    a file use."""
     ones = {"pp": 3, "pm": 1, "mp": 1, "mm": 3}
     (tmp_path / "tally.json").write_text(json.dumps({"a;b": ones, "a;c": ones, "c;b": ones}))
     probs = {"convention": "equal", "tables": {"a;b": {"pp": "1/2", "pm": 0, "mp": 0, "mm": "1/2"}}}
